@@ -7,7 +7,8 @@ the write path must preserve under any legal schedule of datanode kills,
 throttles and revives.  :class:`InvariantMonitor` hooks into a
 deployment's :class:`~repro.analysis.trace.Journal` (checking stream
 properties live, as events are emitted) and runs a periodic sampler
-process (checking state properties such as datanode buffer bounds), then
+process (checking state properties such as datanode buffer bounds, and
+sleeping while no datanode has a receiver open), then
 performs block-level durability checks in :meth:`InvariantMonitor.finalize`
 once the run has settled.
 
@@ -58,7 +59,7 @@ from typing import Optional
 from ..analysis.trace import TraceEvent
 from ..hdfs.deployment import HdfsDeployment
 from ..hdfs.protocol import BlockState, WriteResult
-from ..sim import Interrupt, ProcessGenerator
+from ..sim import Event, Interrupt, ProcessGenerator
 
 __all__ = [
     "InvariantRecord",
@@ -148,6 +149,10 @@ class InvariantMonitor:
         self._finalized = False
 
         deployment.journal.subscribe(self._on_event)
+        #: The dormant sampler's wake event; ``None`` while it is active.
+        self._wake: Optional[Event] = None
+        for datanode in deployment.datanodes.values():
+            datanode.on_receiver_open = self._on_receiver_open
         self._sampler = self.env.process(
             self._sample_buffers(sample_interval), name="invariant:sampler"
         )
@@ -191,13 +196,46 @@ class InvariantMonitor:
                 event.subject
             )
 
+    def _on_receiver_open(self) -> None:
+        wake, self._wake = self._wake, None
+        if wake is not None:
+            wake.succeed()
+
     def _sample_buffers(self, interval: float) -> ProcessGenerator:
+        """Check every open receiver's buffer on a fixed tick grid.
+
+        The grid is the float sequence ``t_{k+1} = t_k + interval`` from
+        the monitor's start, exactly the times chained ``timeout(interval)``
+        calls would land on.  While any receiver is open the sampler
+        walks that grid tick by tick.  When a tick finds none it goes
+        dormant and schedules nothing until a datanode opens a receiver;
+        it then advances ``tick`` along the same float chain to the first
+        grid time at or after the wake-up and resumes there, so the
+        checks it records are those of a sampler that never slept.
+
+        Tie rule: a receiver opened exactly on a grid tick while the
+        sampler sleeps is counted at that tick.
+        """
         record = self.records["buffer_bound"]
+        datanodes = self.deployment.datanodes.values()
+        tick = self.env.now
+        seen = any(datanode.active_receivers for datanode in datanodes)
         try:
             while True:
-                yield self.env.timeout(interval)
-                for datanode in self.deployment.datanodes.values():
+                if seen:
+                    yield self.env.timeout(interval)
+                    tick = self.env.now
+                else:
+                    self._wake = self.env.event()
+                    yield self._wake
+                    tick += interval
+                    while tick < self.env.now:
+                        tick += interval
+                    yield self.env.timeout_at(tick)
+                seen = False
+                for datanode in datanodes:
                     for receiver in datanode.receivers:
+                        seen = True
                         buffered = receiver.buffered_packets * self._packet_size
                         record.check(
                             buffered <= self.buffer_bound_bytes,
@@ -210,8 +248,11 @@ class InvariantMonitor:
 
     # -- lifecycle ------------------------------------------------------
     def stop(self) -> None:
-        """Detach from the journal and stop the sampler."""
+        """Detach from the journal and datanodes and stop the sampler."""
         self.deployment.journal.unsubscribe(self._on_event)
+        for datanode in self.deployment.datanodes.values():
+            if datanode.on_receiver_open == self._on_receiver_open:
+                datanode.on_receiver_open = None
         if self._sampler.is_alive:
             self._sampler.interrupt("monitor stopped")
 

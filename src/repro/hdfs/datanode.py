@@ -431,7 +431,12 @@ class Datanode:
         self.tracer = tracer if tracer is not None else DISABLED_TRACER
         self.metrics = metrics if metrics is not None else DISABLED_METRICS
         self.namenode: Optional["Namenode"] = None
-        self._active: set[BlockReceiver] = set()
+        #: Open receivers in open order (a dict as an ordered set), so
+        #: :meth:`kill` aborts them and monitors walk them deterministically.
+        self._active: dict[BlockReceiver, None] = {}
+        #: Called after every :meth:`open_receiver` (the invariant
+        #: monitor's wake-up hook).
+        self.on_receiver_open: Optional["Callable[[], None]"] = None
         self._heartbeat_proc: Optional[Process] = None
         #: FIFO serve-slot admission for read streams (the
         #: ``dfs.datanode.max.transfer.threads`` analogue): at most
@@ -539,11 +544,13 @@ class Datanode:
             upstream_node=upstream_node,
             initial_bytes=initial_bytes,
         )
-        self._active.add(receiver)
+        self._active[receiver] = None
+        if self.on_receiver_open is not None:
+            self.on_receiver_open()
         return receiver
 
     def _receiver_closed(self, receiver: BlockReceiver) -> None:
-        self._active.discard(receiver)
+        self._active.pop(receiver, None)
 
     # -- read serving --------------------------------------------------------
     def open_serve(self, block_id: int, client: str) -> ProcessGenerator:

@@ -195,3 +195,34 @@ class TestKillSemantics:
         env.run(until=1)
         assert dep.datanode("dn0").active_receivers == 0
         assert dep.datanode("dn1").active_receivers == 0
+
+
+class TestReceiverOrder:
+    def test_receivers_and_kill_follow_open_order(self):
+        """Open receivers are walked and aborted in open order, never in
+        memory-address order (a set of id-hashed receivers)."""
+        env, dep = make()
+        receivers = []
+        for i in range(6):
+            block = dep.namenode.blocks.allocate(f"/f{i}", 0, MB)
+            handle = dep.open_pipeline(block, ("dn0",), dep.cluster.client_host)
+            receivers.append(handle.receivers[0])
+        dn0 = dep.datanode("dn0")
+        assert dn0.receivers == tuple(receivers)
+
+        receivers[2].abort()
+        del receivers[2]
+        assert dn0.receivers == tuple(receivers)
+
+        aborted = []
+        for receiver in receivers:
+            original = receiver.abort
+            receiver.abort = (
+                lambda failed=None, r=receiver, abort=original: (
+                    aborted.append(r),
+                    abort(failed),
+                )
+            )
+        dn0.kill()
+        assert aborted == receivers
+        assert dn0.receivers == ()

@@ -14,10 +14,11 @@ from pathlib import Path
 
 import pytest
 
+from tests.faults import regen_goldens as faults_regen
 from tests.obs import regen_goldens as obs_regen
 from tests.service import regen_goldens as service_regen
 
-MODULES = {"obs": obs_regen, "service": service_regen}
+MODULES = {"faults": faults_regen, "obs": obs_regen, "service": service_regen}
 
 
 @pytest.fixture(scope="module", params=sorted(MODULES), ids=sorted(MODULES))
