@@ -1,27 +1,17 @@
-"""10k-client campaign benchmark: batch completion kernel + windowed shards.
+"""10k-client campaign benchmark: the batch completion kernel.
 
-Not a paper figure — this measures the two fast paths this repo adds on
-top of the packet-train coalescer, on the campaign shape they were built
-for (:func:`repro.workloads.campaign10k`: 100 pods x 100 clients x 10
+Not a paper figure — this measures the vectorized **batch completion
+kernel** (``HdfsConfig.batch_completions``) against the scalar per-row
+conductor on the campaign shape it was built for
+(:func:`repro.workloads.campaign10k`: 100 pods x 100 clients x 10
 datanodes at full scale, 4 MB files inside the data-queue bound so the
-train's batched feeder engages on every block):
-
-* ``campaign10k`` — the vectorized **batch completion kernel**
-  (``HdfsConfig.batch_completions``) against the scalar per-row
-  conductor.  Timelines must be bit-identical; the kernel's win shows up
-  twice: the machine-independent *event reduction* (the batched feeder
-  retires a whole block's packet stream with zero heap events per
-  packet) and the wall-clock *speedup*.  Both runs are timed best-of-N
-  because the ratio of two ~second walls is noisy on shared runners; the
-  event reduction is deterministic and carries the hard floor.
-* ``windows`` — sequential vs thread-pool **windowed sharded
-  execution** (``run_windows(workers=N)``).  Pods share nothing, so the
-  whole run is one conservative window per chunk and the barrier is the
-  only synchronization point.  A thread speedup is only physically
-  possible on a multi-core, free-threaded build — the GIL serializes
-  the drain otherwise — so the measured CPU count *and* GIL state are
-  recorded and ``check_perf_floor.py`` skips the floor (loudly) when
-  either gate fails.
+train's batched feeder engages on every block).  Timelines must be
+bit-identical; the kernel's win shows up twice: the machine-independent
+*event reduction* (the batched feeder retires a whole block's packet
+stream with zero heap events per packet) and the wall-clock *speedup*.
+Both runs are timed best-of-N because the ratio of two ~second walls is
+noisy on shared runners; the event reduction is deterministic and
+carries the hard floor.
 
 Writes ``benchmarks/results/BENCH_campaign.json``; the CI perf-smoke
 job checks it against the ``campaign`` group in ``perf_floor.json``.
@@ -30,7 +20,6 @@ job checks it against the ``campaign`` group in ``perf_floor.json``.
 from __future__ import annotations
 
 import os
-import sys
 import time
 
 from conftest import write_bench_json
@@ -41,24 +30,12 @@ from repro.workloads import campaign10k, run_pods_single_env
 #: Best-of-N timing for the scalar/batch pair (wall-ratio noise guard).
 TIMING_REPS = 2
 
-#: Shards (= thread-pool width ceiling) for the windowed rows.
-WINDOW_SHARDS = 4
-
-#: Thread-scaling floors only make sense with enough cores...
-MIN_CPUS_FOR_SPEEDUP = 4
-
 
 def _cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-def _gil_enabled() -> bool:
-    """...and only on a free-threaded build (PEP 703); the GIL
-    serializes the window drain on stock CPython."""
-    return bool(getattr(sys, "_is_gil_enabled", lambda: True)())
 
 
 def _timed(fn):
@@ -75,24 +52,6 @@ def _best_of(fn, reps=TIMING_REPS):
         if wall < best_wall:
             best_outcome, best_wall = outcome, wall
     return best_outcome, best_wall
-
-
-def _window_health(health: dict) -> dict:
-    """The windowed-execution gauges ``publish_env_health`` exports."""
-    return {
-        key: health[key]
-        for key in (
-            "window_barriers",
-            "window_events",
-            "window_batch_max",
-            "window_batch_mean",
-            "window_workers",
-            "shard_events",
-            "shard_imbalance",
-            "inter_shard_messages",
-        )
-        if key in health
-    }
 
 
 def test_campaign_batch_kernel(benchmark, results_dir, scale):
@@ -179,88 +138,3 @@ def test_campaign_batch_kernel(benchmark, results_dir, scale):
         "event traffic"
     )
 
-
-def test_campaign_windowed_threads(benchmark, results_dir, scale):
-    """Sequential vs threaded windowed drain on the sharded campaign."""
-    plan = campaign10k(scale=max(0.02, scale * 0.4))
-    config = SimulationConfig()
-    cpus = _cpus()
-    gil = _gil_enabled()
-
-    baseline, base_wall = _timed(
-        lambda: run_pods_single_env(plan, config=config)
-    )
-    sequential, seq_wall = _timed(
-        lambda: run_pods_single_env(
-            plan, config=config, shards=WINDOW_SHARDS, windowed=True
-        )
-    )
-    threaded, thr_wall = benchmark.pedantic(
-        lambda: _timed(
-            lambda: run_pods_single_env(
-                plan,
-                config=config,
-                shards=WINDOW_SHARDS,
-                windowed=True,
-                workers=WINDOW_SHARDS,
-            )
-        ),
-        rounds=1,
-        iterations=1,
-    )
-
-    # Determinism contract: every executor, the same timeline.
-    assert sequential.timeline == baseline.timeline
-    assert threaded.timeline == baseline.timeline
-    assert threaded.fully_replicated
-
-    speedup = seq_wall / thr_wall if thr_wall > 0 else 0.0
-    health = _window_health(threaded.health or {})
-
-    lines = [
-        f"campaign10k windowed shards "
-        f"({len(plan.pods)} pods, {WINDOW_SHARDS} shards)",
-        f"cpus                 : {cpus}",
-        f"gil enabled          : {gil}",
-        f"single-heap wall     : {base_wall:.3f}s",
-        f"windowed x1 wall     : {seq_wall:.3f}s",
-        f"windowed x{WINDOW_SHARDS} wall     : {thr_wall:.3f}s "
-        f"({speedup:.2f}x vs sequential)",
-        f"window barriers      : {health.get('window_barriers')}",
-        f"window batch max     : {health.get('window_batch_max')}",
-        f"window batch mean    : {round(health.get('window_batch_mean', 0.0), 1)}",
-        f"window workers       : {health.get('window_workers')}",
-    ]
-    text = "\n".join(lines) + "\n"
-    print("\n" + text)
-    (results_dir / "campaign_windows.txt").write_text(text)
-
-    write_bench_json(
-        results_dir,
-        "campaign",
-        "windows",
-        {
-            "cpus": cpus,
-            "gil_enabled": gil,
-            "n_pods": len(plan.pods),
-            "shards": WINDOW_SHARDS,
-            "workers": WINDOW_SHARDS,
-            "baseline_wall_seconds": round(base_wall, 3),
-            "sequential_wall_seconds": round(seq_wall, 3),
-            "threaded_wall_seconds": round(thr_wall, 3),
-            "timeline_identical": True,  # asserted above
-            "speedup": round(speedup, 2),
-            "window_health": health,
-        },
-    )
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark.extra_info["cpus"] = cpus
-    benchmark.extra_info["gil_enabled"] = gil
-
-    # A thread speedup needs cores *and* a GIL-free interpreter; on stock
-    # CPython the value is recorded (the determinism contract above is
-    # the real assertion) but not enforced.
-    if cpus >= MIN_CPUS_FOR_SPEEDUP and not gil:
-        assert speedup >= 1.3, (
-            f"threaded windows reached only {speedup:.2f}x on {cpus} CPUs"
-        )

@@ -1,25 +1,23 @@
-"""Sharded-core scale benchmark: pod-partitioned multi-tenant campaigns.
+"""Pod-executor scale benchmark: pod-partitioned multi-tenant campaigns.
 
-Not a paper figure — this measures the *sharded parallel simulation
-core* (``repro.sim.shard``) on the multi-tenant workloads where it
-matters, using the pod plans from :mod:`repro.workloads.sharded`:
+Not a paper figure — this measures the two pod executors of
+:mod:`repro.workloads.sharded` on the multi-tenant workloads where they
+matter:
 
 * ``scale64`` — the scale64 cluster shape cut into 8 independent pods
   (8 pods × 8 clients × 30 datanodes = 64 clients, 240 datanodes).
 * ``scale256`` — the high-tenancy shape cut into 16 pods
   (16 pods × 16 clients × 4 datanodes = 256 clients, 64 datanodes).
 
-Each workload runs under three executors: the single-heap
-:class:`Environment` baseline, the in-process
-:class:`ShardedEnvironment` (deterministic K-way merge — same event
-order, by construction), and the worker-process backend at shard counts
-{1, 2, 4, 8}.  Every executor's per-client timeline must be *identical*
-to the baseline — asserted, not assumed.  Wall-clock speedup of the best
-process run over the baseline is the headline number; it is asserted
-(≥ 2x) and floor-checked only on machines with at least 4 CPUs, because
-a single-core runner cannot parallelize anything — the measured CPU
-count is recorded in ``BENCH_shard.json`` so ``check_perf_floor.py``
-can tell the difference.
+Each workload runs every pod in one :class:`Environment` (the baseline)
+and then each pod in a fresh environment on the worker-process backend
+at shard counts {1, 2, 4, 8}.  Every run's per-client timeline must be
+*identical* to the baseline — asserted, not assumed.  Wall-clock
+speedup of the best process run over the baseline is the headline
+number; it is asserted (≥ 2x) and floor-checked only on machines with
+at least 4 CPUs, because a single-core runner cannot parallelize
+anything — the measured CPU count is recorded in ``BENCH_shard.json``
+so ``check_perf_floor.py`` can tell the difference.
 
 Writes ``benchmarks/results/BENCH_shard.json``; the CI perf-smoke job
 checks it against ``perf_floor.json``.
@@ -64,7 +62,7 @@ def _timed(fn):
 
 
 def _run_matrix(benchmark, results_dir, section, plan, bench_shards):
-    """Baseline vs in-process sharded vs process backend; write one section."""
+    """Baseline vs process backend; write one section."""
     config = _config()
     cpus = _cpus()
 
@@ -72,13 +70,6 @@ def _run_matrix(benchmark, results_dir, section, plan, bench_shards):
         lambda: run_pods_single_env(plan, config=config)
     )
     assert baseline.fully_replicated
-
-    inproc, inproc_wall = _timed(
-        lambda: run_pods_single_env(plan, config=config, shards=4)
-    )
-    # The deterministic merge contract: same timeline, same event count.
-    assert inproc.timeline == baseline.timeline
-    assert inproc.events_processed == baseline.events_processed
 
     process_rows = []
     best_speedup = 0.0
@@ -119,8 +110,6 @@ def _run_matrix(benchmark, results_dir, section, plan, bench_shards):
         f"makespan (simulated) : {baseline.makespan:.6f}",
         f"baseline events      : {baseline.events_processed}",
         f"baseline wall        : {base_wall:.3f}s  ({eps} events/s)",
-        f"inproc sharded wall  : {inproc_wall:.3f}s "
-        f"(timeline identical, shard load {inproc.health['shard_events']})",
     ]
     for row in process_rows:
         lines.append(
@@ -146,23 +135,6 @@ def _run_matrix(benchmark, results_dir, section, plan, bench_shards):
             "events_processed": baseline.events_processed,
             "wall_seconds": round(base_wall, 3),
             "events_per_sec": eps,
-            "inproc_wall_seconds": round(inproc_wall, 3),
-            "inproc_shard_events": inproc.health["shard_events"],
-            "inproc_health": {
-                key: inproc.health[key]
-                for key in (
-                    "events_dispatched",
-                    "heap_high_water",
-                    "inter_shard_messages",
-                    "window_barriers",
-                    "window_events",
-                    "window_batch_max",
-                    "window_batch_mean",
-                    "window_workers",
-                    "shard_imbalance",
-                )
-                if key in inproc.health
-            },
             "timeline_identical": True,  # asserted above, for every mode
             "process_runs": process_rows,
             "speedup": round(best_speedup, 2),

@@ -13,13 +13,11 @@ more than the configured tolerance below its checked-in floor, or when a
 machine-independent ratio (the packet-train ``event_reduction``, the
 allocation-path ``speedup``) falls under its minimum.  Parallel-speedup
 floors are gated on the machine being able to demonstrate them at all:
-``min_cpus`` skips a section's ratio floors on small machines, and
-``requires_no_gil`` skips them when the benchmark recorded
-``gil_enabled`` true (a thread-pool drain cannot scale under the GIL).
-Skips are loud — they appear in the detail lines and in the summary
-table printed at the end.  Raising a floor is a normal part of landing a
-perf win; lowering one is a perf regression and needs justification in
-the PR.
+``min_cpus`` skips a section's ratio floors on small machines.  Skips
+are loud — they appear in the detail lines and in the summary table
+printed at the end.  Raising a floor is a normal part of landing a perf
+win; lowering one is a perf regression and needs justification in the
+PR.
 """
 
 from __future__ import annotations
@@ -91,18 +89,15 @@ def check_group(
         skip_reason = None
         if min_cpus is not None and cpus is not None and cpus < min_cpus:
             skip_reason = f"{cpus} cpus < min_cpus {min_cpus}"
-        elif limits.get("requires_no_gil") and measured.get("gil_enabled", True):
-            skip_reason = "gil enabled"
         for floor_key, measured_key in RATIO_FLOORS.items():
             minimum = limits.get(floor_key)
             if minimum is None:
                 continue
             if skip_reason is not None:
                 # A parallel-speedup floor is meaningless on a machine
-                # that cannot physically parallelize (too few cores, or
-                # a GIL serializing the thread pool) — report, don't
-                # fail (CI runners satisfy min_cpus; laptops may not,
-                # and stock CPython keeps its GIL).
+                # that cannot physically parallelize (too few cores) —
+                # report, don't fail (CI runners satisfy min_cpus;
+                # laptops may not).
                 print(
                     f"{group}.{section}.{measured_key}: skipped "
                     f"({skip_reason})"

@@ -217,10 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--seed", type=int, default=20140901)
     serve.add_argument(
-        "--shards", type=_positive_int, default=1,
-        help="event-loop shards (default 1)",
-    )
-    serve.add_argument(
         "--protocol", choices=("hdfs", "smarth"), default="smarth"
     )
     serve.add_argument(
@@ -451,7 +447,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             checkpoint_every=parse_duration(args.checkpoint_every),
             seed=args.seed,
             protocol=args.protocol,
-            shards=args.shards,
             n_datanodes=args.datanodes,
             max_inflight=args.max_inflight,
             queue_limit=args.queue_limit,

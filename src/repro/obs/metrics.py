@@ -224,33 +224,17 @@ _ENV_HEALTH_KEYS = (
     "tombstones_skipped",
     "compactions_run",
     "heap_high_water",
-    "inter_shard_messages",
-    "window_barriers",
-    "window_events",
-    "window_batch_max",
-    "window_batch_mean",
-    "window_workers",
-    "shard_imbalance",
 )
 
 
 def publish_env_health(env, metrics: MetricsRegistry) -> None:
     """Publish an environment's event-loop health counters as gauges.
 
-    Gauges land under ``sim.env.*`` (``events_dispatched``,
-    ``tombstones_skipped``, ``compactions_run``, ``heap_high_water``);
-    a :class:`~repro.sim.ShardedEnvironment` additionally publishes
-    ``sim.env.shard<k>.events`` per shard plus the inter-shard message
-    and window-barrier totals and the windowed-execution gauges
-    (``window_events``, ``window_batch_max``, ``window_batch_mean``,
-    ``window_workers``), so shard imbalance and barrier batch shape
-    show up directly in metrics summaries and trace exports.
+    Gauges land under ``sim.env.*``: ``events_dispatched``,
+    ``tombstones_skipped``, ``compactions_run`` and ``heap_high_water``.
     """
     if not metrics.enabled:
         return
     health = env.health()
     for key in _ENV_HEALTH_KEYS:
-        if key in health:
-            metrics.set_gauge(f"sim.env.{key}", health[key])
-    for shard, events in enumerate(health.get("shard_events", ())):
-        metrics.set_gauge(f"sim.env.shard{shard}.events", events)
+        metrics.set_gauge(f"sim.env.{key}", health[key])

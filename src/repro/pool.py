@@ -1,7 +1,7 @@
 """Shared process-pool fan-out with named-task failure reporting.
 
 Both places the simulator farms work out to child processes — the
-experiment runner's ``run_all --jobs`` and the sharded scale executor in
+experiment runner's ``run_all --jobs`` and the pod executor in
 :mod:`repro.workloads.sharded` — need the same contract: results return
 in task order, a child failure names *which* task died (no silent
 ``None`` holes to hole-check downstream), and ``jobs=1`` degrades to a

@@ -82,7 +82,7 @@ class Arrival:
     at: float
     cls: str
     cls_index: int
-    #: Global tenant index (stable across classes; routes host + shard).
+    #: Global tenant index (stable across classes; routes the client host).
     tenant_index: int
     #: Tenant id, e.g. ``interactive-0007``.
     tenant: str

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import hashlib
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -53,7 +52,7 @@ from ..faults.injector import FaultInjector
 from ..hdfs.deployment import HdfsDeployment
 from ..obs import MetricsRegistry, metrics_summary, window_bucket
 from ..rng import substream
-from ..sim import Environment, ProcessGenerator, ShardedEnvironment, SnapshotError
+from ..sim import Environment, ProcessGenerator, SnapshotError
 from ..smarth.deployment import SmarthDeployment
 from ..units import KB, MB
 from .admission import ADMIT, QUEUE, AdmissionController
@@ -87,7 +86,6 @@ class ServiceSpec:
     checkpoint_every: float
     seed: int = 20140901
     protocol: str = "smarth"
-    shards: int = 1
     n_datanodes: int = 6
     n_client_hosts: int = 3
     max_inflight: int = 8
@@ -109,8 +107,6 @@ class ServiceSpec:
             raise ValueError("checkpoint_every must be positive")
         if self.protocol not in _PROTOCOLS:
             raise ValueError(f"protocol must be one of {_PROTOCOLS}")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
         if self.n_client_hosts < 1:
             raise ValueError("n_client_hosts must be >= 1")
 
@@ -234,11 +230,7 @@ class IngestService:
 
     def __init__(self, spec: ServiceSpec, _restore: Optional[dict] = None):
         self.spec = spec
-        self.env = (
-            ShardedEnvironment(shards=spec.shards)
-            if spec.shards > 1
-            else Environment()
-        )
+        self.env = Environment()
         config = SimulationConfig(seed=spec.seed).with_hdfs(
             block_size=spec.block_size,
             packet_size=spec.packet_size,
@@ -248,18 +240,17 @@ class IngestService:
         # All infrastructure starts *stopped*: both the fresh and the
         # resumed path go through _start_infra, so they create events in
         # the same order from the same clock state.
-        with self._pin(0):
-            self.cluster = build_homogeneous(
-                self.env,
-                "small",
-                n_datanodes=spec.n_datanodes,
-                config=config,
-                n_extra_clients=spec.n_client_hosts - 1,
-            )
-            deployment_cls = (
-                SmarthDeployment if spec.protocol == "smarth" else HdfsDeployment
-            )
-            self.deployment = deployment_cls(self.cluster, start_services=False)
+        self.cluster = build_homogeneous(
+            self.env,
+            "small",
+            n_datanodes=spec.n_datanodes,
+            config=config,
+            n_extra_clients=spec.n_client_hosts - 1,
+        )
+        deployment_cls = (
+            SmarthDeployment if spec.protocol == "smarth" else HdfsDeployment
+        )
+        self.deployment = deployment_cls(self.cluster, start_services=False)
         self.injector = FaultInjector(self.deployment)
         self._faults = tuple(
             sorted(spec.faults, key=lambda f: (f.at, f.kind, f.datanode or ""))
@@ -280,13 +271,6 @@ class IngestService:
     @property
     def journal(self):
         return self.deployment.journal
-
-    def _pin(self, shard: int):
-        """Pin event creation to a shard (no-op on a plain Environment)."""
-        pinned = getattr(self.env, "pinned", None)
-        if pinned is None:
-            return nullcontext()
-        return pinned(shard % self.spec.shards)
 
     @classmethod
     def resume(cls, snapshot_path) -> "IngestService":
@@ -339,12 +323,11 @@ class IngestService:
         return self.report()
 
     def _run_segment(self, t_end: float) -> None:
-        with self._pin(0):
-            self._start_infra()
-            self._apply_faults(t_end)
-            driver = self.env.process(
-                self._drive(t_end), name=f"service:seg{self._segment_index}"
-            )
+        self._start_infra()
+        self._apply_faults(t_end)
+        driver = self.env.process(
+            self._drive(t_end), name=f"service:seg{self._segment_index}"
+        )
         self.env.run(until=driver)
         self._quiesce()
 
@@ -418,11 +401,10 @@ class IngestService:
         )
         uid = self._next_upload
         self._next_upload += 1
-        with self._pin(arrival.tenant_index):
-            proc = env.process(
-                self._upload(uid, arrival),
-                name=f"svc:{arrival.tenant}:{arrival.seq}",
-            )
+        proc = env.process(
+            self._upload(uid, arrival),
+            name=f"svc:{arrival.tenant}:{arrival.seq}",
+        )
         self._inflight[uid] = proc
 
     def _upload(self, uid: int, arrival: Arrival) -> ProcessGenerator:
@@ -484,11 +466,10 @@ class IngestService:
 
     def _quiesce(self) -> None:
         """Stop the loops, run the schedule dry, verify quiescence."""
-        with self._pin(0):
-            for name in sorted(self.deployment.datanodes):
-                self.deployment.datanodes[name].stop_heartbeats()
-            self.deployment.namenode.stop_monitor()
-            self.deployment.replication_monitor.stop()
+        for name in sorted(self.deployment.datanodes):
+            self.deployment.datanodes[name].stop_heartbeats()
+        self.deployment.namenode.stop_monitor()
+        self.deployment.replication_monitor.stop()
         self.env.run(until=None)
         pending = len(self.env)
         if pending:

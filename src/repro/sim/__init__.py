@@ -11,7 +11,6 @@ from .environment import Environment, total_events_processed
 from .errors import EmptySchedule, Interrupt, SimulationError, SnapshotError
 from .events import AllOf, AnyOf, Condition, Event, Timeout, race
 from .process import Process, ProcessGenerator
-from .shard import CausalityError, ShardedEnvironment, lookahead_from_config
 from .resources import (
     Channel,
     Release,
@@ -25,9 +24,6 @@ from .resources import (
 
 __all__ = [
     "Environment",
-    "ShardedEnvironment",
-    "CausalityError",
-    "lookahead_from_config",
     "total_events_processed",
     "Event",
     "Timeout",

@@ -46,12 +46,6 @@ class Environment:
     #: the pre-tombstone scheduler.
     LAZY_CANCELLATION = True
 
-    #: Shard index of the execution context.  The single-heap environment
-    #: is shard 0 forever; :class:`~repro.sim.shard.ShardedEnvironment`
-    #: updates it per dispatched event.  Events record it at creation so
-    #: the sharded scheduler can route them to their owner's heap.
-    _current_shard = 0
-
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
@@ -267,10 +261,7 @@ class Environment:
                 continue
             break
         self._now = when
-        self._dispatch(event)
 
-    def _dispatch(self, event: Event) -> None:
-        """Run one popped event's callbacks (shared with the sharded core)."""
         self.events_processed += 1
         global _TOTAL_EVENTS
         _TOTAL_EVENTS += 1

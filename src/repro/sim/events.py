@@ -42,7 +42,6 @@ class Event:
         "_ok",
         "_defused",
         "_cancelled",
-        "_shard",
     )
 
     def __init__(self, env: "Environment"):
@@ -54,11 +53,6 @@ class Event:
         self._ok: bool = True
         self._defused: bool = False
         self._cancelled: bool = False
-        #: Shard that owns this event: the shard whose context created it.
-        #: Always 0 on the single-heap environment; the sharded scheduler
-        #: routes the event to this shard's heap, and a shard succeeding
-        #: an event owned by another shard is an inter-shard message.
-        self._shard: int = env._current_shard
 
     # -- state inspection -------------------------------------------------
     @property

@@ -23,15 +23,7 @@ __all__ = [
     "two_rack",
     "contention",
     "heterogeneous",
-    "environment_factory",
 ]
-
-#: Factory :meth:`Scenario.make` uses for fresh environments.  Swapping
-#: it (e.g. to ``lambda: ShardedEnvironment(shards=4)``) reruns every
-#: experiment, chaos campaign and workload on a different scheduler —
-#: the hook the shard-invariance equivalence suite drives, mirroring how
-#: the scale suite swaps ``speed_registry_factory``.
-environment_factory: Callable[[], Environment] = Environment
 
 
 @dataclass(frozen=True)
@@ -47,7 +39,7 @@ class Scenario:
     ) -> tuple[Environment, Cluster]:
         """Instantiate the scenario: fresh environment + cluster."""
         config = config or SimulationConfig()
-        env = environment_factory()
+        env = Environment()
         return env, self.build(env, config)
 
 

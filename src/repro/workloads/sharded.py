@@ -1,25 +1,21 @@
-"""Pod-partitioned multi-tenant workloads for the sharded simulation core.
+"""Pod-partitioned multi-tenant workloads.
 
 Large multi-tenant campaigns decompose along rack/client-group
 boundaries: a *pod* is one client group plus the datanodes (and
 namenode) it writes to — the cell architecture real fleets shard
-ingestion across.  Pods share no channels, so the conservative
-cross-shard lookahead between them is infinite and every executor must
-agree on the result:
+ingestion across.  Pods share no channels, so two executors must agree
+on the result:
 
 * :func:`run_pods_single_env` — all pods simulated in **one**
-  environment (the single-heap baseline, or an in-process
-  :class:`~repro.sim.ShardedEnvironment` with each pod pinned to a
-  shard).
-* :func:`run_pods_sharded` — pods grouped onto shards and executed in a
-  worker-process pool (via :func:`repro.pool.map_named`), each shard
-  simulating its pods in its own environment; results merge in fixed
-  pod order.
+  :class:`~repro.sim.Environment` (the reference).
+* :func:`run_pods_sharded` — each pod simulated in a fresh
+  environment, pod groups fanned out over a worker-process pool (via
+  :func:`repro.pool.map_named`); results merge in fixed pod order.
 
 The per-client ``(start, end)`` timeline is keyed ``(pod, client)`` and
-must be identical across all of these modes and any shard count — the
-shard-invariance property ``benchmarks/bench_shard.py`` and the
-workloads test suite assert, never assume.
+must be identical across both executors and any group count — the
+property ``benchmarks/bench_shard.py`` and the workloads test suite
+assert, never assume.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from ..config import SimulationConfig
 from ..hdfs.deployment import HdfsDeployment
 from ..net.nic import aggregate_counters
 from ..pool import map_named
-from ..sim import Environment, ProcessGenerator, ShardedEnvironment
+from ..sim import Environment, ProcessGenerator
 from ..smarth.deployment import SmarthDeployment
 from ..units import MB
 from .scenarios import two_rack
@@ -48,8 +44,6 @@ __all__ = [
 #: (pod index, client index) → it sorts, so merged timelines have one
 #: canonical order regardless of executor.
 ClientKey = tuple[int, int]
-
-_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -139,14 +133,12 @@ class PodRunOutcome:
     #: Simulation events dispatched, summed over all environments.
     events_processed: int
     fully_replicated: bool
-    #: Executor label: ``single``, ``sharded-inproc``, or ``processes``.
+    #: Executor label: ``single`` or ``processes``.
     executor: str
-    #: Environment health dict (single-env modes only).
-    health: Optional[dict] = None
     #: Events per worker shard (process executor only).
     shard_events: Optional[list[int]] = None
     #: Aggregate NIC ``(bytes_sent, bytes_received)`` over every host
-    #: (single-env modes only).
+    #: (single-env executor only).
     bytes_moved: Optional[tuple[int, int]] = None
 
     @property
@@ -237,58 +229,19 @@ def run_pods_single_env(
     plan: PodPlan,
     system: str = "smarth",
     config: Optional[SimulationConfig] = None,
-    shards: Optional[int] = None,
-    windowed: bool = False,
-    workers: Optional[int] = None,
-    window: float = 5.0,
 ) -> PodRunOutcome:
-    """Run every pod inside one environment.
-
-    ``shards=None`` uses the plain single-heap :class:`Environment` (the
-    baseline every other executor is checked against); ``shards=k`` uses
-    an in-process :class:`ShardedEnvironment` with pod *i* pinned to
-    shard ``i % k`` — bit-identical by the deterministic merge, with
-    per-shard load visible in the outcome's ``health``.
-
-    ``windowed=True`` (requires ``shards``) executes with
-    :meth:`~repro.sim.ShardedEnvironment.run_windows` at infinite
-    lookahead — pods share nothing, so the whole run is one conservative
-    window — in chunks of ``window`` simulated seconds (periodic model
-    processes never let the schedule run dry, so each chunk bounds the
-    drain and the barrier checks upload completion).  ``workers=N``
-    drains each chunk's shards on a thread pool.
-    """
+    """Run every pod inside one environment — the reference executor
+    :func:`run_pods_sharded` is checked against."""
     config = config or SimulationConfig()
-    if shards is None:
-        if windowed or workers:
-            raise ValueError("windowed/workers execution requires shards")
-        env: Environment = Environment()
-        executor = "single"
-    else:
-        env = ShardedEnvironment(
-            shards=shards, lookahead=_INF if windowed else 0.0
-        )
-        executor = "sharded-windowed" if windowed else "sharded-inproc"
-
+    env = Environment()
     results: dict[ClientKey, tuple[float, float]] = {}
     all_procs = []
     deployments = []
     for pod in plan.pods:
-        if isinstance(env, ShardedEnvironment):
-            with env.pinned(pod.index % env.shard_count):
-                procs, deployment = _start_pod(env, pod, system, config, results)
-        else:
-            procs, deployment = _start_pod(env, pod, system, config, results)
+        procs, deployment = _start_pod(env, pod, system, config, results)
         all_procs.extend(procs)
         deployments.append(deployment)
-
-    if windowed:
-        assert isinstance(env, ShardedEnvironment)
-        while not all(proc.triggered for proc in all_procs):
-            env.run_windows(until=env.now + window, workers=workers)
-        env.run(until=env.now + 1.0)  # trailing blockReceived reports
-    else:
-        _finish(env, all_procs)
+    _finish(env, all_procs)
     replicated = all(
         _replicated(deployment, pod)
         for deployment, pod in zip(deployments, plan.pods)
@@ -300,8 +253,7 @@ def run_pods_single_env(
         ],
         events_processed=env.events_processed,
         fully_replicated=replicated,
-        executor=executor,
-        health=env.health(),
+        executor="single",
         bytes_moved=aggregate_counters(
             host
             for deployment in deployments
@@ -339,13 +291,14 @@ def run_pods_sharded(
     config: Optional[SimulationConfig] = None,
     jobs: Optional[int] = None,
 ) -> PodRunOutcome:
-    """Execute the plan's pods across a worker-process pool.
+    """Execute the plan's pods, each in a fresh environment, across a
+    worker-process pool.
 
-    Pods are grouped onto ``shards`` shards round-robin and each shard's
-    group runs in its own child process (``jobs`` defaults to
-    ``shards``).  Cross-pod lookahead is infinite — pods share nothing —
-    so no window barriers are needed and the merged timeline is exactly
-    the single-environment one, in the same canonical order.
+    Pods are grouped onto ``shards`` groups round-robin and each group
+    runs in its own child process (``jobs`` defaults to ``shards``;
+    ``jobs=1`` runs the groups in this process, one pod after another).
+    Pods share nothing, so the merged timeline is exactly the
+    single-environment one, in the same canonical order.
     """
     config = config or SimulationConfig()
     groups = plan.shard_assignment(shards)

@@ -95,37 +95,9 @@ class TestSnapshotProtocol:
 
 
 class TestPublishEnvHealth:
-    def test_windowed_sharded_env_publishes_window_gauges(self) -> None:
-        """Threaded windowed execution surfaces its barrier health —
-        barriers, batch sizes, worker count — as ``sim.env.*`` gauges."""
-        from repro.obs.metrics import publish_env_health
-        from repro.sim import ShardedEnvironment
-
-        env = ShardedEnvironment(shards=2, lookahead=float("inf"))
-
-        def ticker(shard: int):
-            for _ in range(5):
-                yield env.timeout(1.0)
-
-        for shard in range(2):
-            with env.pinned(shard):
-                env.process(ticker(shard), name=f"tick{shard}")
-        env.run_windows(until=4.0, workers=2)
-
-        registry = MetricsRegistry(enabled=True)
-        publish_env_health(env, registry)
-        gauges = {gauge.name: gauge.value for gauge in registry.gauges()}
-        assert gauges["sim.env.window_barriers"] >= 1
-        assert gauges["sim.env.window_events"] > 0
-        assert gauges["sim.env.window_batch_max"] > 0
-        assert gauges["sim.env.window_batch_mean"] > 0
-        assert gauges["sim.env.window_workers"] == 2
-        assert "sim.env.shard0.events" in gauges
-        assert "sim.env.shard1.events" in gauges
-
     def test_single_heap_env_has_no_window_gauges(self) -> None:
-        """The plain environment publishes only its own health keys, so
-        golden metrics summaries for single-heap runs are unaffected."""
+        """The environment publishes exactly its four event-loop gauges
+        and nothing else, so golden metrics summaries stay stable."""
         from repro.obs.metrics import publish_env_health
         from repro.sim import Environment
 
@@ -134,5 +106,9 @@ class TestPublishEnvHealth:
         registry = MetricsRegistry(enabled=True)
         publish_env_health(env, registry)
         names = {gauge.name for gauge in registry.gauges()}
-        assert "sim.env.events_dispatched" in names
-        assert not any("window" in name for name in names)
+        assert names == {
+            "sim.env.events_dispatched",
+            "sim.env.tombstones_skipped",
+            "sim.env.compactions_run",
+            "sim.env.heap_high_water",
+        }

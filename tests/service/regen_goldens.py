@@ -25,7 +25,7 @@ def generate() -> dict[str, str]:
     """Golden file name -> contents, freshly computed."""
     goldens = {}
     for label, chaos in (("plain", False), ("chaos", True)):
-        report = IngestService(golden_spec(shards=1, chaos=chaos)).run()
+        report = IngestService(golden_spec(chaos=chaos)).run()
         goldens[label] = {
             "digests": report.digests(),
             "counts": report.counts,

@@ -17,13 +17,12 @@ from repro.service import ServiceSpec
 SPEEDUP = 100.0
 
 
-def golden_spec(shards: int = 1, chaos: bool = False) -> ServiceSpec:
+def golden_spec(chaos: bool = False) -> ServiceSpec:
     spec = ServiceSpec.default(
         tenants=12,
         horizon=240.0,
         checkpoint_every=60.0,
         seed=20140901,
-        shards=shards,
         n_datanodes=6,
         n_client_hosts=2,
         max_inflight=4,

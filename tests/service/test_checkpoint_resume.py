@@ -3,8 +3,8 @@
 The core acceptance property of the service tentpole: a fixed-seed run
 snapshotted at each interior barrier must continue **byte-identically**
 when resumed from any of those snapshots — same journal, same metrics
-summary, same per-tenant SLO table — at shard counts {1, 2}, with and
-without a chaos plan whose faults straddle the barriers.
+summary, same per-tenant SLO table — with and without a chaos plan
+whose faults straddle the barriers.
 
 The straight run's digests are additionally pinned in
 ``golden_service_digests.json`` (regenerate with ``regen_goldens.py``)
@@ -33,10 +33,9 @@ def _straight(spec, checkpoint_dir):
     return service, report
 
 
-@pytest.mark.parametrize("shards", [1, 2])
 @pytest.mark.parametrize("chaos", [False, True], ids=["plain", "chaos"])
-def test_resume_is_byte_identical(tmp_path, shards, chaos):
-    spec = golden_spec(shards=shards, chaos=chaos)
+def test_resume_is_byte_identical(tmp_path, chaos):
+    spec = golden_spec(chaos=chaos)
     service, straight = _straight(spec, tmp_path)
     assert service.checkpoints_written == 3
 
@@ -57,13 +56,9 @@ def test_resume_is_byte_identical(tmp_path, shards, chaos):
 @pytest.mark.parametrize("chaos", [False, True], ids=["plain", "chaos"])
 def test_straight_run_matches_golden(chaos):
     golden = json.loads(GOLDEN.read_text())[("chaos" if chaos else "plain")]
-    # Shard invariance: the sharded merge is deterministic by
-    # (time, priority, eid), so shards=2 must reproduce the shards=1
-    # golden bytes exactly.
-    for shards in (1, 2):
-        report = IngestService(golden_spec(shards=shards, chaos=chaos)).run()
-        assert report.digests() == golden["digests"], f"shards={shards}"
-        assert report.counts == golden["counts"], f"shards={shards}"
+    report = IngestService(golden_spec(chaos=chaos)).run()
+    assert report.digests() == golden["digests"]
+    assert report.counts == golden["counts"]
 
 
 def test_chaos_run_actually_exercised_faults():

@@ -128,7 +128,6 @@ def test_tenant_class_validation(kwargs):
         {"horizon": 0.0},
         {"checkpoint_every": 0.0},
         {"protocol": "nfs"},
-        {"shards": 0},
         {"n_client_hosts": 0},
     ],
 )
@@ -169,6 +168,23 @@ def test_snapshot_rejects_garbage(tmp_path):
     )
     with pytest.raises(SnapshotError, match="version"):
         load_snapshot(future)
+
+    # Version 1 predates the removal of ServiceSpec.shards: its pickled
+    # spec still carries the attribute, and this build must refuse it.
+    old_spec = golden_spec()
+    object.__setattr__(old_spec, "shards", 2)
+    v1 = tmp_path / "v1.pkl"
+    v1.write_bytes(
+        pickle.dumps(
+            {
+                "format": "repro-service-snapshot",
+                "version": 1,
+                "state": {"spec": old_spec},
+            }
+        )
+    )
+    with pytest.raises(SnapshotError, match="version 1 "):
+        load_snapshot(v1)
 
 
 def test_snapshot_round_trip(tmp_path):

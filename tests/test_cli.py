@@ -183,7 +183,6 @@ class TestServe:
         assert args.hours == 48.0
         assert args.checkpoint_every == "6h"
         assert args.seed == 20140901
-        assert args.shards == 1
         assert args.protocol == "smarth"
         assert not args.chaos
         with pytest.raises(SystemExit):

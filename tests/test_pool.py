@@ -1,4 +1,4 @@
-"""map_named — the worker-pool helper shared by run_all and the shard
+"""map_named — the worker-pool helper shared by run_all and the pod
 executor: ordered results, no None holes, named failures."""
 
 import pytest

@@ -76,38 +76,34 @@ class TestPlan:
 
 class TestExecutorEquivalence:
     def test_all_executors_agree_exactly(self):
-        """single-env, in-process sharded, and process-pool executors
-        produce identical per-client timelines — the shard-invariance
-        property the benchmark is built on."""
+        """The single-env and process-pool executors produce identical
+        per-client timelines — the property the benchmark is built on."""
         plan = small_plan()
         config = small_config()
         baseline = run_pods_single_env(plan, config=config)
-        inproc = run_pods_single_env(plan, config=config, shards=2)
         procs = run_pods_sharded(plan, shards=2, config=config)
 
         assert baseline.executor == "single"
-        assert inproc.executor == "sharded-inproc"
         assert procs.executor == "processes"
 
         assert baseline.timeline  # non-trivial run
-        assert inproc.timeline == baseline.timeline
         assert procs.timeline == baseline.timeline
         assert baseline.fully_replicated
-        assert inproc.fully_replicated
         assert procs.fully_replicated
-        # In-process sharding dispatches the exact same event sequence.
-        assert inproc.events_processed == baseline.events_processed
         assert baseline.makespan > 0
 
-    def test_inproc_health_reports_shard_load(self):
-        outcome = run_pods_single_env(
-            small_plan(), config=small_config(), shards=2
-        )
-        health = outcome.health
-        assert health["shards"] == 2
-        assert len(health["shard_events"]) == 2
-        assert all(events > 0 for events in health["shard_events"])
-        assert sum(health["shard_events"]) == outcome.events_processed
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_per_pod_environments_match_single_env(self, shards):
+        """Each pod in a fresh environment (``shards=1`` runs them one
+        after another) replays the single-env timeline exactly.  Event
+        counts differ by design: each environment dispatches its own
+        run-until events and stops at its own pod's finish."""
+        plan = small_plan()
+        config = small_config()
+        baseline = run_pods_single_env(plan, config=config)
+        outcome = run_pods_sharded(plan, shards=shards, config=config, jobs=1)
+        assert outcome.timeline == baseline.timeline
+        assert outcome.fully_replicated
 
     def test_process_executor_reports_per_shard_events(self):
         outcome = run_pods_sharded(
@@ -159,45 +155,3 @@ class TestExecutorEquivalence:
                 config=small_config(), jobs=1,
             )
 
-
-class TestWindowedExecution:
-    def test_windowed_matches_merge_timeline(self):
-        """Windowed chunks at infinite lookahead replay the exact
-        single-env timeline; the health dict shows the barrier work."""
-        plan = small_plan()
-        config = small_config()
-        baseline = run_pods_single_env(plan, config=config)
-        windowed = run_pods_single_env(
-            plan, config=config, shards=2, windowed=True, window=1.0
-        )
-        assert windowed.executor == "sharded-windowed"
-        assert windowed.timeline == baseline.timeline
-        assert windowed.fully_replicated
-        assert windowed.bytes_moved == baseline.bytes_moved
-        assert windowed.health["window_barriers"] > 0
-        assert windowed.health["window_events"] > 0
-        assert windowed.health["window_batch_max"] > 0
-
-    def test_threaded_windowed_matches_sequential(self):
-        plan = small_plan()
-        config = small_config()
-        sequential = run_pods_single_env(
-            plan, config=config, shards=2, windowed=True, window=1.0
-        )
-        threaded = run_pods_single_env(
-            plan, config=config, shards=2, windowed=True, window=1.0,
-            workers=2,
-        )
-        assert threaded.timeline == sequential.timeline
-        assert threaded.fully_replicated
-        assert threaded.health["window_workers"] == 2
-
-    def test_windowed_requires_shards(self):
-        with pytest.raises(ValueError, match="requires shards"):
-            run_pods_single_env(
-                small_plan(), config=small_config(), windowed=True
-            )
-        with pytest.raises(ValueError, match="requires shards"):
-            run_pods_single_env(
-                small_plan(), config=small_config(), workers=2
-            )
