@@ -128,6 +128,7 @@ def test_tenant_class_validation(kwargs):
         {"horizon": 0.0},
         {"checkpoint_every": 0.0},
         {"protocol": "nfs"},
+        {"horizon": -5.0},
         {"n_client_hosts": 0},
     ],
 )
