@@ -1,17 +1,18 @@
-"""10k-client campaign benchmark: the batch completion kernel.
+"""10k-client campaign benchmark: the packet train's batched feeder.
 
-Not a paper figure — this measures the vectorized **batch completion
-kernel** (``HdfsConfig.batch_completions``) against the scalar per-row
-conductor on the campaign shape it was built for
+Not a paper figure — this measures the train's **batched feeder**
+against the per-row feeder on the campaign shape it was built for
 (:func:`repro.workloads.campaign10k`: 100 pods x 100 clients x 10
 datanodes at full scale, 4 MB files inside the data-queue bound so the
-train's batched feeder engages on every block).  Timelines must be
-bit-identical; the kernel's win shows up twice: the machine-independent
-*event reduction* (the batched feeder retires a whole block's packet
-stream with zero heap events per packet) and the wall-clock *speedup*.
-Both runs are timed best-of-N because the ratio of two ~second walls is
-noisy on shared runners; the event reduction is deterministic and
-carries the hard floor.
+batched feeder engages on every block).  The per-row side runs the same
+packet trains through :class:`_PerRowTrain`, a benchmark-local subclass
+that turns the feeder off, so one data-queue get per packet waits on the
+heap.  Timelines must be bit-identical; the feeder's win shows up twice:
+the machine-independent *event reduction* (the batched feeder retires a
+whole block's packet stream with zero heap events per packet) and the
+wall-clock *speedup*.  Both runs are timed best-of-N because the ratio
+of two ~second walls is noisy on shared runners; the event reduction is
+deterministic and carries the hard floor.
 
 Writes ``benchmarks/results/BENCH_campaign.json``; the CI perf-smoke
 job checks it against the ``campaign`` group in ``perf_floor.json``.
@@ -25,9 +26,19 @@ import time
 from conftest import write_bench_json
 
 from repro.config import SimulationConfig
+from repro.hdfs import train
 from repro.workloads import campaign10k, run_pods_single_env
 
-#: Best-of-N timing for the scalar/batch pair (wall-ratio noise guard).
+
+class _PerRowTrain(train.PacketTrain):
+    """A packet train that gets each chunk with its own heap wait."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs["batchable"] = False
+        super().__init__(*args, **kwargs)
+
+
+#: Best-of-N timing for the per-row/batch pair (wall-ratio noise guard).
 TIMING_REPS = 2
 
 
@@ -54,30 +65,31 @@ def _best_of(fn, reps=TIMING_REPS):
     return best_outcome, best_wall
 
 
-def test_campaign_batch_kernel(benchmark, results_dir, scale):
-    """Scalar vs vectorized completion kernel on the campaign shape."""
+def test_campaign_batched_feeder(benchmark, results_dir, scale, monkeypatch):
+    """Per-row vs batched train feeder on the campaign shape."""
     plan = campaign10k(scale=max(0.02, scale * 0.4))
-    batch_config = SimulationConfig()
-    scalar_config = batch_config.with_hdfs(batch_completions=0)
+    config = SimulationConfig()
     cpus = _cpus()
 
     batch, batch_wall = benchmark.pedantic(
-        lambda: _best_of(lambda: run_pods_single_env(plan, config=batch_config)),
+        lambda: _best_of(lambda: run_pods_single_env(plan, config=config)),
         rounds=1,
         iterations=1,
     )
-    scalar, scalar_wall = _best_of(
-        lambda: run_pods_single_env(plan, config=scalar_config)
+    # ``plan_train`` builds its trains from the module global.
+    monkeypatch.setattr(train, "PacketTrain", _PerRowTrain)
+    per_row, per_row_wall = _best_of(
+        lambda: run_pods_single_env(plan, config=config)
     )
 
-    # The kernel contract: bit-identical timing, fewer heap events.
-    assert batch.timeline == scalar.timeline
-    assert batch.fully_replicated and scalar.fully_replicated
-    assert batch.bytes_moved == scalar.bytes_moved
+    # The feeder contract: bit-identical timing, fewer heap events.
+    assert batch.timeline == per_row.timeline
+    assert batch.fully_replicated and per_row.fully_replicated
+    assert batch.bytes_moved == per_row.bytes_moved
 
-    speedup = scalar_wall / batch_wall if batch_wall > 0 else 0.0
+    speedup = per_row_wall / batch_wall if batch_wall > 0 else 0.0
     event_reduction = (
-        scalar.events_processed / batch.events_processed
+        per_row.events_processed / batch.events_processed
         if batch.events_processed
         else 0.0
     )
@@ -87,15 +99,15 @@ def test_campaign_batch_kernel(benchmark, results_dir, scale):
     bytes_sent, bytes_received = batch.bytes_moved
 
     lines = [
-        f"campaign10k batch kernel "
+        f"campaign10k batched feeder "
         f"({len(plan.pods)} pods, {plan.n_clients} clients, "
         f"{plan.n_datanodes} datanodes)",
         f"cpus                 : {cpus}",
         f"makespan (simulated) : {batch.makespan:.6f}",
         f"aggregate bytes      : {bytes_sent} sent / {bytes_received} received",
-        f"scalar kernel wall   : {scalar_wall:.3f}s "
-        f"({scalar.events_processed} events)",
-        f"batch kernel wall    : {batch_wall:.3f}s "
+        f"per-row feeder wall  : {per_row_wall:.3f}s "
+        f"({per_row.events_processed} events)",
+        f"batched feeder wall  : {batch_wall:.3f}s "
         f"({batch.events_processed} events, {eps} events/s)",
         f"wall speedup         : {speedup:.2f}x (best of {TIMING_REPS})",
         f"event reduction      : {event_reduction:.2f}x",
@@ -117,8 +129,8 @@ def test_campaign_batch_kernel(benchmark, results_dir, scale):
             "makespan": batch.makespan,
             "bytes_sent": bytes_sent,
             "bytes_received": bytes_received,
-            "scalar_wall_seconds": round(scalar_wall, 3),
-            "scalar_events": scalar.events_processed,
+            "per_row_wall_seconds": round(per_row_wall, 3),
+            "per_row_events": per_row.events_processed,
             "wall_seconds": round(batch_wall, 3),
             "events_processed": batch.events_processed,
             "events_per_sec": eps,
@@ -134,7 +146,7 @@ def test_campaign_batch_kernel(benchmark, results_dir, scale):
     # The machine-independent claim is enforced everywhere; the wall
     # ratio only where a second-long measurement can be trusted at all.
     assert event_reduction >= 1.5, (
-        f"batch kernel removed only {event_reduction:.2f}x of the scalar "
-        "event traffic"
+        f"batched feeder removed only {event_reduction:.2f}x of the "
+        "per-row event traffic"
     )
 

@@ -43,7 +43,7 @@ from repro.hdfs.namenode import (
 )
 from repro.hdfs.protocol import NoDatanodesAvailable
 from repro.net import Topology
-from repro.sim import Environment, total_events_processed
+from repro.sim import Environment, Event, total_events_processed
 from repro.smarth import SmarthPlacementPolicy
 from repro.units import KB, MB
 from repro.workloads import run_concurrent_uploads, two_rack
@@ -75,14 +75,22 @@ def _run_workload(n_clients, n_datanodes, file_bytes, stagger):
     return timeline, events, wall
 
 
+#: The tombstone scheduler's cancel, restored by :func:`_fast_mode`.
+_TOMBSTONE_CANCEL = Event.cancel
+
+
+def _never_cancel(_event):
+    """The pre-tombstone scheduler: an abandoned timer stays scheduled."""
+
+
 def _legacy_mode():
     """Install the pre-fast-path reference implementations."""
-    Environment.LAZY_CANCELLATION = False
+    Event.cancel = _never_cancel
     Namenode.speed_registry_factory = UncachedSpeedRegistry
 
 
 def _fast_mode():
-    Environment.LAZY_CANCELLATION = True
+    Event.cancel = _TOMBSTONE_CANCEL
     Namenode.speed_registry_factory = SpeedRegistry
 
 

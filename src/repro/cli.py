@@ -16,6 +16,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -36,6 +37,15 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}"
+        )
     return value
 
 
@@ -121,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp.add_argument(
         "--scale",
-        type=float,
+        type=_positive_float,
         default=0.25,
         help="file-size scale factor vs the paper's 8 GB points "
         "(default 0.25)",
@@ -167,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--scale",
-        type=float,
+        type=_positive_float,
         default=1.0,
         help="upload-size scale factor for faster smoke runs (default 1.0)",
     )
@@ -256,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--scale",
-        type=float,
+        type=_positive_float,
         default=0.25,
         help="file-size scale factor vs the 1 GB point (default 0.25)",
     )

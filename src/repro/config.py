@@ -36,16 +36,6 @@ class NetworkConfig:
     control_latency: float = 200e-6
     #: Per-hop TCP/stream connection setup cost when building a pipeline.
     connection_setup: float = 1e-3
-    #: When True, a throttle-rule change re-quotes *in-flight* channel
-    #: reservations (tc re-clocks the shaped class's queued frames).  The
-    #: default False keeps the historical semantics: in-flight packets
-    #: finish at the rate they started with; only later packets see the
-    #: new rate.
-    requote_in_flight: bool = False
-    #: When True, :class:`~repro.net.stats.FlowStats` retains every
-    #: per-packet FlowSample (unbounded memory — test/debug only).  The
-    #: default aggregates per (src, dst) pair in O(pairs) memory.
-    keep_flow_samples: bool = False
 
     def __post_init__(self) -> None:
         if self.link_latency < 0 or self.control_latency < 0:
@@ -81,24 +71,12 @@ class HdfsConfig:
     #: Packet-train coalescing for the pipeline hot loop.  ``0`` (the
     #: default) coalesces a whole block's steady-state packet stream into
     #: one analytically-quoted :class:`~repro.hdfs.train.PacketTrain` per
-    #: pipeline; ``1`` disables coalescing (legacy per-packet events);
-    #: ``n > 1`` coalesces only blocks of at most ``n`` packets (a
-    #: granularity guard for memory-constrained plans).  The train planner
-    #: models the §IV-C buffer token bound exactly, so the coalesced window
-    #: is always clamped by buffer headroom.  Timing is bit-identical
-    #: either way (golden-equivalence tested).
+    #: pipeline; ``1`` disables coalescing (legacy per-packet events, the
+    #: equivalence oracle).  The train planner models the §IV-C buffer
+    #: token bound exactly, so the coalesced window is always clamped by
+    #: buffer headroom.  Timing is bit-identical either way
+    #: (golden-equivalence tested).
     coalesce_packets: int = 0
-    #: Vectorized batch completion kernel for conducted trains.  ``1``
-    #: (the default) lets a :class:`~repro.hdfs.train.PacketTrain` consume
-    #: every already-produced chunk in one synchronous pass (analytic get
-    #: times, zero heap events per packet) and run numpy-vectorized
-    #: frozen-prefix replays and settle counters; ``0`` falls back to the
-    #: scalar per-row conductor.  The batched feeder only engages when the
-    #: whole file fits the data queue (so producer backpressure can never
-    #: bind and chunk availability is provably identical); timing is
-    #: bit-identical either way (equivalence tested like
-    #: ``coalesce_packets``).
-    batch_completions: int = 1
     #: Concurrent read streams one datanode serves at a time (the
     #: ``dfs.datanode.max.transfer.threads`` analogue).  Excess readers
     #: queue at the datanode and the wait is recorded in the
@@ -110,9 +88,9 @@ class HdfsConfig:
     #: ``coalesce_packets`` semantics: ``0`` (the default) collapses a
     #: whole block's steady-state chunk cascade into one analytically
     #: quoted :class:`~repro.hdfs.train.ReadTrain`; ``1`` disables
-    #: coalescing (legacy per-chunk events); ``n > 1`` coalesces only
-    #: blocks of at most ``n`` chunks.  Timing is bit-identical either
-    #: way (equivalence tested like ``coalesce_packets``).
+    #: coalescing (legacy per-chunk events, the equivalence oracle).
+    #: Timing is bit-identical either way (equivalence tested like
+    #: ``coalesce_packets``).
     coalesce_reads: int = 0
     #: Short-circuit local reads: a reader co-located on a node that holds
     #: a live finalized replica scans its local disk directly — no
@@ -134,14 +112,12 @@ class HdfsConfig:
             raise ValueError("heartbeat_interval must be positive")
         if self.socket_buffer <= 0:
             raise ValueError("socket_buffer must be positive")
-        if self.coalesce_packets < 0:
-            raise ValueError("coalesce_packets must be >= 0")
-        if self.batch_completions not in (0, 1):
-            raise ValueError("batch_completions must be 0 or 1")
+        if self.coalesce_packets not in (0, 1):
+            raise ValueError("coalesce_packets must be 0 or 1")
         if self.serve_streams < 1:
             raise ValueError("serve_streams must be >= 1")
-        if self.coalesce_reads < 0:
-            raise ValueError("coalesce_reads must be >= 0")
+        if self.coalesce_reads not in (0, 1):
+            raise ValueError("coalesce_reads must be 0 or 1")
         if self.short_circuit_reads not in (0, 1):
             raise ValueError("short_circuit_reads must be 0 or 1")
 

@@ -12,15 +12,10 @@ Interplay with the analytic channel model: NIC/disk occupancy is a
 ``busy_until`` quote committed when a transfer starts
 (:class:`repro.sim.Channel`), so a throttle injected mid-run changes the
 rate seen by transfers that *start* after it — in-flight quotes are
-immutable by default, matching the historical semantics.  Deployments
-that opt into ``NetworkConfig.requote_in_flight`` hold preemptible
-reservations instead; the throttle-table change then triggers
-:meth:`Channel.preempt`, which re-quotes the in-flight reservations
-(bytes already clocked out stay at the old rate, the remainder moves to
-the new one).  Datanode kills are unaffected either way: a kill
-interrupts the receiver processes, and any quote already committed just
-leaves the channel busy for the doomed transfer's duration — exactly the
-wire time the bytes actually occupied before the socket reset.
+immutable.  A datanode kill interrupts the receiver processes, and any
+quote already committed just leaves the channel busy for the doomed
+transfer's duration — exactly the wire time the bytes actually occupied
+before the socket reset.
 """
 
 from __future__ import annotations
@@ -114,12 +109,9 @@ class FaultInjector:
         """Degrade one datanode's bandwidth at time ``at`` (§III-C's
         'network status varies all the time').
 
-        Effective rates are evaluated per transfer, so by default
-        in-flight packets finish at the old rate and everything after
-        sees the new one — like a tenant suddenly saturating the NIC.
-        With ``NetworkConfig.requote_in_flight`` the rule change also
-        re-quotes in-flight channel reservations (tc re-clocks queued
-        frames of the shaped class).
+        Effective rates are evaluated per transfer, so in-flight packets
+        finish at the old rate and everything after sees the new one —
+        like a tenant suddenly saturating the NIC.
         """
         from ..net.throttle import NodeThrottle
         from ..units import mbps

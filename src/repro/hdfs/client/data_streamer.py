@@ -274,7 +274,6 @@ class HdfsClient:
             self._note_acked(responder, acked_seqs, to_send)
             return None
 
-        requote = self.network.config.requote_in_flight
         first = handle.receivers[0]
         for seq in to_send:
             packet = produced.get(seq)
@@ -288,29 +287,11 @@ class HdfsClient:
                 )
                 produced[seq] = packet
 
-            if requote:
-                # Preemptible reservations need a dedicated process the
-                # channel can re-quote; keep the spawned send.
-                send = self.env.process(
-                    self._send_packet(handle, packet), name=f"send:{seq}"
-                )
-                # race() instead of `send | handle.error`: one of these
-                # waits happens per packet, and the error event is
-                # untriggered on every healthy run — no Condition
-                # allocation for it.
-                yield race(self.env, send, handle.error)
-                if handle.error.triggered:
-                    if send.is_alive:
-                        send.interrupt("pipeline failed")
-                    tracer.end(t_stream, self.env.now, aborted=True)
-                    self._note_acked(responder, acked_seqs, to_send)
-                    return handle.error.value
-            else:
-                failed = yield from self._send_packet_inline(first, packet, handle)
-                if failed is not None:
-                    tracer.end(t_stream, self.env.now, aborted=True)
-                    self._note_acked(responder, acked_seqs, to_send)
-                    return failed
+            failed = yield from self._send_packet_inline(first, packet, handle)
+            if failed is not None:
+                tracer.end(t_stream, self.env.now, aborted=True)
+                self._note_acked(responder, acked_seqs, to_send)
+                return failed
             responder.packet_sent(packet)
 
         tracer.end(t_stream, self.env.now)
@@ -324,10 +305,6 @@ class HdfsClient:
         tracer.end(t_ack, self.env.now)
         self._note_acked(responder, acked_seqs, to_send)
         return None
-
-    def _send_packet(self, handle: PipelineHandle, packet: Packet) -> ProcessGenerator:
-        """Deliver one packet to the first datanode (reserve + transfer)."""
-        yield from handle.receivers[0].send_in(self.node, packet)
 
     def _send_packet_inline(self, receiver, packet: Packet, handle: PipelineHandle):
         """One packet's inlined single-hop send (see :mod:`.send`)."""

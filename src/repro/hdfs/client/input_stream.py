@@ -216,7 +216,6 @@ class HdfsReader:
         packet_size = self.config.hdfs.packet_size
         network = self.network
         disk = datanode.node.disk
-        requote = network.config.requote_in_flight
         streamed = 0
         remaining = size
         next_chunk = min(packet_size, remaining)
@@ -230,17 +229,11 @@ class HdfsReader:
             if remaining > 0:
                 next_chunk = min(packet_size, remaining)
                 disk_done = disk.read_event(next_chunk)
-            if requote:
-                # Preemptible reservations need the full transfer process.
-                yield self.env.process(
-                    network.transfer(datanode.node, self.node, chunk)
-                )
-            else:
-                done, finish = network.transfer_begin(
-                    datanode.node, self.node, chunk
-                )
-                yield done
-                finish()
+            done, finish = network.transfer_begin(
+                datanode.node, self.node, chunk
+            )
+            yield done
+            finish()
             streamed += chunk
         return streamed
 

@@ -63,7 +63,6 @@ from typing import TYPE_CHECKING, Optional
 
 from ..net.stats import FlowSample
 from ..sim import Environment, Event, ProcessGenerator, Store, race
-from ..sim.batch import HAVE_NUMPY, buffered_high_water, count_before
 from .protocol import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -91,18 +90,11 @@ def plan_train(
 
     The predicate is deliberately conservative: any condition that could
     make the analytic timeline diverge from the per-packet one — resend
-    state, a scheduled disturbance, requote-mode reservations, loopback,
-    a foreign receiver sharing a hop datanode, another train already
-    guarding a needed channel — falls back to the legacy path.
+    state, a scheduled disturbance, loopback, a foreign receiver sharing
+    a hop datanode, another train already guarding a needed channel —
+    falls back to the legacy path.
     """
-    hdfs_cfg = deployment.config.hdfs
-    if hdfs_cfg.coalesce_packets == 1:
-        return None
-    if 1 < hdfs_cfg.coalesce_packets < plan.n_packets:
-        return None
-    if deployment.network.config.requote_in_flight:
-        # Preemptible reservations re-quote in flight; the train ledger
-        # models immutable quotes only.
+    if deployment.config.hdfs.coalesce_packets == 1:
         return None
     if not fresh:
         return None  # resend attempts carry per-seq state; stay per-packet
@@ -357,14 +349,11 @@ class PacketTrain(TrainBase):
         self._old: Optional[tuple] = None  # previous arrays during replay
         self._freeze_before = 0.0
 
-        batch_knob = deployment.config.hdfs.batch_completions == 1
         #: Batched feeder: consume every already-produced chunk in one
         #: synchronous pass with analytic get times.  Only safe when the
         #: caller proved the whole file fits the data queue (puts can
         #: never block, so early gets wake nobody).
-        self._batch_feed = bool(batchable) and batch_knob
-        #: Vectorized replay prefix / settle counters (numpy, bit-exact).
-        self._vector = batch_knob and HAVE_NUMPY
+        self._batch_feed = batchable
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -476,19 +465,19 @@ class PacketTrain(TrainBase):
         self._chan_busy = {id(ch): ch._busy_until for ch in self.channels}
         self._ledger = {id(ch): ([], []) for ch in self.channels}
 
-        # Vectorized batch path: a row whose *last* quote issue — the tail
-        # hop's disk issue ``a[H-1][k]``, the maximum issue in the row — is
-        # already frozen takes the ``_keep`` branch for every quote, so its
-        # replayed values are verbatim copies.  Find that fully-frozen row
-        # prefix with one searchsorted over the monotone arrival column and
-        # copy it wholesale (timeline rows, per-channel ledgers, busy
-        # floors) instead of re-walking it quote by quote.  Requires
-        # role-unique channels (guaranteed by the planner's host checks;
-        # verified cheaply here) so each ledger maps to exactly one column
-        # pair.  Bit-identical by construction: copies of frozen values.
+        # A row whose *last* quote issue — the tail hop's disk issue
+        # ``a[H-1][k]``, the maximum issue in the row — is already frozen
+        # takes the ``_keep`` branch for every quote, so its replayed
+        # values are verbatim copies.  Find that fully-frozen row prefix
+        # with one bisection over the monotone arrival column and copy it
+        # wholesale (timeline rows, per-channel ledgers, busy floors)
+        # instead of re-walking it quote by quote.  Requires role-unique
+        # channels (guaranteed by the planner's host checks; verified
+        # cheaply here) so each ledger maps to exactly one column pair.
+        # Bit-identical by construction: copies of frozen values.
         cutoff = 0
-        if self._vector and rows and len(self.channels) == 3 * H:
-            cutoff = count_before(self._old[3][H - 1], frozen_T)
+        if len(self.channels) == 3 * H:
+            cutoff = bisect_left(self._old[3][H - 1], frozen_T)
             if cutoff:
                 for h in range(H):
                     self._p[h] = self._old[0][h][:cutoff]
@@ -506,10 +495,10 @@ class PacketTrain(TrainBase):
         batch_feed = self._batch_feed
         for k in range(cutoff, rows):
             if batch_feed and k and self._g[k] > frozen_T:
-                # This get has not been issued yet in the scalar world
-                # (its analytic time lies past the invalidation): re-derive
-                # it against the replayed plan, exactly as the scalar
-                # conductor would re-issue it after waking here.
+                # The per-row feeder has not issued this get yet (its
+                # analytic time lies past the invalidation): re-derive it
+                # against the replayed plan, exactly as that feeder would
+                # re-issue it after waking here.
                 issue = self._a[0][k - 1]
                 self._g[k] = issue if issue > frozen_T else frozen_T
             self._extend(k)
@@ -524,7 +513,7 @@ class PacketTrain(TrainBase):
         Every chunk sitting in the data queue at this wake is consumed in
         one synchronous pass (a get on a non-empty store resolves without
         touching the heap) with its *analytic* legacy get time recorded:
-        ``max(now, a[0][k-1])`` — the instant the scalar conductor's get
+        ``max(now, a[0][k-1])`` — the instant the per-row feeder's get
         would have resolved, since the chunk is provably available by
         then.  No producer put can be blocked (the ``batchable`` gate
         guarantees the file fits the queue), so the early gets are
@@ -698,15 +687,12 @@ class PacketTrain(TrainBase):
             rel = self._rel[h]
             rows = len(self._p[h]) if upto_rows is None else upto_rows[h]
             high = receiver.max_buffered
-            if self._vector:
-                high = buffered_high_water(self._p[h], rel, cap, rows, high)
-            else:
-                for k in range(rows):
-                    occ = k + 1 - bisect_left(rel, self._p[h][k])
-                    if occ > cap:
-                        occ = cap
-                    if occ > high:
-                        high = occ
+            for k in range(rows):
+                occ = k + 1 - bisect_left(rel, self._p[h][k])
+                if occ > cap:
+                    occ = cap
+                if occ > high:
+                    high = occ
             receiver.max_buffered = high
 
     def _settle_success(self) -> None:
@@ -747,24 +733,11 @@ class PacketTrain(TrainBase):
         # failure instant would race the kill in legacy; ties are
         # measure-zero and the conservative reading drops them.  The
         # per-hop timeline columns are nondecreasing (FIFO chains), so
-        # the vectorized path takes one searchsorted per column instead
-        # of a Python scan; both give the strictly-before prefix length.
-        if self._vector:
-            arrived = [
-                min(count_before(self._a[h], now), computed, len(self._a[h]))
-                for h in range(H)
-            ]
-            granted = [count_before(self._p[h], now) for h in range(H)]
-        else:
-            arrived = [
-                sum(1 for k in range(min(computed, len(self._a[h])))
-                    if self._a[h][k] < now)
-                for h in range(H)
-            ]
-            granted = [
-                sum(1 for k in range(len(self._p[h])) if self._p[h][k] < now)
-                for h in range(H)
-            ]
+        # one bisection per column gives the strictly-before prefix.
+        arrived = [
+            min(bisect_left(self._a[h], now), computed) for h in range(H)
+        ]
+        granted = [bisect_left(self._p[h], now) for h in range(H)]
         self._apply_counters(arrived, arrived)
         for h, receiver in enumerate(self.receivers):
             receiver._bytes_received = sum(self._sizes[: arrived[h]])
@@ -775,12 +748,7 @@ class PacketTrain(TrainBase):
                 self._materialize(channel)
         self._detach()
         responder = self.responder
-        if self._vector:
-            acked = count_before(self._u[0], now)
-        else:
-            acked = sum(
-                1 for k in range(len(self._u[0])) if self._u[0][k] < now
-            )
+        acked = bisect_left(self._u[0], now)
         responder.acked_count += acked
         responder.acked_bytes += sum(self._sizes[:acked])
         for k in range(acked, arrived[0]):
@@ -807,20 +775,13 @@ def plan_read_train(
     """Return a ready-to-start read train, or ``None`` to decline.
 
     Mirrors :func:`plan_train`'s conservatism: any condition that could
-    make the analytic chunk cascade diverge from the per-chunk loop —
-    requote-mode reservations, a scheduled disturbance, a resumed stream
-    (non-zero ``offset``), loopback, a foreign write receiver or another
-    read serve sharing the source datanode, another train guarding a
-    needed channel — falls back to the legacy path.
+    make the analytic chunk cascade diverge from the per-chunk loop — a
+    scheduled disturbance, a resumed stream (non-zero ``offset``),
+    loopback, a foreign write receiver or another read serve sharing the
+    source datanode, another train guarding a needed channel — falls
+    back to the legacy path.
     """
-    hdfs_cfg = deployment.config.hdfs
-    if hdfs_cfg.coalesce_reads == 1:
-        return None
-    packet = hdfs_cfg.packet_size
-    n_chunks = -(-block.size // packet)
-    if 1 < hdfs_cfg.coalesce_reads < n_chunks:
-        return None
-    if deployment.network.config.requote_in_flight:
+    if deployment.config.hdfs.coalesce_reads == 1:
         return None
     if offset:
         return None  # resumed (post-fault) streams stay per-chunk

@@ -16,7 +16,7 @@ and every matching rule, exactly how nested ``tc htb`` classes compose.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.node import Node
@@ -81,10 +81,8 @@ class ThrottleTable:
     """The set of active throttle rules for a cluster.
 
     Listeners subscribed via :meth:`subscribe` are called after every rule
-    change; the :class:`~repro.net.transport.Network` uses this to re-quote
-    in-flight channel reservations when ``tc`` rules change mid-run (only
-    when ``NetworkConfig.requote_in_flight`` opts in — the default keeps
-    in-flight packets at the rate they started with).
+    change; packet trains use this to re-plan the part of their timeline
+    not yet issued.  In-flight transfers keep the rate they were quoted.
     """
 
     def __init__(self, rules: list[ThrottleRule] | None = None):
@@ -125,7 +123,7 @@ class ThrottleTable:
 
         Checkpoint restore path: rules are plain picklable objects, and a
         restore happens on a quiescent deployment (no in-flight
-        reservations), so re-quote listeners have nothing to do.
+        trains), so listeners have nothing to re-plan.
         """
         self._rules = list(rules)
 
@@ -145,20 +143,6 @@ class ThrottleTable:
             if rule.applies(src, dst):
                 rate = min(rate, rule.rate)
         return rate
-
-    def effective_rates(
-        self, pairs: "Sequence[tuple[Node, Node]]"
-    ) -> list[float]:
-        """Batch form of :meth:`effective_rate` over a whole flow set.
-
-        Delegates to the vectorized batch kernel
-        (:func:`repro.sim.batch.effective_rates`): one mask per rule over
-        flat endpoint arrays instead of ``len(pairs) * len(rules)``
-        predicate calls, bit-identical to the scalar loop.
-        """
-        from ..sim.batch import effective_rates
-
-        return effective_rates(self, pairs)
 
     def __len__(self) -> int:
         return len(self._rules)

@@ -45,15 +45,7 @@ class Network:
         self.topology = topology
         self.throttles = throttles if throttles is not None else ThrottleTable()
         self.config = config if config is not None else NetworkConfig()
-        self.stats = FlowStats(keep_samples=self.config.keep_flow_samples)
-        #: Channels holding preemptible reservations (requote mode only).
-        self._preemptible_channels: set = set()
-        #: Requote-hook telemetry: channels walked vs skipped because the
-        #: rule change left every live flow's effective rate unchanged.
-        self.requotes_applied = 0
-        self.requotes_skipped = 0
-        if self.config.requote_in_flight:
-            self.throttles.subscribe(self._requote_in_flight)
+        self.stats = FlowStats()
 
     def effective_rate(self, src: "Node", dst: "Node") -> float:
         """Current shaped rate between two nodes, bytes/second."""
@@ -70,9 +62,8 @@ class Network:
         analytically (``max(now, busy_until) + size/rate`` per channel) and
         the whole transfer is a single absolute-time timeout — no spawned
         egress/ingress processes, no AllOf barrier, no request/release
-        pairs.  With ``NetworkConfig.requote_in_flight`` the transfer
-        instead holds preemptible reservations so ``tc`` rule changes can
-        re-quote it mid-flight.
+        pairs.  The quotes are immutable: a ``tc`` rule change mid-flight
+        only reaches transfers that start after it.
         """
         if size < 0:
             raise ValueError(f"transfer size must be non-negative, got {size}")
@@ -83,19 +74,10 @@ class Network:
             yield self.env.timeout(0)
         else:
             rate = self.effective_rate(src, dst)
-            egress, ingress = src.nic.egress, dst.nic.ingress
-            if self.config.requote_in_flight:
-                e_res = egress.reserve(size, rate, preemptible=True, tag=(src, dst))
-                i_res = ingress.reserve(size, rate, preemptible=True, tag=(src, dst))
-                self._preemptible_channels.add(egress)
-                self._preemptible_channels.add(ingress)
-                yield self.env.all_of([e_res, i_res])
-                yield self.env.timeout(self.config.link_latency)
-            else:
-                e_end = egress.quote(size, rate)
-                i_end = ingress.quote(size, rate)
-                done = (e_end if e_end > i_end else i_end) + self.config.link_latency
-                yield self.env.timeout_at(done)
+            e_end = src.nic.egress.quote(size, rate)
+            i_end = dst.nic.ingress.quote(size, rate)
+            done = (e_end if e_end > i_end else i_end) + self.config.link_latency
+            yield self.env.timeout_at(done)
             src.nic.bytes_sent += size
             dst.nic.bytes_received += size
         sample = FlowSample(
@@ -115,8 +97,7 @@ class Network:
         counters and record the :class:`FlowSample` — mirroring exactly
         what :meth:`transfer` would have done, minus the spawned process.
         An abandoned transfer (pipeline error) never calls ``finish()``,
-        matching an interrupted :meth:`transfer` process.  Only valid with
-        ``requote_in_flight`` off (callers fall back to :meth:`transfer`).
+        matching an interrupted :meth:`transfer` process.
         """
         if size < 0:
             raise ValueError(f"transfer size must be non-negative, got {size}")
@@ -143,47 +124,6 @@ class Network:
             return sample
 
         return done_event, finish
-
-    def _requote_in_flight(self, _table: ThrottleTable) -> None:
-        """Preemption hook: throttle rules changed, re-quote live flows.
-
-        Every distinct live (src, dst) pair's new shaped rate is computed
-        exactly once, in one vectorized pass
-        (:meth:`~repro.net.throttle.ThrottleTable.effective_rates`), and a
-        channel whose in-flight reservations are all unaffected by the
-        change is skipped outright — a no-op :meth:`Channel.preempt`
-        would still walk the FIFO and re-derive every quote (and could
-        nudge a mid-transmission quote by an ulp re-splitting the bytes
-        at an unchanged rate).
-        """
-        stale = []
-        pending = []
-        pairs: list = []
-        seen: set = set()
-        for channel in self._preemptible_channels:
-            if not channel.has_in_flight:
-                stale.append(channel)
-                continue
-            flows = [
-                res
-                for res in channel._in_flight
-                if not res.triggered and res.tag is not None
-            ]
-            for res in flows:
-                if res.tag not in seen:
-                    seen.add(res.tag)
-                    pairs.append(res.tag)
-            pending.append((channel, flows))
-        rate_of = dict(zip(pairs, self.throttles.effective_rates(pairs)))
-        for channel, flows in pending:
-            if all(rate_of[res.tag] == res.rate for res in flows):
-                self.requotes_skipped += 1
-                continue
-            self.requotes_applied += 1
-            channel.preempt(lambda res: rate_of.get(res.tag))
-            if not channel.has_in_flight:
-                stale.append(channel)
-        self._preemptible_channels.difference_update(stale)
 
     def send_control(self, src: "Node", dst: "Node") -> ProcessGenerator:
         """Deliver a latency-only control message from ``src`` to ``dst``."""

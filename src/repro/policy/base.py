@@ -36,9 +36,8 @@ This module defines the three strategy surfaces:
 :class:`ClientTuning`
     Per-upload knob overrides a policy hands a
     :class:`~repro.smarth.multi_writer.SmarthClient` at the start of each
-    ``put``: the Algorithm 2 threshold, the pipeline cap, and the
-    packet-train coalescing bound.  ``None`` fields mean "keep the
-    configured value".
+    ``put``: the Algorithm 2 threshold and the pipeline cap.  ``None``
+    fields mean "keep the configured value".
 """
 
 from __future__ import annotations
@@ -162,10 +161,6 @@ class ClientTuning:
     #: Concurrent-pipeline cap; overrides the ``num/repli`` rule.  Must
     #: not exceed it — the §IV-C invariant is checked against the rule.
     max_pipelines: Optional[int] = None
-    #: Packet-train coalescing bound, with ``HdfsConfig.coalesce_packets``
-    #: semantics: ``0`` coalesces whole blocks, ``1`` disables trains,
-    #: ``n > 1`` coalesces only blocks of at most ``n`` packets.
-    coalesce_packets: Optional[int] = None
 
 
 #: The identity tuning: every knob keeps its configured value.

@@ -123,7 +123,6 @@ class OnlineTunerPolicy(Policy):
                 {
                     "local_opt_threshold": t.local_opt_threshold,
                     "max_pipelines": t.max_pipelines,
-                    "coalesce_packets": t.coalesce_packets,
                 }
                 for t in self.grid
             ],

@@ -6,7 +6,6 @@ event queue, with counted resources and FIFO stores as the concurrency
 primitives.  See :class:`Environment` for the entry point.
 """
 
-from . import batch
 from .environment import Environment, total_events_processed
 from .errors import EmptySchedule, Interrupt, SimulationError, SnapshotError
 from .events import AllOf, AnyOf, Condition, Event, Timeout, race
@@ -45,5 +44,4 @@ __all__ = [
     "Store",
     "StorePut",
     "StoreGet",
-    "batch",
 ]

@@ -41,11 +41,6 @@ class Environment:
     #: schedules from paying rebuild costs for a handful of cancellations.
     COMPACT_MIN_TOMBSTONES = 64
 
-    #: Default for :attr:`lazy_cancellation` on new environments; the
-    #: equivalence suite flips this class-wide to run whole experiments on
-    #: the pre-tombstone scheduler.
-    LAZY_CANCELLATION = True
-
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
@@ -61,12 +56,6 @@ class Environment:
         self.compactions_run = 0
         #: Largest number of entries (live + tombstoned) ever in the heap.
         self.heap_high_water = 0
-        #: When False, :meth:`Event.cancel` is a no-op and abandoned timers
-        #: stay in the heap until they fire as stale events — the
-        #: pre-tombstone scheduler, kept switchable so equivalence tests
-        #: and the scale benchmark can prove both modes produce identical
-        #: simulated timelines.
-        self.lazy_cancellation: bool = self.LAZY_CANCELLATION
 
     # -- introspection -----------------------------------------------------
     @property

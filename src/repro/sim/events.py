@@ -113,14 +113,7 @@ class Event:
         schedule entry would silently vanish) and a failed event must crash
         the run if unhandled.  Cancelling a processed or already-cancelled
         event is a no-op, so ``race`` winners can cancel losers blindly.
-
-        With :attr:`Environment.lazy_cancellation` switched off this is a
-        complete no-op: abandoned timers stay scheduled and fire as stale
-        events, reproducing the pre-tombstone scheduler for the
-        equivalence suite and the scale benchmark's legacy mode.
         """
-        if not self.env.lazy_cancellation:
-            return
         if self.callbacks is None or self._cancelled:
             return
         if self._value is PENDING:

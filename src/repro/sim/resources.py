@@ -17,7 +17,7 @@ Three primitives cover everything the HDFS/SMARTH models need:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Generic, Optional, TypeVar
+from typing import Callable, Deque, Generic, Optional, TypeVar
 
 from .environment import Environment
 from .events import Event
@@ -41,10 +41,10 @@ class Reservation(Event):
 
     Fires (with itself as value) when the last byte leaves the channel.
     ``start``/``end`` are the occupancy interval quoted at creation time;
-    :meth:`Channel.preempt` may move them for preemptible reservations.
+    like every channel quote they never move afterwards.
     """
 
-    __slots__ = ("channel", "size", "rate", "start", "end", "tag", "_epoch")
+    __slots__ = ("channel", "size", "rate", "start", "end")
 
     def __init__(
         self,
@@ -53,7 +53,6 @@ class Reservation(Event):
         rate: float,
         start: float,
         end: float,
-        tag: Any = None,
     ):
         super().__init__(channel.env)
         self.channel = channel
@@ -61,8 +60,6 @@ class Reservation(Event):
         self.rate = rate
         self.start = start
         self.end = end
-        self.tag = tag
-        self._epoch = 0
 
 
 class Channel:
@@ -80,19 +77,18 @@ class Channel:
       as a float.  Nothing is scheduled; the caller owns the wait.  This
       is the transport fast path (one timeout per transfer).
     * :meth:`reserve` — commit an occupancy and return a
-      :class:`Reservation` event firing at completion.  Pass
-      ``preemptible=True`` to allow :meth:`preempt` to re-quote it while
-      in flight (``tc``-style mid-transfer rate changes).
+      :class:`Reservation` event firing at completion.
+
+    Both commit immutable quotes: a rate change (a ``tc`` rule added or
+    removed) only reaches transfers quoted after it.
     """
 
-    __slots__ = ("env", "name", "_busy_until", "_in_flight", "_guard")
+    __slots__ = ("env", "name", "_busy_until", "_guard")
 
     def __init__(self, env: Environment, name: str = "channel"):
         self.env = env
         self.name = name
         self._busy_until = 0.0
-        #: Live reservations, FIFO by start time; pruned lazily.
-        self._in_flight: Deque[Reservation] = deque()
         #: Optional pre-quote hook.  A packet train holds occupancy of a
         #: channel analytically (no committed ``busy_until``); the guard
         #: lets it materialise that occupancy the instant a *foreign*
@@ -108,33 +104,10 @@ class Channel:
     def busy(self) -> bool:
         return self._busy_until > self.env.now
 
-    @property
-    def queue_len(self) -> int:
-        """Reservations quoted but not yet transmitting.
-
-        Only event-based reservations (:meth:`reserve`) are tracked;
-        :meth:`quote` occupancies are fire-and-forget.
-        """
-        self._prune()
-        now = self.env.now
-        return sum(1 for r in self._in_flight if r.start > now)
-
-    @property
-    def has_in_flight(self) -> bool:
-        """Whether any event-based reservation is still in flight.
-
-        Public accessor for preemption hooks (``quote`` occupancies are
-        fire-and-forget and never show up here).
-        """
-        self._prune()
-        return bool(self._in_flight)
-
     def quote(self, size: float, rate: float) -> float:
         """Commit ``size`` bytes at ``rate`` B/s; return the completion time.
 
-        O(1): ``completion = max(now, busy_until) + size / rate``.  The
-        occupancy is immutable — callers that need re-quoting on rate
-        changes must use :meth:`reserve` with ``preemptible=True``.
+        O(1): ``completion = max(now, busy_until) + size / rate``.
         """
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
@@ -146,13 +119,7 @@ class Channel:
         self._busy_until = end
         return end
 
-    def reserve(
-        self,
-        size: float,
-        rate: float,
-        preemptible: bool = False,
-        tag: Any = None,
-    ) -> Reservation:
+    def reserve(self, size: float, rate: float) -> Reservation:
         """Commit an occupancy and return an event firing at completion."""
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
@@ -162,97 +129,15 @@ class Channel:
         start = self._busy_until if self._busy_until > now else now
         end = start + size / rate
         self._busy_until = end
-        res = Reservation(self, size, rate, start, end, tag=tag)
-        self._prune()
-        self._in_flight.append(res)
-        if preemptible:
-            self._arm(res)
-        else:
-            # Timeout-style: pre-succeeded, one heap entry, immutable.
-            res._ok = True
-            res._value = res
-            self.env.schedule_at(res, end)
+        # Timeout-style: pre-succeeded, one heap entry.
+        res = Reservation(self, size, rate, start, end)
+        res._ok = True
+        res._value = res
+        self.env.schedule_at(res, end)
         return res
 
-    def preempt(
-        self, new_rate: Callable[[Reservation], Optional[float]] | float
-    ) -> int:
-        """Re-quote in-flight preemptible reservations at new rates.
-
-        ``new_rate`` is either a rate in B/s applied to every reservation
-        or a callable mapping a reservation to its new rate (``None`` =
-        keep the current quote).  A reservation mid-transmission keeps the
-        bytes already clocked out at the old rate and sends the remainder
-        at the new one; queued reservations are re-chained FIFO behind it.
-        Returns the number of reservations whose quotes moved.  Immutable
-        reservations (:meth:`quote` / non-preemptible) are untouched, so
-        the default transport path keeps the documented semantics:
-        in-flight packets finish at the rate they started with.
-        """
-        rate_for = (
-            new_rate if callable(new_rate) else (lambda _res: new_rate)
-        )
-        now = self.env.now
-        self._prune()
-        moved = 0
-        prev_end = 0.0
-        for res in self._in_flight:
-            if res.triggered:
-                # Immutable (pre-succeeded) reservation: its quote stands.
-                prev_end = res.end
-                continue
-            rate = rate_for(res)
-            if rate is None:
-                rate = res.rate
-            elif rate <= 0:
-                raise ValueError(f"rate must be positive, got {rate}")
-            if res.start <= now < res.end:
-                # Mid-transmission: finish the remaining bytes at the new
-                # rate (tc re-clocks the shaped class's in-flight frames).
-                done = (now - res.start) * res.rate
-                end = now + max(res.size - done, 0.0) / rate
-            else:
-                # Queued: restart the FIFO chain behind its predecessor.
-                start = prev_end if prev_end > now else now
-                res.start = start
-                end = start + res.size / rate
-            if end != res.end or rate != res.rate:
-                res.rate = rate
-                res.end = end
-                self._arm(res)
-                moved += 1
-            prev_end = res.end
-        if self._in_flight:
-            self._busy_until = self._in_flight[-1].end
-        return moved
-
-    # ------------------------------------------------------------------
-    def _arm(self, res: Reservation) -> None:
-        """(Re)schedule a preemptible reservation's completion."""
-        res._epoch += 1
-        epoch = res._epoch
-        fire = Event(self.env)
-        fire._ok = True
-        fire._value = None
-        fire.callbacks.append(
-            lambda _e, res=res, epoch=epoch: self._fire(res, epoch)
-        )
-        self.env.schedule_at(fire, res.end)
-
-    def _fire(self, res: Reservation, epoch: int) -> None:
-        if epoch == res._epoch and not res.triggered:
-            res.succeed(res)
-
-    def _prune(self) -> None:
-        now = self.env.now
-        while self._in_flight and self._in_flight[0].end <= now:
-            self._in_flight.popleft()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Channel {self.name} busy_until={self._busy_until:.6f} "
-            f"in_flight={len(self._in_flight)}>"
-        )
+        return f"<Channel {self.name} busy_until={self._busy_until:.6f}>"
 
 
 class Request(Event):

@@ -123,7 +123,7 @@ class SmarthClient:
         start = env.now
         # Ask the deployment policy for this upload's knobs (DESIGN.md
         # §12).  The default policy returns the identity tuning, leaving
-        # the configured threshold/cap/train behavior untouched.
+        # the configured threshold and pipeline cap untouched.
         policy = self.deployment.policy
         tuning = policy.tuning_for(self.name)
         self._tuning = tuning
@@ -352,7 +352,6 @@ class SmarthClient:
             and not pipeline.sent_seqs
             and not pipeline.acked_seqs
             and pipeline.recoveries == 0
-            and self._train_allowed(pipeline.plan)
         ):
             train = plan_train(
                 self.deployment,
@@ -410,21 +409,6 @@ class SmarthClient:
             pipeline.responder.packet_sent(packet)
         tracer.end(t_stream, env.now)
         return _OK, None
-
-    def _train_allowed(self, plan: BlockPlan) -> bool:
-        """Per-upload packet-train gate from the policy's tuning.
-
-        Mirrors ``HdfsConfig.coalesce_packets`` semantics (``0`` whole
-        blocks, ``1`` disabled, ``n > 1`` only blocks of at most ``n``
-        packets); ``None`` defers entirely to the config, which
-        ``plan_train`` applies itself.
-        """
-        bound = self._tuning.coalesce_packets
-        if bound is None or bound == 0:
-            return True
-        if bound == 1:
-            return False
-        return plan.n_packets <= bound
 
     def _send_packet(
         self, pipeline: SmarthPipeline, packet: Packet

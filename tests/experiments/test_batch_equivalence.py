@@ -1,76 +1,18 @@
-"""On-vs-off equivalence of the batch completion kernel at experiment scale.
+"""The train's batched feeder on the campaign shape it was built for.
 
-Mirror of ``test_train_equivalence.py`` for the second fast-path knob:
-``batch_completions=0`` falls back to the scalar per-row conductor, and
-the complete result tables — plus a pod campaign where the batched
-feeder provably engages — must be identical either way.  Together with
-the hypothesis suite (``tests/sim/test_batch.py``) this closes the
-bit-identity claim from both ends: property tests pin every kernel
-helper to its scalar reference, and these runs pin the integrated
-timing at experiment scale.
+Campaign pods write 4 MB files, which fit the 80-packet data queue, so
+every block takes the batched feeder: the whole already-produced chunk
+prefix is consumed in one synchronous pass with zero heap events per
+packet.  The per-packet loop (``coalesce_packets=1``) is the oracle —
+the per-client timeline must be bit-identical while the heap traffic
+drops.  The paper-shape runs (files larger than the queue, feeder off)
+are pinned against the same oracle by ``test_train_equivalence.py``.
 """
 
 from __future__ import annotations
 
-import json
-
-from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.figures import experiment_config
-from repro.faults.campaign import ChaosSchedule, report_json, run_campaign
+from repro.config import SimulationConfig
 from repro.workloads import campaign10k, run_pods_single_env
-
-SCALE = 0.25
-SCALAR_CONFIG = experiment_config().with_hdfs(batch_completions=0)
-
-
-def _normalized(result) -> dict:
-    rows = [
-        dict(zip(result.columns, row)) if not isinstance(row, dict) else row
-        for row in result.rows
-    ]
-    return json.loads(
-        json.dumps(
-            {
-                "rows": rows,
-                "measured": {k: str(v) for k, v in result.measured.items()},
-            },
-            sort_keys=True,
-        )
-    )
-
-
-def test_fig5_identical_with_and_without_batching():
-    fast = _normalized(ALL_EXPERIMENTS["fig5"](scale=SCALE))
-    scalar = _normalized(
-        ALL_EXPERIMENTS["fig5"](config=SCALAR_CONFIG, scale=SCALE)
-    )
-    assert fast == scalar
-
-
-def test_faultrec_identical_with_and_without_batching():
-    fast = _normalized(ALL_EXPERIMENTS["faultrec"](scale=SCALE))
-    scalar = _normalized(
-        ALL_EXPERIMENTS["faultrec"](config=SCALAR_CONFIG, scale=SCALE)
-    )
-    assert fast == scalar
-
-
-def test_chaos_report_identical_per_seed(monkeypatch):
-    """A fixed-seed chaos campaign produces a byte-identical report in
-    both modes (disturbances invalidate trains, so the batched feeder
-    stands down exactly where the scalar conductor would replay)."""
-    fast = run_campaign(seed=11, runs=2, protocols=("hdfs", "smarth"), scale=0.1)
-
-    original = ChaosSchedule.config
-    monkeypatch.setattr(
-        ChaosSchedule,
-        "config",
-        lambda self: original(self).with_hdfs(batch_completions=0),
-    )
-    scalar = run_campaign(
-        seed=11, runs=2, protocols=("hdfs", "smarth"), scale=0.1
-    )
-    assert report_json(fast) == report_json(scalar)
 
 
 def test_campaign_timeline_identical_and_fewer_events():
@@ -78,14 +20,12 @@ def test_campaign_timeline_identical_and_fewer_events():
     the data-queue bound) the batched feeder must retire packet traffic
     analytically — strictly fewer heap events — while the per-client
     timeline stays bit-identical."""
-    from repro.config import SimulationConfig
-
     plan = campaign10k(scale=0.02)
     batch = run_pods_single_env(plan, config=SimulationConfig())
-    scalar = run_pods_single_env(
-        plan, config=SimulationConfig().with_hdfs(batch_completions=0)
+    legacy = run_pods_single_env(
+        plan, config=SimulationConfig().with_hdfs(coalesce_packets=1)
     )
-    assert batch.timeline == scalar.timeline
-    assert batch.fully_replicated and scalar.fully_replicated
-    assert batch.bytes_moved == scalar.bytes_moved
-    assert batch.events_processed < scalar.events_processed
+    assert batch.timeline == legacy.timeline
+    assert batch.fully_replicated and legacy.fully_replicated
+    assert batch.bytes_moved == legacy.bytes_moved
+    assert batch.events_processed < legacy.events_processed

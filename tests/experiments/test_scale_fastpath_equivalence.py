@@ -15,14 +15,24 @@ import json
 from repro.experiments import ALL_EXPERIMENTS
 from repro.faults.campaign import report_json, run_campaign
 from repro.hdfs.namenode import Namenode, UncachedSpeedRegistry
-from repro.sim import Environment
+from repro.sim import Event
 
 SCALE = 0.25
 
 
+def _never_cancel(_event: Event) -> None:
+    """The pre-tombstone scheduler: an abandoned timer stays scheduled."""
+
+
 def _legacy_mode(monkeypatch) -> None:
-    """Pre-fast-path reference implementations, process-wide."""
-    monkeypatch.setattr(Environment, "LAZY_CANCELLATION", False)
+    """Pre-fast-path reference implementations, process-wide.
+
+    Replacing :meth:`Event.cancel` with a no-op leaves every abandoned
+    timer in the heap to fire stale, as before tombstones existed.
+    :meth:`Request.cancel` overrides it to release a resource slot, so
+    releases are unaffected.
+    """
+    monkeypatch.setattr(Event, "cancel", _never_cancel)
     monkeypatch.setattr(
         Namenode, "speed_registry_factory", UncachedSpeedRegistry
     )

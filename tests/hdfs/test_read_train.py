@@ -107,13 +107,6 @@ class TestEquivalenceFixed:
     def test_mixed_read_write(self):
         assert_equivalent(seed=4, size=6 * MB, mixed=True)
 
-    def test_bounded_coalesce_matches_both(self):
-        """1 < coalesce_reads < n_chunks declines per block exactly like
-        the legacy mode."""
-        bounded = run_read(5, 2 * BLOCK, coalesce=4)  # 2 MB block = 32 chunks
-        legacy = run_read(5, 2 * BLOCK, coalesce=1)
-        assert bounded == legacy
-
 
 @settings(max_examples=12, deadline=None)
 @given(

@@ -198,8 +198,8 @@ class TestMidTransferRateChange:
     """tc rule changes while a transfer is on the wire."""
 
     def test_in_flight_keeps_old_rate_by_default(self, env):
-        """Default semantics: the quote committed at start stands; only
-        transfers starting after the rule change see the new rate."""
+        """The quote committed at start stands; only transfers starting
+        after the rule change see the new rate."""
         net, a, b = make_pair(env, rate_a=mbps(100), rate_b=mbps(100))
         size = 10 * MB
 
@@ -223,49 +223,6 @@ class TestMidTransferRateChange:
         assert env.now - first_done == pytest.approx(
             size / mbps(10) + net.config.link_latency
         )
-
-    def test_requote_in_flight_moves_completion(self, env):
-        """Opt-in mode: the rule change re-quotes the live reservation —
-        bytes already clocked out stay, the remainder moves to the new
-        rate."""
-        from repro.config import NetworkConfig
-
-        net, a, b = make_pair(env)
-        net.config = NetworkConfig(requote_in_flight=True)
-        net.throttles.subscribe(net._requote_in_flight)
-        size = 10 * MB
-        half = (size / mbps(100)) / 2
-
-        def scenario():
-            first = env.process(net.transfer(a, b, size))
-            yield env.timeout(half)
-            net.throttles.add(NodeThrottle("b", mbps(10)))
-            yield first
-
-        env.run(until=env.process(scenario()))
-        # Half the bytes at 100 Mbps, the other half at 10 Mbps.
-        expected = half + (size / 2) / mbps(10) + net.config.link_latency
-        assert env.now == pytest.approx(expected)
-
-    def test_requote_unthrottle_speeds_up(self, env):
-        from repro.config import NetworkConfig
-
-        net, a, b = make_pair(env)
-        net.config = NetworkConfig(requote_in_flight=True)
-        net.throttles.subscribe(net._requote_in_flight)
-        net.throttles.add(NodeThrottle("b", mbps(10)))
-        size = 10 * MB
-        quarter = (size / mbps(10)) / 4
-
-        def scenario():
-            first = env.process(net.transfer(a, b, size))
-            yield env.timeout(quarter)
-            net.throttles.remove_matching(lambda r: isinstance(r, NodeThrottle))
-            yield first
-
-        env.run(until=env.process(scenario()))
-        expected = quarter + (size * 0.75) / mbps(100) + net.config.link_latency
-        assert env.now == pytest.approx(expected)
 
 
 class TestLoopback:

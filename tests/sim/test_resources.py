@@ -338,93 +338,3 @@ class TestChannel:
         env.process(waiter(env, r2, "second"))
         env.run()
         assert order == [("first", pytest.approx(1.0)), ("second", pytest.approx(2.0))]
-
-    def test_queue_len_counts_not_yet_transmitting(self, env):
-        ch = Channel(env)
-        ch.reserve(1000, 1000.0)          # transmitting now
-        ch.reserve(1000, 1000.0)          # queued behind it
-        ch.reserve(1000, 1000.0)          # queued
-        assert ch.queue_len == 2
-
-    def test_preempt_mid_transmission_keeps_clocked_bytes(self, env):
-        """Re-quoting at half-way: bytes already sent stay at the old
-        rate, the remainder finishes at the new rate."""
-        ch = Channel(env)
-        done = []
-
-        def proc(env, ch):
-            res = ch.reserve(1000, 1000.0, preemptible=True)
-            yield env.timeout(0.5)        # 500 bytes clocked out
-            moved = ch.preempt(100.0)     # 10x slower for the rest
-            assert moved == 1
-            yield res
-            done.append(env.now)
-
-        env.run(until=env.process(proc(env, ch)))
-        # 0.5s for the first 500 B, then 500 B at 100 B/s = 5s.
-        assert done == [pytest.approx(5.5)]
-        assert ch.busy_until == pytest.approx(5.5)
-
-    def test_preempt_rechains_queued_reservations(self, env):
-        ch = Channel(env)
-        ends = []
-
-        def proc(env, ch):
-            first = ch.reserve(1000, 1000.0, preemptible=True)
-            second = ch.reserve(1000, 1000.0, preemptible=True)
-            yield env.timeout(0.5)
-            ch.preempt(500.0)
-            yield first
-            ends.append(env.now)
-            yield second
-            ends.append(env.now)
-
-        env.run(until=env.process(proc(env, ch)))
-        # first: 0.5 + 500/500 = 1.5; second starts at 1.5, takes 2s.
-        assert ends == [pytest.approx(1.5), pytest.approx(3.5)]
-
-    def test_preempt_callable_selects_reservations(self, env):
-        ch = Channel(env)
-        ends = {}
-
-        def proc(env, ch):
-            keep = ch.reserve(1000, 1000.0, preemptible=True, tag="keep")
-            slow = ch.reserve(1000, 1000.0, preemptible=True, tag="slow")
-            moved = ch.preempt(
-                lambda res: 500.0 if res.tag == "slow" else None
-            )
-            assert moved == 1
-            yield keep
-            ends["keep"] = env.now
-            yield slow
-            ends["slow"] = env.now
-
-        env.run(until=env.process(proc(env, ch)))
-        assert ends["keep"] == pytest.approx(1.0)
-        assert ends["slow"] == pytest.approx(3.0)  # starts at 1.0, 2s at 500 B/s
-
-    def test_preempt_skips_non_preemptible(self, env):
-        ch = Channel(env)
-
-        def proc(env, ch):
-            res = ch.reserve(1000, 1000.0)  # immutable
-            assert ch.preempt(1.0) == 0
-            yield res
-            assert env.now == pytest.approx(1.0)
-
-        env.run(until=env.process(proc(env, ch)))
-
-    def test_stale_fire_token_is_inert(self, env):
-        """A re-quote strands the old completion event; firing it must
-        not complete the reservation early."""
-        ch = Channel(env)
-        done = []
-
-        def proc(env, ch):
-            res = ch.reserve(1000, 1000.0, preemptible=True)
-            ch.preempt(100.0)             # moves completion to t=10
-            yield res
-            done.append(env.now)
-
-        env.run(until=env.process(proc(env, ch)))
-        assert done == [pytest.approx(10.0)]

@@ -36,6 +36,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["chaos", "--runs", "0"])
 
+    @pytest.mark.parametrize(
+        "command",
+        [["experiment", "fig5"], ["chaos"], ["trace", "fig5"]],
+        ids=["experiment", "chaos", "trace"],
+    )
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf"])
+    def test_scale_rejects_non_positive_and_non_finite(self, command, value):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command, "--scale", value])
+
 
 class TestCommands:
     def test_scenarios_lists_all(self, capsys):

@@ -31,6 +31,8 @@ class TestHdfsConfig:
             {"replication": 0},
             {"namenode_rpc_latency": -1},
             {"heartbeat_interval": 0},
+            {"coalesce_packets": 2},
+            {"coalesce_reads": 4},
         ],
     )
     def test_validation(self, kwargs):
