@@ -38,8 +38,6 @@ from .config import HdfsConfig, NetworkConfig, SimulationConfig, SmarthConfig
 from .analysis.trace import Journal, TraceEvent
 from .faults import FaultInjector
 from .hdfs import (
-    Balancer,
-    DecommissionManager,
     HdfsClient,
     HdfsDeployment,
     HdfsReader,
@@ -91,8 +89,6 @@ __all__ = [
     "SmarthClient",
     "WriteResult",
     "ReplicationMonitor",
-    "DecommissionManager",
-    "Balancer",
     # workloads
     "two_rack",
     "contention",

@@ -2,13 +2,13 @@
 
 from .campaign import (
     ChaosSchedule,
+    ChaosWorkload,
     FaultSpec,
     generate_read_schedule,
     generate_schedule,
     report_json,
     run_campaign,
     run_read_campaign,
-    run_read_schedule,
     run_schedule,
 )
 from .injector import FaultEvent, FaultInjector
@@ -23,11 +23,11 @@ __all__ = [
     "FaultInjector",
     "FaultEvent",
     "FaultSpec",
+    "ChaosWorkload",
     "ChaosSchedule",
     "generate_schedule",
     "generate_read_schedule",
     "run_schedule",
-    "run_read_schedule",
     "run_campaign",
     "run_read_campaign",
     "report_json",

@@ -38,8 +38,10 @@ The invariant suite (names are stable identifiers used in reports):
     A faulted run either completes or raises ``RecoveryFailed`` — it
     never hangs and never fails some other way.
 
-Read campaigns (:func:`repro.faults.campaign.run_read_campaign`) extend
-the monitor with :data:`READ_INVARIANT_NAMES`:
+The campaign engine's read workload
+(:data:`repro.faults.campaign.READ`, run by
+:func:`repro.faults.campaign.run_read_campaign`) extends the monitor
+with :data:`READ_INVARIANT_NAMES`:
 
 ``read_durability``
     Every ``read_complete`` journal event delivered exactly the block's
@@ -262,7 +264,7 @@ class InvariantMonitor:
         """Run the block-level durability checks (idempotent).
 
         ``outcome`` is the campaign's run classification: ``completed``,
-        ``recovery_failed``, ``crash`` or ``hang``.
+        ``recovery_failed``, ``read_failed``, ``crash`` or ``hang``.
         """
         if self._finalized:
             return

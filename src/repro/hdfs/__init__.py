@@ -19,8 +19,6 @@ from .datanode_manager import DatanodeDescriptor, DatanodeManager
 from .deployment import HdfsDeployment, PipelineHandle
 from .namenode import Namenode, SpeedRegistry
 from .namespace import FileState, INodeFile, Namespace
-from .admin import DecommissionManager
-from .balancer import BalanceReport, Balancer
 from .placement import DefaultPlacementPolicy, PlacementPolicy
 from .replication import ReplicationMonitor, copy_block
 from .protocol import (
@@ -67,9 +65,6 @@ __all__ = [
     "DefaultPlacementPolicy",
     "ReplicationMonitor",
     "copy_block",
-    "DecommissionManager",
-    "Balancer",
-    "BalanceReport",
     "Block",
     "Packet",
     "Ack",

@@ -1,14 +1,14 @@
-"""Shared single-hop packet send, inlined into the calling streamer.
+"""Single-hop packet send, inlined into the baseline client's streamer.
 
-Both write clients deliver each packet to the pipeline's first datanode
-with the same three steps: reserve a buffer token, run the analytic
-network transfer, hand the packet to the receiver's inbox.  Spawning a
-process per packet for this costs an init event, token round-trips and a
+A write client delivers each packet to the pipeline's first datanode in
+three steps: reserve a buffer token, run the analytic network transfer,
+hand the packet to the receiver's inbox.  Spawning a process per packet
+for this costs an init event, token round-trips and a
 process-termination event — at a million packets per experiment that is
 the dominant allocation churn.  This helper runs the identical timeline
-inside the caller's generator (see ``DataStreamer`` and ``SmarthClient``),
-racing each step against the pipeline's error event exactly like an
-interrupted spawned send would.
+inside ``DataStreamer``'s generator, racing each step against the
+pipeline's error event exactly like an interrupted spawned send would.
+(``SmarthClient`` spawns one ``send`` process per packet instead.)
 """
 
 from __future__ import annotations

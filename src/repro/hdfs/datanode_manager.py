@@ -27,19 +27,6 @@ class DatanodeDescriptor:
     alive: bool = True
     #: Active write streams (an xceiver-count analogue, for load stats).
     active_streams: int = 0
-    #: Graceful drain in progress: no new replicas placed here, but the
-    #: node still serves reads and replication-source traffic.
-    decommissioning: bool = False
-    decommissioned: bool = False
-
-    @property
-    def schedulable(self) -> bool:
-        return self.alive and not self.decommissioned and not self.decommissioning
-
-    @property
-    def can_serve(self) -> bool:
-        """Usable as a read / replication source."""
-        return self.alive and not self.decommissioned
 
 
 class DatanodeManager:
@@ -49,11 +36,11 @@ class DatanodeManager:
         self.env = env
         self.config = config
         self._datanodes: dict[str, DatanodeDescriptor] = {}
-        #: Memoized schedulable-node views, dropped on any membership or
+        #: Memoized live-node views, dropped on any membership or
         #: liveness transition.  ``live_datanodes`` is on the per-block
         #: allocation path, so rebuilding the sorted tuple per call costs
         #: O(n log n) × blocks at steady state for a set that only changes
-        #: on registration, death, revival or decommission.
+        #: on registration, death or revival.
         self._live_cache: tuple[str, ...] | None = None
         self._live_set_cache: frozenset[str] | None = None
 
@@ -86,18 +73,6 @@ class DatanodeManager:
             descriptor.alive = False
             self._invalidate_live()
 
-    def start_decommission(self, name: str) -> None:
-        """Begin a graceful drain (no new replicas; existing ones serve)."""
-        self._get(name).decommissioning = True
-        self._invalidate_live()
-
-    def decommission(self, name: str) -> None:
-        """Final state: node fully out of service."""
-        descriptor = self._get(name)
-        descriptor.decommissioning = False
-        descriptor.decommissioned = True
-        self._invalidate_live()
-
     # -- liveness monitor ------------------------------------------------------
     @property
     def dead_after(self) -> float:
@@ -125,15 +100,15 @@ class DatanodeManager:
 
     # -- queries ------------------------------------------------------------------
     def live_datanodes(self) -> tuple[str, ...]:
-        """Schedulable datanode names, sorted; cached between transitions."""
+        """Live datanode names, sorted; cached between transitions."""
         if self._live_cache is None:
             self._live_cache = tuple(
-                sorted(d.name for d in self._datanodes.values() if d.schedulable)
+                sorted(d.name for d in self._datanodes.values() if d.alive)
             )
         return self._live_cache
 
     def live_set(self) -> frozenset[str]:
-        """Schedulable datanode names as a frozenset (membership tests)."""
+        """Live datanode names as a frozenset (membership tests)."""
         if self._live_set_cache is None:
             self._live_set_cache = frozenset(self.live_datanodes())
         return self._live_set_cache
@@ -145,7 +120,7 @@ class DatanodeManager:
         return self._get(name).rack
 
     def is_alive(self, name: str) -> bool:
-        return self._get(name).schedulable
+        return self._get(name).alive
 
     def all_names(self) -> tuple[str, ...]:
         return tuple(sorted(self._datanodes))

@@ -41,10 +41,9 @@ def copy_block(
 ) -> ProcessGenerator:
     """Stream one block replica from ``source`` to ``target``.
 
-    The shared primitive behind background re-replication and graceful
-    decommissioning: disk read at the source, one network transfer, disk
-    write at the target, then ``blockReceived`` (dropped if the target
-    died mid-copy).
+    The primitive behind background re-replication: disk read at the
+    source, one network transfer, disk write at the target, then
+    ``blockReceived`` (dropped if the target died mid-copy).
     """
     namenode = deployment.namenode
     env = deployment.env
@@ -132,12 +131,7 @@ class ReplicationMonitor:
             return
 
     def _sweep_dead_nodes(self) -> None:
-        """Drop replicas hosted on namenode-declared-dead datanodes.
-
-        Checks machine liveness, not schedulability: a *decommissioning*
-        node is unschedulable but its replicas still exist and still
-        serve — sweeping them would fight the decommission drain.
-        """
+        """Drop replicas hosted on namenode-declared-dead datanodes."""
         manager = self.namenode.datanodes
         for name in manager.all_names():
             if not manager.descriptor(name).alive:

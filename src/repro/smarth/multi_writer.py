@@ -161,8 +161,13 @@ class SmarthClient:
 
         for plan in plans:
             slot = slots.request()
-            yield slot
-            yield from self._drain_errors(data_queue, buffer_bytes)
+            # A failed background pipeline keeps its slot until it is
+            # recovered, and only this loop recovers: wait for either.
+            while True:
+                yield race(env, slot, self._error_flag)
+                yield from self._drain_errors(data_queue, buffer_bytes)
+                if slot.triggered:
+                    break
             yield from self._wait_for_headroom(data_queue, buffer_bytes)
 
             pipeline = yield from self._open_new_pipeline(
@@ -394,6 +399,9 @@ class SmarthClient:
             if handle.error.triggered:
                 if send.is_alive:
                     send.interrupt("pipeline failed")
+                    # race() returns an already-processed error without
+                    # subscribing to the send, so claim its Interrupt here.
+                    send.callbacks.append(Event.defuse)
                 tracer.end(t_stream, env.now, aborted=True)
                 return _ERROR, handle.error.value
             if watch_flag and self._error_flag.triggered:

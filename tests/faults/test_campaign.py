@@ -16,6 +16,7 @@ from repro.faults import (
     INVARIANT_NAMES,
     ChaosSchedule,
     FaultSpec,
+    generate_read_schedule,
     generate_schedule,
     report_json,
     run_campaign,
@@ -220,18 +221,31 @@ class TestLegacyLoopCampaign:
             assert tally["violations"] == 0, f"{name} violated"
 
 
+@pytest.mark.parametrize("subseed", (43, 70, 79, 115))
+def test_smarth_recovers_within_fault_budget(subseed) -> None:
+    """Regression: with every pipeline slot held by background pipelines,
+    a failed one was never recovered and the upload hung to the deadline
+    (sub-seeds 43 and 70); a per-packet send interrupted after its
+    pipeline's error was already processed crashed the run (79 and 115)."""
+    verdict = run_schedule(generate_schedule(subseed), "smarth")
+    assert verdict["outcome"] == "completed", verdict.get("error")
+    assert verdict["ok"], verdict["violations"]
+
+
 def test_traced_run_schedule_report_unchanged(tmp_path) -> None:
     """run_schedule with tracing enabled writes a trace file and returns
-    the byte-identical verdict (the tracer is a passive observer)."""
+    the byte-identical verdict (the tracer is a passive observer), for a
+    write and a read schedule alike."""
     import json as _json
 
-    schedule = generate_schedule(11, scale=0.25)
-    plain = run_schedule(schedule, "hdfs")
-    trace_path = tmp_path / "run.json"
-    traced = run_schedule(schedule, "hdfs", trace_path=str(trace_path))
-    assert plain == traced
-    doc = _json.loads(trace_path.read_text())
-    assert any(e.get("ph") == "X" for e in doc["traceEvents"])
+    for generate in (generate_schedule, generate_read_schedule):
+        schedule = generate(11, scale=0.25)
+        plain = run_schedule(schedule, "hdfs")
+        trace_path = tmp_path / f"{generate.__name__}.json"
+        traced = run_schedule(schedule, "hdfs", trace_path=str(trace_path))
+        assert plain == traced
+        doc = _json.loads(trace_path.read_text())
+        assert any(e.get("ph") == "X" for e in doc["traceEvents"])
 
 
 def test_campaign_creates_missing_trace_dir(tmp_path) -> None:

@@ -16,7 +16,7 @@ from repro.faults import (
     generate_read_schedule,
     report_json,
     run_read_campaign,
-    run_read_schedule,
+    run_schedule,
 )
 from repro.faults.campaign import READ_FANOUT
 
@@ -85,7 +85,7 @@ class TestReadSchedule:
 
     def test_single_schedule_verdict_shape(self) -> None:
         schedule = generate_read_schedule(99, scale=0.5)
-        verdict = run_read_schedule(schedule, "hdfs")
+        verdict = run_schedule(schedule, "hdfs")
         assert verdict["protocol"] == "hdfs"
         assert verdict["outcome"] == "completed"
         assert verdict["ok"], verdict["violations"]

@@ -21,11 +21,11 @@ from repro.faults import (
     ChaosSchedule,
     InvariantMonitor,
     InvariantRecord,
+    generate_read_schedule,
     generate_schedule,
     run_schedule,
 )
 from repro.faults import campaign as campaign_module
-from repro.faults.campaign import generate_read_schedule, run_read_schedule
 from repro.hdfs import HdfsDeployment
 from repro.sim import Environment
 from repro.units import KB, MB
@@ -94,10 +94,8 @@ def assert_same_checks(monitor: PairedMonitor) -> int:
 
 
 def run_paired(paired, kind: str, subseed: int, protocol: str) -> PairedMonitor:
-    if kind == "write":
-        run_schedule(generate_schedule(subseed, scale=SCALE), protocol)
-    else:
-        run_read_schedule(generate_read_schedule(subseed, scale=SCALE), protocol)
+    generate = generate_schedule if kind == "write" else generate_read_schedule
+    run_schedule(generate(subseed, scale=SCALE), protocol)
     (monitor,) = paired.built
     return monitor
 

@@ -62,12 +62,6 @@ class TestLiveness:
     def test_dead_after_uses_config(self, manager):
         assert manager.dead_after == 6.0
 
-    def test_decommissioned_not_schedulable(self, manager):
-        manager.register("dn0", "rack0")
-        manager.decommission("dn0")
-        assert manager.live_datanodes() == ()
-        assert not manager.is_alive("dn0")
-
     def test_all_names_includes_dead(self, manager):
         manager.register("dn0", "rack0")
         manager.mark_dead("dn0")

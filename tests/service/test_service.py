@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 from repro.faults.campaign import FaultSpec
+from repro.hdfs import DatanodeDescriptor
 from repro.obs import MetricsRegistry
 from repro.service import (
     IngestService,
@@ -186,6 +187,26 @@ def test_snapshot_rejects_garbage(tmp_path):
     )
     with pytest.raises(SnapshotError, match="version 1 "):
         load_snapshot(v1)
+
+    # Version 2 predates the removal of decommissioning: its datanode
+    # descriptors still carry the two drain flags, which this build's
+    # DatanodeDescriptor cannot take back, so it must refuse them.
+    old_descriptor = DatanodeDescriptor("dn0", "rack0")
+    old_descriptor.decommissioning = old_descriptor.decommissioned = False
+    with pytest.raises(TypeError):
+        DatanodeDescriptor(**vars(old_descriptor))
+    v2 = tmp_path / "v2.pkl"
+    v2.write_bytes(
+        pickle.dumps(
+            {
+                "format": "repro-service-snapshot",
+                "version": 2,
+                "state": {"datanodes": {"datanodes": {"dn0": old_descriptor}}},
+            }
+        )
+    )
+    with pytest.raises(SnapshotError, match="version 2 "):
+        load_snapshot(v2)
 
 
 def test_snapshot_round_trip(tmp_path):
