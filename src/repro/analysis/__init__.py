@@ -10,7 +10,6 @@ from .cost_model import (
     smarth_time_refined,
 )
 from .metrics import ComparisonRow, improvement_percent, summarize_series
-from .statistics import ReplicatedComparison, SeedSummary, repeat_compare
 from .trace import Journal, TraceEvent
 from .validation import ValidationPoint, validate_hdfs, validate_smarth
 
@@ -28,9 +27,6 @@ __all__ = [
     "ValidationPoint",
     "validate_hdfs",
     "validate_smarth",
-    "SeedSummary",
-    "ReplicatedComparison",
-    "repeat_compare",
     "Journal",
     "TraceEvent",
 ]

@@ -9,7 +9,7 @@ relays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..analysis.trace import Journal
@@ -43,7 +43,6 @@ class PipelineHandle:
     fnfa_in: Optional[Store] = None
     opened_at: float = 0.0
     closed: bool = False
-    extras: dict = field(default_factory=dict)
 
     @property
     def first_datanode(self) -> str:

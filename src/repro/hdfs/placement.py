@@ -11,7 +11,7 @@ Algorithm 1 (in :mod:`repro.smarth.global_opt`) trades differently.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..net.topology import Topology
 from ..policy.base import PlacementPolicy
@@ -21,7 +21,37 @@ from .protocol import NoDatanodesAvailable
 # The ABC moved to repro.policy.base (DESIGN.md §12); re-exported here
 # because this was its historical home and both protocols' placement
 # implementations import it from here.
-__all__ = ["PlacementPolicy", "DefaultPlacementPolicy"]
+__all__ = ["PlacementPolicy", "DefaultPlacementPolicy", "place_replicas"]
+
+
+def place_replicas(
+    rng: random.Random,
+    rack_map: Mapping[str, str],
+    available: Sequence[str],
+    first: str,
+    replication: int,
+) -> tuple[str, ...]:
+    """Extend a pipeline headed by ``first`` to ``replication`` targets.
+
+    The rack rule both protocols share (Algorithm 1 lines 12-16 keep the
+    default policy's layout): the second replica goes off the first's
+    rack, the third on the second's rack, any further ones anywhere, each
+    falling back to any remaining node of ``available``.  One ``rng``
+    draw per replica, in replica order.
+    """
+    targets = [first]
+    while len(targets) < replication:
+        remaining = [d for d in available if d not in targets]
+        if len(targets) == 1:
+            rack = rack_map[first]
+            preferred = [d for d in remaining if rack_map[d] != rack]
+        elif len(targets) == 2:
+            rack = rack_map[targets[1]]
+            preferred = [d for d in remaining if rack_map[d] == rack]
+        else:
+            preferred = []
+        targets.append(PlacementPolicy._pick(rng, preferred or remaining))
+    return tuple(targets)
 
 
 class DefaultPlacementPolicy(PlacementPolicy):
@@ -58,52 +88,11 @@ class DefaultPlacementPolicy(PlacementPolicy):
         # nodes as exist, even if fewer than the replication factor.
         replication = min(replication, len(available))
 
-        targets: list[str] = []
-
         # Replica 1: the client itself when it is a datanode, else random.
         if client in self.datanodes.live_set() and client not in excluded_set:
             first = client
         else:
             first = self._pick(self.rng, available)
-        targets.append(first)
-
-        # Replica 2: a different rack from the first (fall back to any).
-        # One fused pass per replica: `remaining` and the rack-filtered
-        # subset are built together, indexing the rack map directly —
-        # placement runs once per block, and two O(hosts) scans with a
-        # method call per element were a measurable slice of allocation
-        # latency on 200+-datanode clusters.
-        rack_map = self.topology.rack_map
-        if len(targets) < replication:
-            first_rack = rack_map[first]
-            remaining = []
-            off_rack = []
-            for d in available:
-                if d in targets:
-                    continue
-                remaining.append(d)
-                if rack_map[d] != first_rack:
-                    off_rack.append(d)
-            second = self._pick(self.rng, off_rack or remaining)
-            targets.append(second)
-
-        # Replica 3: same rack as the second, different node (fall back).
-        if len(targets) < replication:
-            second_rack = rack_map[targets[1]]
-            remaining = []
-            same_rack = []
-            for d in available:
-                if d in targets:
-                    continue
-                remaining.append(d)
-                if rack_map[d] == second_rack:
-                    same_rack.append(d)
-            third = self._pick(self.rng, same_rack or remaining)
-            targets.append(third)
-
-        # Any further replicas: uniform random over what's left.
-        while len(targets) < replication:
-            remaining = [d for d in available if d not in targets]
-            targets.append(self._pick(self.rng, remaining))
-
-        return tuple(targets)
+        return place_replicas(
+            self.rng, self.topology.rack_map, available, first, replication
+        )

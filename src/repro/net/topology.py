@@ -3,17 +3,14 @@
 HDFS models the network as a tree (datacenter → racks → nodes) and
 measures "distance" as the number of tree edges between nodes: 0 for the
 same node, 2 within a rack, 4 across racks.  The default placement policy
-and SMARTH's Algorithm 1 both need these queries (``randomRemoteRackNode``,
-``nodeOnSameRack``), so the topology is a first-class substrate object,
-backed by a :mod:`networkx` graph for distance computation and for
-exporting/visualizing cluster layouts.
+and SMARTH's Algorithm 1 both ask only which rack a node is on
+(``randomRemoteRackNode``, ``nodeOnSameRack``), so the tree is kept as a
+host → rack map and distance follows from it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
-
-import networkx as nx
 
 __all__ = ["Topology", "DISTANCE_SAME_NODE", "DISTANCE_SAME_RACK", "DISTANCE_OFF_RACK"]
 
@@ -21,56 +18,23 @@ DISTANCE_SAME_NODE = 0
 DISTANCE_SAME_RACK = 2
 DISTANCE_OFF_RACK = 4
 
-_ROOT = "/"
-
 
 class Topology:
     """A two-level tree: root → racks → hosts."""
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
-        self._graph.add_node(_ROOT, kind="root")
         self._rack_of: dict[str, str] = {}
-        #: rack → sorted host tuple, rebuilt lazily after membership edits.
-        #: Placement consults rack membership per replica per block, while
-        #: hosts only ever join at cluster build time — without the index
-        #: every ``choose_targets`` pays an O(hosts) scan per rack query.
-        self._rack_index: dict[str, tuple[str, ...]] | None = None
-        #: rack → sorted tuple of hosts *outside* that rack.
-        self._remote_index: dict[str, tuple[str, ...]] | None = None
 
     # -- construction -----------------------------------------------------
-    def add_rack(self, rack: str) -> None:
-        """Register a rack (idempotent)."""
-        if not rack:
-            raise ValueError("rack name must be non-empty")
-        if not self._graph.has_node(f"rack:{rack}"):
-            self._graph.add_node(f"rack:{rack}", kind="rack", name=rack)
-            self._graph.add_edge(_ROOT, f"rack:{rack}")
-
     def add_host(self, host: str, rack: str) -> None:
-        """Place ``host`` in ``rack``, creating the rack if needed."""
+        """Place ``host`` in ``rack``."""
         if host in self._rack_of:
             raise ValueError(f"host {host!r} already registered")
-        self.add_rack(rack)
-        self._graph.add_node(f"host:{host}", kind="host", name=host)
-        self._graph.add_edge(f"rack:{rack}", f"host:{host}")
+        if not rack:
+            raise ValueError("rack name must be non-empty")
         self._rack_of[host] = rack
-        self._rack_index = None
-        self._remote_index = None
 
     # -- queries ----------------------------------------------------------
-    @property
-    def racks(self) -> tuple[str, ...]:
-        """All rack names, sorted."""
-        return tuple(
-            sorted(
-                data["name"]
-                for _, data in self._graph.nodes(data=True)
-                if data.get("kind") == "rack"
-            )
-        )
-
     @property
     def hosts(self) -> tuple[str, ...]:
         """All host names, sorted."""
@@ -93,53 +57,16 @@ class Topology:
         """
         return self._rack_of
 
-    def _build_rack_indexes(self) -> None:
-        by_rack: dict[str, list[str]] = {}
-        for host in sorted(self._rack_of):
-            by_rack.setdefault(self._rack_of[host], []).append(host)
-        self._rack_index = {r: tuple(hs) for r, hs in by_rack.items()}
-        all_hosts = self.hosts
-        self._remote_index = {
-            rack: tuple(h for h in all_hosts if self._rack_of[h] != rack)
-            for rack in self._rack_index
-        }
-
-    def hosts_in_rack(self, rack: str) -> tuple[str, ...]:
-        """All hosts in ``rack``, sorted; served from the rack index."""
-        if f"rack:{rack}" not in self._graph:
-            raise KeyError(f"unknown rack {rack!r}")
-        if self._rack_index is None:
-            self._build_rack_indexes()
-        assert self._rack_index is not None
-        return self._rack_index.get(rack, ())
-
-    def same_rack(self, a: str, b: str) -> bool:
-        """True iff both hosts share a rack."""
-        return self.rack_of(a) == self.rack_of(b)
-
     def distance(self, a: str, b: str) -> int:
         """HDFS tree distance (0 same node, 2 same rack, 4 off rack).
 
-        Computed via shortest path on the topology tree so it stays
-        correct if the tree ever grows more levels.
+        Raises :class:`KeyError` if either host is unknown.
         """
+        rack_a = self.rack_of(a)
+        rack_b = self.rack_of(b)
         if a == b:
-            self.rack_of(a)  # raise on unknown host
             return DISTANCE_SAME_NODE
-        return nx.shortest_path_length(self._graph, f"host:{a}", f"host:{b}")
-
-    def remote_rack_hosts(self, host: str) -> tuple[str, ...]:
-        """All hosts *not* in ``host``'s rack, sorted (Algorithm 1 l.12)."""
-        rack = self.rack_of(host)
-        if self._remote_index is None:
-            self._build_rack_indexes()
-        assert self._remote_index is not None
-        # rack_of succeeded, so the host's rack is guaranteed indexed.
-        return self._remote_index[rack]
-
-    def graph_copy(self) -> nx.Graph:
-        """A copy of the underlying graph (for analysis/plotting)."""
-        return self._graph.copy()
+        return DISTANCE_SAME_RACK if rack_a == rack_b else DISTANCE_OFF_RACK
 
     @classmethod
     def from_rack_map(cls, rack_map: dict[str, Iterable[str]]) -> "Topology":

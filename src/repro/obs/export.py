@@ -16,10 +16,9 @@ out-of-order relative to the legacy loop):
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
 
 from .metrics import MetricsRegistry
-from .spans import Instant, Span, Tracer
+from .spans import Span, Tracer
 
 __all__ = ["chrome_trace_json", "render_gantt", "metrics_summary"]
 
@@ -224,18 +223,3 @@ def _num(value: float) -> str:
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
-
-def write_outputs(
-    tracer: Tracer,
-    metrics: MetricsRegistry,
-    json_path,
-    gantt_path=None,
-    summary_path=None,
-    label: str = "repro",
-) -> None:
-    """Write the Chrome JSON (and optional Gantt/summary) to disk."""
-    json_path.write_text(chrome_trace_json(tracer, label=label))
-    if gantt_path is not None:
-        gantt_path.write_text(render_gantt(tracer))
-    if summary_path is not None:
-        summary_path.write_text(metrics_summary(metrics))

@@ -14,7 +14,11 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..hdfs.placement import DefaultPlacementPolicy, PlacementPolicy
+from ..hdfs.placement import (
+    DefaultPlacementPolicy,
+    PlacementPolicy,
+    place_replicas,
+)
 from ..hdfs.protocol import NoDatanodesAvailable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -113,44 +117,9 @@ class SmarthPlacementPolicy(PlacementPolicy):
             top_n = (ranked + unmeasured)[:1]
 
         self.topn_selections += 1
-        targets: list[str] = []
-
         # Line 10: first datanode random among the client's TopN.
         first = self._pick(self.rng, top_n)
-        targets.append(first)
-
-        # Line 12: second replica on a remote rack (relative to the first).
-        # Fused scan over the rack map, same trick as the default policy:
-        # one pass builds both `remaining` and the rack-filtered subset.
-        rack_map = self.topology.rack_map
-        if len(targets) < replication:
-            first_rack = rack_map[first]
-            remaining = []
-            remote = []
-            for d in available:
-                if d in targets:
-                    continue
-                remaining.append(d)
-                if rack_map[d] != first_rack:
-                    remote.append(d)
-            targets.append(self._pick(self.rng, remote or remaining))
-
-        # Line 14: third replica on the same rack as the second.
-        if len(targets) < replication:
-            second_rack = rack_map[targets[1]]
-            remaining = []
-            same = []
-            for d in available:
-                if d in targets:
-                    continue
-                remaining.append(d)
-                if rack_map[d] == second_rack:
-                    same.append(d)
-            targets.append(self._pick(self.rng, same or remaining))
-
-        # Line 16: anything further is uniform random.
-        while len(targets) < replication:
-            remaining = [d for d in available if d not in targets]
-            targets.append(self._pick(self.rng, remaining))
-
-        return tuple(targets)
+        # Lines 12-16: the rest follow the default policy's rack rule.
+        return place_replicas(
+            self.rng, self.topology.rack_map, available, first, replication
+        )

@@ -19,22 +19,26 @@ def topo():
 
 class TestConstruction:
     def test_from_rack_map(self, topo):
-        assert topo.racks == ("rack0", "rack1")
         assert topo.hosts == ("a", "b", "c", "d", "e")
+        assert topo.rack_map == {
+            "a": "rack0",
+            "b": "rack0",
+            "c": "rack0",
+            "d": "rack1",
+            "e": "rack1",
+        }
 
     def test_duplicate_host_rejected(self, topo):
         with pytest.raises(ValueError):
             topo.add_host("a", "rack1")
 
     def test_empty_rack_name_rejected(self):
-        with pytest.raises(ValueError):
-            Topology().add_rack("")
-
-    def test_add_rack_idempotent(self):
         topo = Topology()
-        topo.add_rack("r")
-        topo.add_rack("r")
-        assert topo.racks == ("r",)
+        with pytest.raises(ValueError):
+            topo.add_host("a", "")
+        assert "a" not in topo
+        topo.add_host("a", "r")
+        assert topo.rack_of("a") == "r"
 
     def test_contains_and_len(self, topo):
         assert "a" in topo
@@ -51,17 +55,6 @@ class TestQueries:
         with pytest.raises(KeyError):
             topo.rack_of("nope")
 
-    def test_hosts_in_rack(self, topo):
-        assert topo.hosts_in_rack("rack1") == ("d", "e")
-
-    def test_hosts_in_unknown_rack(self, topo):
-        with pytest.raises(KeyError):
-            topo.hosts_in_rack("rack9")
-
-    def test_same_rack(self, topo):
-        assert topo.same_rack("a", "b")
-        assert not topo.same_rack("a", "d")
-
     def test_distance_same_node(self, topo):
         assert topo.distance("a", "a") == DISTANCE_SAME_NODE
 
@@ -71,15 +64,9 @@ class TestQueries:
     def test_distance_off_rack(self, topo):
         assert topo.distance("a", "d") == DISTANCE_OFF_RACK
 
-    def test_distance_unknown_host(self, topo):
+    @pytest.mark.parametrize(
+        "a, b", [("nope", "nope"), ("nope", "a"), ("a", "nope")]
+    )
+    def test_distance_unknown_host(self, topo, a, b):
         with pytest.raises(KeyError):
-            topo.distance("nope", "nope")
-
-    def test_remote_rack_hosts(self, topo):
-        assert topo.remote_rack_hosts("a") == ("d", "e")
-        assert topo.remote_rack_hosts("d") == ("a", "b", "c")
-
-    def test_graph_copy_is_independent(self, topo):
-        g = topo.graph_copy()
-        g.remove_node("host:a")
-        assert "a" in topo
+            topo.distance(a, b)

@@ -258,7 +258,7 @@ class TestClusterBuilders:
     def test_homogeneous_layout(self, env):
         cluster = build_homogeneous(env, SMALL, n_datanodes=9)
         assert len(cluster.datanode_hosts) == 9
-        assert cluster.topology.racks == ("rack0", "rack1")
+        assert set(cluster.topology.rack_map.values()) == {"rack0", "rack1"}
         # Balanced split: dn0..dn4 share the client's rack, dn5..dn8 don't.
         assert cluster.topology.rack_of("dn0") == "rack0"
         assert cluster.topology.rack_of("dn4") == "rack0"
@@ -267,13 +267,9 @@ class TestClusterBuilders:
 
     def test_homogeneous_custom_split(self, env):
         cluster = build_homogeneous(env, SMALL, n_datanodes=9, n_local=3)
-        assert cluster.topology.hosts_in_rack("rack0") == (
-            "client",
-            "dn0",
-            "dn1",
-            "dn2",
-            "namenode",
-        )
+        topology = cluster.topology
+        rack0 = [h for h in topology.hosts if topology.rack_of(h) == "rack0"]
+        assert rack0 == ["client", "dn0", "dn1", "dn2", "namenode"]
 
     def test_homogeneous_invalid_split(self, env):
         with pytest.raises(ValueError):

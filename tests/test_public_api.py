@@ -1,8 +1,38 @@
 """The public API surface: everything advertised must exist and be usable."""
 
 import inspect
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import repro
+
+#: Run in a fresh interpreter: the quickstart below, with every
+#: third-party package the simulator once needed made unimportable.
+_STDLIB_ONLY_QUICKSTART = textwrap.dedent(
+    """
+    import sys
+
+    for name in ("numpy", "scipy", "networkx"):
+        sys.modules[name] = None  # any import of it now fails
+
+    import repro
+    from repro import compare, two_rack
+
+    scenario = two_rack("small", throttle_mbps=50)
+    hdfs, smarth, improvement = compare(
+        scenario,
+        "64MB",
+        config=repro.SimulationConfig().with_hdfs(
+            block_size=4 * repro.MB, packet_size=256 * repro.KB
+        ),
+    )
+    assert hdfs.duration > smarth.duration
+    assert improvement > 0
+    """
+)
 
 
 class TestPublicSurface:
@@ -33,6 +63,20 @@ class TestPublicSurface:
         )
         assert hdfs.duration > smarth.duration
         assert improvement > 0
+
+    def test_quickstart_needs_only_the_standard_library(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _STDLIB_ONLY_QUICKSTART],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestSubpackageDocstrings:
