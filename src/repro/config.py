@@ -142,17 +142,12 @@ class SmarthConfig:
     #: Cap on concurrently live pipelines.  ``None`` means the paper's rule
     #: ``num_active_datanodes / replication`` (§IV-C).
     max_pipelines: Optional[int] = None
-    #: First-datanode buffer capacity per client, in bytes.  ``None`` means
-    #: one block (the paper sets it to the 64 MB block size).
-    datanode_buffer: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.local_opt_threshold <= 1.0:
             raise ValueError("local_opt_threshold must be in [0, 1]")
         if self.max_pipelines is not None and self.max_pipelines < 1:
             raise ValueError("max_pipelines must be >= 1")
-        if self.datanode_buffer is not None and self.datanode_buffer <= 0:
-            raise ValueError("datanode_buffer must be positive")
 
     def pipeline_cap(self, num_datanodes: int, replication: int) -> int:
         """The effective live-pipeline cap for a cluster (Algorithm 1 l.3)."""

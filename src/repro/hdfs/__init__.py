@@ -34,7 +34,6 @@ from .protocol import (
     LeaseConflict,
     NoDatanodesAvailable,
     Packet,
-    PipelineFailure,
     SafeModeException,
     WriteResult,
 )
@@ -78,6 +77,5 @@ __all__ = [
     "SafeModeException",
     "LeaseConflict",
     "NoDatanodesAvailable",
-    "PipelineFailure",
     "DatanodeDead",
 ]

@@ -2,7 +2,7 @@
 
 from .data_streamer import HdfsClient
 from .input_stream import BlockUnavailable, HdfsReader, ReadResult
-from .output_stream import BlockPlan, ChunkSpec, plan_file, producer
+from .output_stream import BlockPlan, plan_file, producer, start_producer
 from .recovery import RecoveryFailed, recover_pipeline
 from .responder import PacketResponder
 
@@ -13,9 +13,9 @@ __all__ = [
     "BlockUnavailable",
     "PacketResponder",
     "BlockPlan",
-    "ChunkSpec",
     "plan_file",
     "producer",
+    "start_producer",
     "recover_pipeline",
     "RecoveryFailed",
 ]

@@ -15,9 +15,9 @@ from typing import Optional
 from ...cluster.node import Node
 from ...sim import ProcessGenerator, Store, race
 from ..deployment import HdfsDeployment, PipelineHandle
-from ..protocol import Block, DatanodeDead, Packet, WriteResult
+from ..protocol import DatanodeDead, Packet, WriteResult
 from ..train import plan_train
-from .output_stream import DATA_QUEUE_PACKETS, plan_file, producer
+from .output_stream import start_producer
 from .recovery import recover_pipeline
 from .responder import PacketResponder
 from .send import send_packet_inline
@@ -67,17 +67,8 @@ class HdfsClient:
         yield from namenode.create_file(self.name, path)
 
         # Step 2: producer starts filling the data queue.
-        plans = plan_file(size, hdfs_cfg)
-        data_queue: Store = Store(self.env, capacity=DATA_QUEUE_PACKETS)
-        # When the whole file fits the queue, producer puts can never
-        # block, which is what makes the train's batched feeder safe
-        # (see PacketTrain._feed_available).
-        self._batchable = (
-            sum(p.n_packets for p in plans) <= DATA_QUEUE_PACKETS
-        )
-        self.env.process(
-            producer(self.env, self.node, plans, data_queue),
-            name=f"producer:{path}",
+        plans, data_queue, self._batchable = start_producer(
+            self.env, self.node, path, size, hdfs_cfg
         )
 
         pipelines: list[tuple[str, ...]] = []
@@ -129,7 +120,7 @@ class HdfsClient:
                     responder = PacketResponder(self.env, block, handle.ack_in)
 
                     failed = yield from self._stream_block(
-                        plan, block, handle, responder, produced, acked_seqs,
+                        plan, handle, responder, produced, acked_seqs,
                         data_queue, track, t_attempt,
                     )
                     metrics.gauge("pipelines_live", -1)
@@ -141,9 +132,9 @@ class HdfsClient:
                     )
                     handle.teardown()
                     responder.stop()
-                    responder.unacked_packets()  # drained; resent via acked_seqs
 
-                # Algorithm 3: teardown, requeue un-ACKed, recover, retry.
+                # Algorithm 3: teardown, recover, then resend every
+                # un-ACKed packet from ``produced``.
                 recoveries += 1
                 blacklist.add(failed)
                 acked_bytes = sum(produced[s].size for s in acked_seqs)
@@ -157,10 +148,6 @@ class HdfsClient:
                     blacklist,
                     trace_parent=t_block,
                 )
-                produced = {
-                    seq: Packet(block, pkt.seq, pkt.size, pkt.is_last)
-                    for seq, pkt in produced.items()
-                }
 
             self.deployment.journal.emit(
                 self.env.now,
@@ -191,7 +178,6 @@ class HdfsClient:
     def _stream_block(
         self,
         plan,
-        block: Block,
         handle: PipelineHandle,
         responder: PacketResponder,
         produced: dict[int, Packet],
@@ -228,25 +214,15 @@ class HdfsClient:
             train.start()
             yield race(self.env, train.done, handle.error)
             if not train.done.triggered:
-                for chunk in train.chunks:
-                    produced[chunk.seq] = Packet(
-                        block=block,
-                        seq=chunk.seq,
-                        size=chunk.size,
-                        is_last=chunk.is_last_in_block,
-                    )
+                for packet in train.packets:
+                    produced[packet.seq] = packet
                 if train.pending_get is not None:
                     # Legacy parity: a streamer blocked on the data queue
-                    # at failure time still consumes the chunk the
+                    # at failure time still consumes the packet the
                     # producer eventually delivers, and recovery starts
                     # only then.
-                    chunk = yield train.pending_get
-                    produced[chunk.seq] = Packet(
-                        block=block,
-                        seq=chunk.seq,
-                        size=chunk.size,
-                        is_last=chunk.is_last_in_block,
-                    )
+                    packet = yield train.pending_get
+                    produced[packet.seq] = packet
                 # Close the client spans at the legacy instants: if the
                 # "sent" milestone fired before the failure the stream
                 # span ended there and the ack wait dies now; otherwise
@@ -278,16 +254,12 @@ class HdfsClient:
         for seq in to_send:
             packet = produced.get(seq)
             if packet is None:
-                chunk = yield data_queue.get()
-                packet = Packet(
-                    block=block,
-                    seq=chunk.seq,
-                    size=chunk.size,
-                    is_last=chunk.is_last_in_block,
-                )
+                packet = yield data_queue.get()
                 produced[seq] = packet
 
-            failed = yield from self._send_packet_inline(first, packet, handle)
+            failed = yield from send_packet_inline(
+                self.env, self.network, self.node, first, packet, handle.error
+            )
             if failed is not None:
                 tracer.end(t_stream, self.env.now, aborted=True)
                 self._note_acked(responder, acked_seqs, to_send)
@@ -305,14 +277,6 @@ class HdfsClient:
         tracer.end(t_ack, self.env.now)
         self._note_acked(responder, acked_seqs, to_send)
         return None
-
-    def _send_packet_inline(self, receiver, packet: Packet, handle: PipelineHandle):
-        """One packet's inlined single-hop send (see :mod:`.send`)."""
-        return (
-            yield from send_packet_inline(
-                self.env, self.network, self.node, receiver, packet, handle.error
-            )
-        )
 
     @staticmethod
     def _note_acked(

@@ -15,22 +15,19 @@ from dataclasses import dataclass
 from ...cluster.node import Node
 from ...config import HdfsConfig
 from ...sim import Environment, ProcessGenerator, Store
+from ..protocol import Packet
 
-__all__ = ["ChunkSpec", "BlockPlan", "plan_file", "producer", "DATA_QUEUE_PACKETS"]
+__all__ = [
+    "BlockPlan",
+    "plan_file",
+    "producer",
+    "start_producer",
+    "DATA_QUEUE_PACKETS",
+]
 
 #: Hadoop 1.x caps dataQueue + ackQueue at 80 packets; we use it as the
 #: producer-side data-queue depth.
 DATA_QUEUE_PACKETS = 80
-
-
-@dataclass(frozen=True)
-class ChunkSpec:
-    """One produced-but-unsent payload chunk (becomes a Packet)."""
-
-    block_index: int
-    seq: int
-    size: int
-    is_last_in_block: bool
 
 
 @dataclass(frozen=True)
@@ -80,18 +77,35 @@ def producer(
 ) -> ProcessGenerator:
     """The DataStreamer's producing half: fill the data queue at ``T_c``/packet.
 
-    Runs for the whole file; the consuming streamer pulls chunks in order.
+    Runs for the whole file; the consuming streamer pulls packets in order.
     """
     for plan in plans:
+        last = plan.n_packets - 1
         for seq, psize in enumerate(plan.packet_sizes):
             # Inlined (no process spawn): production is one timeout and
             # this runs once per packet.
             yield from client_node.produce(psize)
-            yield data_queue.put(
-                ChunkSpec(
-                    block_index=plan.index,
-                    seq=seq,
-                    size=psize,
-                    is_last_in_block=(seq == plan.n_packets - 1),
-                )
-            )
+            yield data_queue.put(Packet(seq, psize, seq == last))
+
+
+def start_producer(
+    env: Environment,
+    client_node: Node,
+    path: str,
+    size: int,
+    config: HdfsConfig,
+) -> tuple[list[BlockPlan], Store, bool]:
+    """Plan the file, open its data queue and start the producer (§II step 2).
+
+    Returns ``(plans, data_queue, batchable)``.  ``batchable`` says the
+    whole file fits the data queue: producer puts can then never block,
+    which is what makes the train's batched feeder safe (see
+    ``PacketTrain._feed_available``).
+    """
+    plans = plan_file(size, config)
+    data_queue: Store = Store(env, capacity=DATA_QUEUE_PACKETS)
+    batchable = sum(p.n_packets for p in plans) <= DATA_QUEUE_PACKETS
+    env.process(
+        producer(env, client_node, plans, data_queue), name=f"producer:{path}"
+    )
+    return plans, data_queue, batchable

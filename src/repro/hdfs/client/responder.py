@@ -3,9 +3,10 @@
 One responder watches one pipeline's ACK stream.  The streamer appends
 every sent packet to the responder's ACK queue; the responder removes
 packets as their ACKs arrive and fires ``block_done`` after the last
-packet of the block is acknowledged.  On pipeline failure the un-ACKed
-packets are recovered from the queue (Algorithm 3 step 3 moves them back
-to the data queue).
+packet of the block is acknowledged.  On pipeline failure the responder
+is stopped and its queue is dropped with the pipeline: the client counts
+the acknowledged prefix (``acked_count``) and resends every other packet
+from its own ``produced`` map (Algorithm 3 step 3), not from this queue.
 """
 
 from __future__ import annotations
@@ -38,12 +39,6 @@ class PacketResponder:
     def packet_sent(self, packet: Packet) -> None:
         """Streamer bookkeeping: ``packet`` is now awaiting its ACK."""
         self.ack_queue.append(packet)
-
-    def unacked_packets(self) -> list[Packet]:
-        """Drain the ACK queue (recovery: back to the data queue)."""
-        packets = list(self.ack_queue)
-        self.ack_queue.clear()
-        return packets
 
     def stop(self) -> None:
         """Tear the responder down (pipeline error or teardown)."""

@@ -1,19 +1,19 @@
-"""Single-hop packet send, inlined into the baseline client's streamer.
+"""Single-hop packet send: the per-packet send of both write clients.
 
-A write client delivers each packet to the pipeline's first datanode in
-three steps: reserve a buffer token, run the analytic network transfer,
-hand the packet to the receiver's inbox.  Spawning a process per packet
-for this costs an init event, token round-trips and a
-process-termination event — at a million packets per experiment that is
-the dominant allocation churn.  This helper runs the identical timeline
-inside ``DataStreamer``'s generator, racing each step against the
-pipeline's error event exactly like an interrupted spawned send would.
-(``SmarthClient`` spawns one ``send`` process per packet instead.)
+``HdfsClient._stream_block`` and ``SmarthClient._send_seqs`` deliver each
+packet to the pipeline's first datanode in three steps: reserve a buffer
+token, run the analytic network transfer, hand the packet to the
+receiver's inbox.  The steps run inside the client's own generator, each
+raced against the pipeline's error event, so a packet costs no spawned
+process (init event, token round-trips, termination event) — at a
+million packets per experiment that would be the dominant allocation
+churn.  Downstream hops use the forwarder's own send,
+:meth:`repro.hdfs.datanode.BlockReceiver.send_in`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ...sim import Environment, ProcessGenerator, race
 
@@ -33,29 +33,24 @@ def send_packet_inline(
     packet: "Packet",
     error,
 ) -> ProcessGenerator:
-    """One packet's single-hop send, inlined into the streamer.
+    """One packet's single-hop send, inlined into the client's loop.
 
-    Identical timeline to spawning a ``send_in`` process and racing it
-    against ``error`` — token reservation, analytic transfer, inbox
-    hand-off — without the per-packet process (init event, token
-    round-trips, process-termination event).  On a pipeline error the
-    in-flight step is abandoned exactly like an interrupted send: a
-    pending token grant goes to waste and an unfinished transfer never
-    applies its byte counters or flow sample.  Returns the failed
-    datanode's name, or ``None``.
+    A send on an already-failed pipeline commits nothing: no buffer
+    token, no channel quote.  On an error while the send is in flight the
+    current step is abandoned: a pending token grant goes to waste and an
+    unfinished transfer never applies its byte counters or flow sample
+    (its channel quotes stay committed, like any wire time already spent).
+    Returns the failed datanode's name, or ``None`` once the packet is in
+    the receiver's inbox.
     """
     if error.triggered:
-        # The error landed while we were parked on the data queue; the
-        # spawned send would have been interrupted before its init
-        # event ran — no token put, no channel quotes.
         return error.value
     put = receiver._buffer_tokens.put(packet.seq)
     if not put.processed:
         yield race(env, put, error)
-        # `processed`, not `triggered`: the spawned send resumed (and
-        # committed its channel quotes) exactly when the token grant
-        # was *processed*; a grant still in the queue when the error
-        # landed was wasted on a dying process.
+        # `processed`, not `triggered`: the send goes on exactly when the
+        # token grant is *processed*; a grant still in the queue when
+        # the error landed is wasted.
         if error.triggered and not put.processed:
             return error.value
     receiver.max_buffered = max(
@@ -68,7 +63,7 @@ def send_packet_inline(
     finish()
     yield receiver.inbox.put(packet)
     if error.triggered:
-        # Same-instant tie: the spawned send had already delivered the
-        # packet, but the streamer still reported the failure.
+        # Same-instant tie: the packet was delivered, but the pipeline
+        # failed at the same instant and the client reports the failure.
         return error.value
     return None

@@ -173,8 +173,10 @@ class BlockReceiver:
     def send_in(self, src_node: Node, packet: Packet) -> ProcessGenerator:
         """Upstream-facing: reserve buffer space, transfer, enqueue.
 
-        This is the only way packets enter a receiver; the buffer token is
-        held until the packet leaves (forwarded, or written on the tail).
+        This is the forwarder's send into the next hop; the clients send
+        into the first hop with :func:`repro.hdfs.client.send.send_packet_inline`.
+        The buffer token is held until the packet leaves (forwarded, or
+        written on the tail).
         """
         yield self._buffer_tokens.put(packet.seq)
         self.max_buffered = max(self.max_buffered, len(self._buffer_tokens))

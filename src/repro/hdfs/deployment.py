@@ -41,16 +41,9 @@ class PipelineHandle:
     error: Event
     #: FNFAs from the first datanode (SMARTH pipelines only).
     fnfa_in: Optional[Store] = None
-    opened_at: float = 0.0
-    closed: bool = False
-
-    @property
-    def first_datanode(self) -> str:
-        return self.targets[0]
 
     def teardown(self) -> None:
         """Abort every receiver (recovery step: 'close all streams')."""
-        self.closed = True
         for receiver in self.receivers:
             receiver.abort(None)
 
@@ -234,5 +227,4 @@ class HdfsDeployment:
             ack_in=ack_in,
             error=error,
             fnfa_in=fnfa_in,
-            opened_at=env.now,
         )

@@ -19,7 +19,6 @@ __all__ = [
     "BlockTargets",
     "BlockState",
     "WriteResult",
-    "PipelineFailure",
     "HdfsError",
     "FileAlreadyExists",
     "FileNotFound",
@@ -70,15 +69,6 @@ class DatanodeDead(HdfsError, RuntimeError):
         self.datanode = datanode
 
 
-class PipelineFailure(HdfsError):
-    """A datanode in an active pipeline failed mid-transfer."""
-
-    def __init__(self, block_id: int, failed_datanode: str):
-        super().__init__(f"block {block_id}: datanode {failed_datanode} failed")
-        self.block_id = block_id
-        self.failed_datanode = failed_datanode
-
-
 class BlockState(Enum):
     """Lifecycle of a block on the namenode."""
 
@@ -108,9 +98,13 @@ class Block:
 
 @dataclass(frozen=True)
 class Packet:
-    """One wire packet of a block (§II step 2 splits blocks into packets)."""
+    """One wire packet of a block (§II step 2 splits blocks into packets).
 
-    block: Block
+    It names no block: a packet only passes through the receivers and the
+    responder of one block generation, and a resend after recovery reuses
+    the same packet on the rebuilt pipeline.
+    """
+
     seq: int
     size: int
     is_last: bool = False

@@ -63,7 +63,6 @@ from typing import TYPE_CHECKING, Optional
 
 from ..net.stats import FlowSample
 from ..sim import Environment, Event, ProcessGenerator, Store, race
-from .protocol import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.node import Node
@@ -71,7 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .client.responder import PacketResponder
     from .datanode import Datanode, ReadServe
     from .deployment import HdfsDeployment, PipelineHandle
-    from .protocol import Block
+    from .protocol import Block, Packet
 
 __all__ = ["TrainBase", "PacketTrain", "ReadTrain", "plan_train", "plan_read_train"]
 
@@ -323,11 +322,11 @@ class PacketTrain(TrainBase):
         #: races ``done`` rather than ``sent``, so it reads this to close
         #: its stream span at the legacy loop-exit instant).
         self.sent_at: float = 0.0
-        #: Chunks actually consumed from the data queue, in order.
-        self.chunks: list = []
+        #: Packets actually consumed from the data queue, in order.
+        self.packets: list["Packet"] = []
         #: A data-queue get issued but not yet satisfied when the train
         #: was killed.  Legacy leaves the same dangling get behind; the
-        #: client drains it so the produced chunk is not lost.
+        #: client drains it so the produced packet is not lost.
         self.pending_get = None
         #: Packets whose first-hop delivery completed (legacy's per-packet
         #: send loop would have recorded these as sent) — the whole block
@@ -349,7 +348,7 @@ class PacketTrain(TrainBase):
         self._old: Optional[tuple] = None  # previous arrays during replay
         self._freeze_before = 0.0
 
-        #: Batched feeder: consume every already-produced chunk in one
+        #: Batched feeder: consume every already-produced packet in one
         #: synchronous pass with analytic get times.  Only safe when the
         #: caller proved the whole file fits the data queue (puts can
         #: never block, so early gets wake nobody).
@@ -508,13 +507,13 @@ class PacketTrain(TrainBase):
 
     # -- the conductor -----------------------------------------------------
     def _feed_available(self, k: int) -> int:
-        """Batch feeder: consume the already-produced chunk prefix now.
+        """Batch feeder: consume the already-produced packet prefix now.
 
-        Every chunk sitting in the data queue at this wake is consumed in
+        Every packet sitting in the data queue at this wake is consumed in
         one synchronous pass (a get on a non-empty store resolves without
         touching the heap) with its *analytic* legacy get time recorded:
         ``max(now, a[0][k-1])`` — the instant the per-row feeder's get
-        would have resolved, since the chunk is provably available by
+        would have resolved, since the packet is provably available by
         then.  No producer put can be blocked (the ``batchable`` gate
         guarantees the file fits the queue), so the early gets are
         observationally silent; invalidations cannot fire mid-pass
@@ -528,9 +527,9 @@ class PacketTrain(TrainBase):
             issue = now if k == 0 else a0[k - 1]
             get_ev = self.data_queue.get()
             assert get_ev.triggered  # non-empty store: synchronous get
-            chunk = get_ev.value
-            assert chunk.seq == k and chunk.size == self._sizes[k]
-            self.chunks.append(chunk)
+            packet = get_ev.value
+            assert packet.seq == k and packet.size == self._sizes[k]
+            self.packets.append(packet)
             self._g.append(issue if issue > now else now)
             self._extend(k)
             k += 1
@@ -569,9 +568,9 @@ class PacketTrain(TrainBase):
                     return  # pending_get stays exposed for the client
                 self._maybe_replay()
             self.pending_get = None
-            chunk = get_ev.value
-            assert chunk.seq == k and chunk.size == self._sizes[k]
-            self.chunks.append(chunk)
+            packet = get_ev.value
+            assert packet.seq == k and packet.size == self._sizes[k]
+            self.packets.append(packet)
             self._g.append(env.now)
             self._extend(k)
             k += 1
@@ -751,16 +750,7 @@ class PacketTrain(TrainBase):
         acked = bisect_left(self._u[0], now)
         responder.acked_count += acked
         responder.acked_bytes += sum(self._sizes[:acked])
-        for k in range(acked, arrived[0]):
-            chunk = self.chunks[k]
-            responder.ack_queue.append(
-                Packet(
-                    block=self.block,
-                    seq=chunk.seq,
-                    size=chunk.size,
-                    is_last=chunk.is_last_in_block,
-                )
-            )
+        responder.ack_queue.extend(self.packets[acked:arrived[0]])
         self._bump()  # wake the conductor so it can exit promptly
 
 

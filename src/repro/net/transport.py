@@ -58,12 +58,29 @@ class Network:
         flow's :class:`FlowSample` as the process return value so callers
         can feed SMARTH's speed records.
 
-        Fast path: both NIC channels are FIFO, so the occupancy is quoted
-        analytically (``max(now, busy_until) + size/rate`` per channel) and
-        the whole transfer is a single absolute-time timeout — no spawned
-        egress/ingress processes, no AllOf barrier, no request/release
-        pairs.  The quotes are immutable: a ``tc`` rule change mid-flight
-        only reaches transfers that start after it.
+        It is :meth:`transfer_begin` plus one wait: both NIC channels are
+        FIFO, so the occupancy is quoted analytically (``max(now,
+        busy_until) + size/rate`` per channel) and the whole transfer is a
+        single absolute-time timeout — no spawned egress/ingress
+        processes, no AllOf barrier, no request/release pairs.  The quotes
+        are immutable: a ``tc`` rule change mid-flight only reaches
+        transfers that start after it.  An interrupted transfer keeps its
+        quotes but never applies its counters or sample.
+        """
+        done, finish = self.transfer_begin(src, dst, size)
+        yield done
+        return finish()
+
+    def transfer_begin(
+        self, src: "Node", dst: "Node", size: int
+    ) -> "tuple[object, Callable[[], FlowSample]]":
+        """Quote a transfer without a generator: ``(done_event, finish)``.
+
+        The caller yields ``done_event`` (an absolute-time timeout at
+        arrival) and, if it did not abandon the transfer, calls
+        ``finish()`` to apply the byte counters and record the
+        :class:`FlowSample`.  The clients' per-packet send and the read
+        loop call it directly; :meth:`transfer` wraps it in a generator.
         """
         if size < 0:
             raise ValueError(f"transfer size must be non-negative, got {size}")
@@ -71,38 +88,6 @@ class Network:
         if src is dst:
             # Loopback (e.g. a client co-located with a datanode): no NIC
             # occupancy, negligible latency.
-            yield self.env.timeout(0)
-        else:
-            rate = self.effective_rate(src, dst)
-            e_end = src.nic.egress.quote(size, rate)
-            i_end = dst.nic.ingress.quote(size, rate)
-            done = (e_end if e_end > i_end else i_end) + self.config.link_latency
-            yield self.env.timeout_at(done)
-            src.nic.bytes_sent += size
-            dst.nic.bytes_received += size
-        sample = FlowSample(
-            src=src.name, dst=dst.name, size=size, start=start, end=self.env.now
-        )
-        self.stats.record(sample)
-        return sample
-
-    def transfer_begin(
-        self, src: "Node", dst: "Node", size: int
-    ) -> "tuple[object, Callable[[], FlowSample]]":
-        """Quote a transfer without a generator: ``(done_event, finish)``.
-
-        The inline-send fast path in the clients' packet loops: the caller
-        yields ``done_event`` (an absolute-time timeout at arrival) and, if
-        it was not interrupted, calls ``finish()`` to apply the byte
-        counters and record the :class:`FlowSample` — mirroring exactly
-        what :meth:`transfer` would have done, minus the spawned process.
-        An abandoned transfer (pipeline error) never calls ``finish()``,
-        matching an interrupted :meth:`transfer` process.
-        """
-        if size < 0:
-            raise ValueError(f"transfer size must be non-negative, got {size}")
-        start = self.env.now
-        if src is dst:
             done_event = self.env.timeout(0)
             loopback = True
         else:

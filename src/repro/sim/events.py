@@ -305,9 +305,10 @@ class _Race(Event):
 def race(env: "Environment", *events: "Event") -> "Event":
     """First-of-N wait without a :class:`Condition` allocation.
 
-    The write clients yield one ``send | handle.error`` per packet; at a
-    million packets per experiment the Condition's event list, fired list
-    and value dict dominate allocation churn for a value nobody reads.
+    The write clients' per-packet send races each step against the
+    pipeline's error event; at a million packets per experiment the
+    Condition's event list, fired list and value dict would dominate
+    allocation churn for a value nobody reads.
     ``race`` fires with the first-fired *event* as its value, propagates a
     constituent failure the same way Condition does, and — when some event
     has already been processed — returns that event directly, allocating

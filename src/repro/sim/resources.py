@@ -120,7 +120,13 @@ class Channel:
         return end
 
     def reserve(self, size: float, rate: float) -> Reservation:
-        """Commit an occupancy and return an event firing at completion."""
+        """Commit an occupancy and return an event firing at completion.
+
+        The :class:`Reservation` is deliberately not a bare timer:
+        ``Process._resume`` tombstones those when their last waiter is
+        interrupted, and a disk write may have a second waiter (a
+        receiver's ACK relay and its local finalizer both await it).
+        """
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
         if self._guard is not None:
@@ -292,17 +298,6 @@ class Store(Generic[T]):
     def get(self, filter: Callable[[T], bool] | None = None) -> StoreGet[T]:
         """Take the oldest item (matching ``filter`` if given)."""
         return StoreGet(self, filter)
-
-    def drain(self) -> list[T]:
-        """Remove and return all buffered items synchronously.
-
-        Used by fault recovery to move un-ACKed packets back to the data
-        queue (Algorithm 3 step 3 / Algorithm 4 step 2).
-        """
-        items = list(self._items)
-        self._items.clear()
-        self._wake_putters()
-        return items
 
     # ------------------------------------------------------------------
     def _handle_put(self, event: StorePut[T]) -> None:

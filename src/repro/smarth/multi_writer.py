@@ -21,16 +21,12 @@ import random
 from typing import Optional
 
 from ..cluster.node import Node
-from ..hdfs.client.output_stream import (
-    DATA_QUEUE_PACKETS,
-    BlockPlan,
-    plan_file,
-    producer,
-)
+from ..hdfs.client.output_stream import BlockPlan, start_producer
 from ..hdfs.client.recovery import recover_pipeline
 from ..hdfs.client.responder import PacketResponder
+from ..hdfs.client.send import send_packet_inline
 from ..hdfs.deployment import HdfsDeployment
-from ..hdfs.protocol import DatanodeDead, Packet, WriteResult
+from ..hdfs.protocol import DatanodeDead, WriteResult
 from ..hdfs.train import plan_train
 from ..policy.base import NO_TUNING, ClientTuning
 from ..sim import Event, Interrupt, ProcessGenerator, Resource, Store, race
@@ -137,15 +133,8 @@ class SmarthClient:
 
         yield from namenode.create_file(self.name, path)
 
-        plans = plan_file(size, hdfs_cfg)
-        data_queue: Store = Store(env, capacity=DATA_QUEUE_PACKETS)
-        # Producer puts can never block when the whole file fits the
-        # queue — the safety gate for the train's batched feeder.
-        self._batchable = (
-            sum(p.n_packets for p in plans) <= DATA_QUEUE_PACKETS
-        )
-        env.process(
-            producer(env, self.node, plans, data_queue), name=f"producer:{path}"
+        plans, data_queue, self._batchable = start_producer(
+            env, self.node, path, size, hdfs_cfg
         )
 
         cap = (
@@ -156,7 +145,8 @@ class SmarthClient:
             )
         )
         slots = Resource(env, capacity=cap)
-        buffer_bytes = smarth_cfg.datanode_buffer or hdfs_cfg.block_size
+        # §IV-C: the first datanode buffers one full block.
+        buffer_bytes = hdfs_cfg.block_size
         all_pipelines: list[SmarthPipeline] = []
 
         for plan in plans:
@@ -374,55 +364,28 @@ class SmarthClient:
                     )
                 )
 
+        first = handle.receivers[0]
         for seq in pipeline.pending_seqs():
             packet = pipeline.produced.get(seq)
             if packet is None:
-                chunk = yield data_queue.get()
-                packet = Packet(
-                    block=pipeline.block,
-                    seq=chunk.seq,
-                    size=chunk.size,
-                    is_last=chunk.is_last_in_block,
-                )
+                packet = yield data_queue.get()
                 pipeline.produced[seq] = packet
 
-            send = env.process(
-                self._send_packet(pipeline, packet), name=f"send:{seq}"
+            failed = yield from send_packet_inline(
+                env, self.network, self.node, first, packet, handle.error
             )
-            # race() instead of an `a | b | c` Condition: one wait per
-            # packet, and on healthy runs only `send` ever fires.
-            if watch_flag:
-                yield race(env, send, handle.error, self._error_flag)
-            else:
-                yield race(env, send, handle.error)
-
-            if handle.error.triggered:
-                if send.is_alive:
-                    send.interrupt("pipeline failed")
-                    # race() returns an already-processed error without
-                    # subscribing to the send, so claim its Interrupt here.
-                    send.callbacks.append(Event.defuse)
+            if failed is not None:
                 tracer.end(t_stream, env.now, aborted=True)
-                return _ERROR, handle.error.value
-            if watch_flag and self._error_flag.triggered:
-                # Algorithm 4 line 1: another pipeline failed — stop the
-                # current block transfer (after the in-flight packet).
-                if send.is_alive:
-                    yield send
-                pipeline.note_sent(seq)
-                pipeline.responder.packet_sent(packet)
-                tracer.end(t_stream, env.now, paused=True)
-                return _PAUSED, None
+                return _ERROR, failed
             pipeline.note_sent(seq)
             pipeline.responder.packet_sent(packet)
+            if watch_flag and self._error_flag.triggered:
+                # Algorithm 4 line 1: another pipeline failed — stop the
+                # current block transfer after the packet that just landed.
+                tracer.end(t_stream, env.now, paused=True)
+                return _PAUSED, None
         tracer.end(t_stream, env.now)
         return _OK, None
-
-    def _send_packet(
-        self, pipeline: SmarthPipeline, packet: Packet
-    ) -> ProcessGenerator:
-        """Deliver one packet to the first datanode (reserve + transfer)."""
-        yield from pipeline.handle.receivers[0].send_in(self.node, packet)
 
     def _stream_train(
         self,
@@ -449,34 +412,25 @@ class SmarthClient:
         tracer = self.deployment.tracer
         train.start()
         yield race(env, train.sent, handle.error)
-
-        def mirror(chunk) -> None:
-            pipeline.produced[chunk.seq] = Packet(
-                block=pipeline.block,
-                seq=chunk.seq,
-                size=chunk.size,
-                is_last=chunk.is_last_in_block,
-            )
+        produced = pipeline.produced
+        for packet in train.packets:
+            produced[packet.seq] = packet
 
         if not train.sent.triggered:
             # The error settle already ran (synchronously, inside the
             # error event's callbacks); mirror the per-packet loop's
             # client-side state for Algorithm 4.
-            for chunk in train.chunks:
-                mirror(chunk)
             if train.pending_get is not None:
-                chunk = yield train.pending_get
-                mirror(chunk)
+                packet = yield train.pending_get
+                produced[packet.seq] = packet
             for seq in range(train.sent_count):
                 pipeline.note_sent(seq)
             # Close after the pending-get drain: a per-packet sender
             # parked on the data queue only observes the error once the
-            # chunk arrives, and the span end must match that instant.
+            # packet arrives, and the span end must match that instant.
             tracer.end(t_stream, env.now, aborted=True)
             return _ERROR, handle.error.value
 
-        for chunk in train.chunks:
-            mirror(chunk)
         for seq in range(train.sent_count):
             pipeline.note_sent(seq)
         tracer.end(t_stream, env.now)

@@ -86,10 +86,6 @@ class SmarthPipeline:
 
     # ------------------------------------------------------------------
     @property
-    def first_datanode(self) -> str:
-        return self.targets[0]
-
-    @property
     def acked_bytes(self) -> int:
         return sum(self.produced[s].size for s in self.acked_seqs)
 
@@ -125,10 +121,6 @@ class SmarthPipeline:
         self.targets = targets
         self.recoveries += 1
         self.skip_speed_record = True
-        self.produced = {
-            seq: Packet(block, pkt.seq, pkt.size, pkt.is_last)
-            for seq, pkt in self.produced.items()
-        }
 
     def teardown(self) -> None:
         """Stop the current attempt's machinery (before recovery)."""

@@ -28,7 +28,7 @@ def packets_for(block, packet_size):
         sizes.append(p)
         remaining -= p
     return [
-        Packet(block, seq, size, is_last=(seq == len(sizes) - 1))
+        Packet(seq, size, is_last=(seq == len(sizes) - 1))
         for seq, size in enumerate(sizes)
     ]
 
@@ -82,7 +82,7 @@ class TestSingleReceiver:
             initial_bytes=128 * KB,
         )
         receiver = handle.receivers[0]
-        tail = Packet(block, 0, 128 * KB, is_last=True)
+        tail = Packet(0, 128 * KB, is_last=True)
 
         def feed(env):
             yield from receiver.send_in(dep.cluster.client_host, tail)

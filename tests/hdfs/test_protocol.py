@@ -7,7 +7,6 @@ from repro.hdfs.protocol import (
     Block,
     BlockTargets,
     Packet,
-    PipelineFailure,
     WriteResult,
 )
 from repro.units import MB
@@ -34,15 +33,13 @@ class TestBlock:
 
 class TestPacket:
     def test_validation(self):
-        block = Block(1, "/f", 0, MB)
         with pytest.raises(ValueError):
-            Packet(block, 0, 0)
+            Packet(0, 0)
         with pytest.raises(ValueError):
-            Packet(block, -1, 100)
+            Packet(-1, 100)
 
     def test_is_last_default(self):
-        block = Block(1, "/f", 0, MB)
-        assert not Packet(block, 0, 100).is_last
+        assert not Packet(0, 100).is_last
 
 
 class TestBlockTargets:
@@ -73,12 +70,6 @@ class TestWriteResult:
 
 
 class TestExceptions:
-    def test_pipeline_failure_carries_context(self):
-        failure = PipelineFailure(42, "dn3")
-        assert failure.block_id == 42
-        assert failure.failed_datanode == "dn3"
-        assert "dn3" in str(failure)
-
     def test_ack_defaults(self):
         ack = Ack(1, 0)
         assert ack.ok

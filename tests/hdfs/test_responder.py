@@ -17,7 +17,7 @@ def setup(env, n_packets=3, block_id=1):
     ack_in = Store(env)
     responder = PacketResponder(env, block, ack_in)
     packets = [
-        Packet(block, seq, 100, is_last=(seq == n_packets - 1))
+        Packet(seq, 100, is_last=(seq == n_packets - 1))
         for seq in range(n_packets)
     ]
     return block, ack_in, responder, packets
@@ -89,20 +89,6 @@ class TestAckMatching:
 
 
 class TestRecoveryHooks:
-    def test_unacked_packets_drains(self, env):
-        block, ack_in, responder, packets = setup(env)
-        for pkt in packets:
-            responder.packet_sent(pkt)
-
-        def feed(env):
-            yield ack_in.put(Ack(block.block_id, 0))
-
-        env.process(feed(env))
-        env.run(until=1)
-        unacked = responder.unacked_packets()
-        assert [p.seq for p in unacked] == [1, 2]
-        assert not responder.ack_queue
-
     def test_stop_interrupts(self, env):
         block, ack_in, responder, packets = setup(env)
         env.run(until=0.1)

@@ -220,27 +220,6 @@ class TestStore:
         env.run()
         assert got == list(range(20))
 
-    def test_drain_returns_all_and_unblocks_putters(self, env):
-        store = Store(env, capacity=2)
-        log = []
-
-        def producer(env, store):
-            yield store.put("a")
-            yield store.put("b")
-            yield store.put("c")  # blocks until drain
-            log.append(("c put", env.now))
-
-        def drainer(env, store):
-            yield env.timeout(2)
-            items = store.drain()
-            log.append(("drained", items, env.now))
-
-        env.process(producer(env, store))
-        env.process(drainer(env, store))
-        env.run()
-        assert ("drained", ["a", "b"], 2) in log
-        assert ("c put", 2) in log
-
     def test_multiple_getters_fifo(self, env):
         store = Store(env)
         got = []

@@ -52,7 +52,7 @@ class TestStateTracking:
         p.bind(handle, responder)
         for seq in (2, 3):  # tail-only attempt (earlier seqs already acked)
             p.acked_seqs.add(seq - 2)
-            packet = Packet(p.block, seq, 100, is_last=(seq == 3))
+            packet = Packet(seq, 100, is_last=(seq == 3))
             p.produced[seq] = packet
             p.note_sent(seq)
             responder.packet_sent(packet)
@@ -76,21 +76,20 @@ class TestStateTracking:
         assert p.sent_seqs == set()
         assert p.pending_seqs() == [0, 1, 2, 3]
 
-    def test_rebind_block_remaps_packets(self, env):
+    def test_rebind_block_adopts_generation_and_targets(self, env):
         p = make_pipeline(env)
-        p.produced[0] = Packet(p.block, 0, 100)
+        p.produced[0] = Packet(0, 100)
         new_block = p.block.with_generation(1)
         p.rebind_block(new_block, ("dn0", "dn5", "dn6"))
         assert p.block.generation == 1
-        assert p.produced[0].block.generation == 1
         assert p.recoveries == 1
         assert p.skip_speed_record
         assert p.targets == ("dn0", "dn5", "dn6")
 
     def test_acked_bytes_sums_produced(self, env):
         p = make_pipeline(env)
-        p.produced[0] = Packet(p.block, 0, 100)
-        p.produced[1] = Packet(p.block, 1, 100)
+        p.produced[0] = Packet(0, 100)
+        p.produced[1] = Packet(1, 100)
         p.acked_seqs = {0, 1}
         assert p.acked_bytes == 200
 
@@ -101,7 +100,3 @@ class TestStateTracking:
         assert p.done.triggered
         p.mark_done()  # idempotent
         assert p.done.value is p
-
-    def test_first_datanode(self, env):
-        p = make_pipeline(env)
-        assert p.first_datanode == "dn0"

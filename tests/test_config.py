@@ -63,7 +63,6 @@ class TestSmarthConfig:
             {"local_opt_threshold": -0.1},
             {"local_opt_threshold": 1.1},
             {"max_pipelines": 0},
-            {"datanode_buffer": 0},
         ],
     )
     def test_validation(self, kwargs):
