@@ -92,12 +92,6 @@ class HdfsConfig:
     #: Timing is bit-identical either way (equivalence tested like
     #: ``coalesce_packets``).
     coalesce_reads: int = 0
-    #: Short-circuit local reads: a reader co-located on a node that holds
-    #: a live finalized replica scans its local disk directly — no
-    #: connection setup, no NIC occupancy, no datanode serve slot
-    #: (Hadoop's ``dfs.client.read.shortcircuit``).  ``0`` disables;
-    #: every read then streams through the serving datanode.
-    short_circuit_reads: int = 1
 
     def __post_init__(self) -> None:
         if self.block_size <= 0:
@@ -118,8 +112,6 @@ class HdfsConfig:
             raise ValueError("serve_streams must be >= 1")
         if self.coalesce_reads not in (0, 1):
             raise ValueError("coalesce_reads must be 0 or 1")
-        if self.short_circuit_reads not in (0, 1):
-            raise ValueError("short_circuit_reads must be 0 or 1")
 
     @property
     def packets_per_block(self) -> int:

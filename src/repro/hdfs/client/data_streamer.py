@@ -15,12 +15,12 @@ from typing import Optional
 from ...cluster.node import Node
 from ...sim import ProcessGenerator, Store, race
 from ..deployment import HdfsDeployment, PipelineHandle
-from ..protocol import DatanodeDead, Packet, WriteResult
+from ..protocol import DatanodeDead, WriteResult
 from ..train import plan_train
 from .output_stream import start_producer
 from .recovery import recover_pipeline
 from .responder import PacketResponder
-from .send import send_packet_inline
+from .send import FAILED, BlockProgress, send_block
 
 __all__ = ["HdfsClient"]
 
@@ -87,8 +87,7 @@ class HdfsClient:
             )
             metrics.count("blocks_total")
 
-            produced: dict[int, Packet] = {}
-            acked_seqs: set[int] = set()
+            progress = BlockProgress(plan)
 
             while True:  # retry loop around pipeline failures
                 t_attempt = tracer.begin(
@@ -101,7 +100,7 @@ class HdfsClient:
                         targets,
                         self.node,
                         buffer_bytes=hdfs_cfg.socket_buffer,
-                        initial_bytes=sum(produced[s].size for s in acked_seqs),
+                        initial_bytes=progress.acked_bytes,
                     )
                 except DatanodeDead as dead:
                     # The namenode's liveness view lags crashes by up to
@@ -120,8 +119,7 @@ class HdfsClient:
                     responder = PacketResponder(self.env, block, handle.ack_in)
 
                     failed = yield from self._stream_block(
-                        plan, handle, responder, produced, acked_seqs,
-                        data_queue, track, t_attempt,
+                        handle, responder, progress, data_queue, t_attempt
                     )
                     metrics.gauge("pipelines_live", -1)
                     if failed is None:
@@ -132,19 +130,19 @@ class HdfsClient:
                     )
                     handle.teardown()
                     responder.stop()
+                    progress.end_attempt(responder)
 
                 # Algorithm 3: teardown, recover, then resend every
-                # un-ACKed packet from ``produced``.
+                # un-ACKed packet from ``progress.produced``.
                 recoveries += 1
                 blacklist.add(failed)
-                acked_bytes = sum(produced[s].size for s in acked_seqs)
                 block, targets = yield from recover_pipeline(
                     self.deployment,
                     self.name,
                     block,
                     targets,
                     failed,
-                    acked_bytes,
+                    progress.acked_bytes,
                     blacklist,
                     trace_parent=t_block,
                 )
@@ -177,114 +175,45 @@ class HdfsClient:
     # ------------------------------------------------------------------
     def _stream_block(
         self,
-        plan,
         handle: PipelineHandle,
         responder: PacketResponder,
-        produced: dict[int, Packet],
-        acked_seqs: set[int],
+        progress: BlockProgress,
         data_queue: Store,
-        track: str = "",
         t_attempt: int = 0,
     ) -> ProcessGenerator:
         """Send one block's packets and wait for all ACKs (stop-and-wait).
 
         Returns ``None`` on success or the failed datanode's name.
         """
+        train = None
+        if not progress.produced:
+            # Steady-state fast path: coalesce the whole block into one
+            # analytically-conducted packet train (see repro.hdfs.train).
+            train = plan_train(
+                self.deployment,
+                self.node,
+                handle,
+                responder,
+                data_queue,
+                progress.plan,
+                batchable=self._batchable,
+            )
+        status, failed = yield from send_block(
+            self, handle, responder, progress, data_queue, t_attempt, train,
+            packets=progress.plan.n_packets - progress.acked,
+        )
+        if status is FAILED:
+            return failed
+
         tracer = self.deployment.tracer
-        actor = f"client:{self.name}"
-        to_send = [s for s in range(plan.n_packets) if s not in acked_seqs]
-        t_stream = tracer.begin(
-            "stream", actor, track, self.env.now,
-            parent=t_attempt, packets=len(to_send),
+        t_ack = tracer.begin(
+            "ack", f"client:{self.name}", f"b{handle.block.block_id}",
+            self.env.now, parent=t_attempt,
         )
-
-        # Steady-state fast path: coalesce the whole block into one
-        # analytically-conducted packet train (see repro.hdfs.train).
-        train = plan_train(
-            self.deployment,
-            self.node,
-            handle,
-            responder,
-            data_queue,
-            plan,
-            fresh=not produced and not acked_seqs,
-            batchable=self._batchable,
-        )
-        if train is not None:
-            train.start()
-            yield race(self.env, train.done, handle.error)
-            if not train.done.triggered:
-                for packet in train.packets:
-                    produced[packet.seq] = packet
-                if train.pending_get is not None:
-                    # Legacy parity: a streamer blocked on the data queue
-                    # at failure time still consumes the packet the
-                    # producer eventually delivers, and recovery starts
-                    # only then.
-                    packet = yield train.pending_get
-                    produced[packet.seq] = packet
-                # Close the client spans at the legacy instants: if the
-                # "sent" milestone fired before the failure the stream
-                # span ended there and the ack wait dies now; otherwise
-                # the stream span dies with the pipeline — after the
-                # pending-get drain, exactly when a legacy streamer
-                # parked on the data queue would have seen the error.
-                if train.sent.triggered:
-                    tracer.end(t_stream, train.sent_at)
-                    t_ack = tracer.begin(
-                        "ack", actor, track, train.sent_at, parent=t_attempt
-                    )
-                    tracer.end(t_ack, self.env.now, aborted=True)
-                else:
-                    tracer.end(t_stream, self.env.now, aborted=True)
-                self._note_acked(responder, acked_seqs, to_send)
-                return handle.error.value
-            # Success: the legacy loop exits at the last packet's
-            # first-hop arrival (= the train's "sent" milestone) and the
-            # ack wait runs from there to block-done (= right now).
-            tracer.end(t_stream, train.sent_at)
-            t_ack = tracer.begin(
-                "ack", actor, track, train.sent_at, parent=t_attempt
-            )
-            tracer.end(t_ack, self.env.now)
-            self._note_acked(responder, acked_seqs, to_send)
-            return None
-
-        first = handle.receivers[0]
-        for seq in to_send:
-            packet = produced.get(seq)
-            if packet is None:
-                packet = yield data_queue.get()
-                produced[seq] = packet
-
-            failed = yield from send_packet_inline(
-                self.env, self.network, self.node, first, packet, handle.error
-            )
-            if failed is not None:
-                tracer.end(t_stream, self.env.now, aborted=True)
-                self._note_acked(responder, acked_seqs, to_send)
-                return failed
-            responder.packet_sent(packet)
-
-        tracer.end(t_stream, self.env.now)
-        t_ack = tracer.begin("ack", actor, track, self.env.now, parent=t_attempt)
         # §II step 4/5: block boundary — wait for every packet's ACK.
         yield race(self.env, responder.block_done, handle.error)
         if not responder.block_done.triggered:
             tracer.end(t_ack, self.env.now, aborted=True)
-            self._note_acked(responder, acked_seqs, to_send)
             return handle.error.value
         tracer.end(t_ack, self.env.now)
-        self._note_acked(responder, acked_seqs, to_send)
         return None
-
-    @staticmethod
-    def _note_acked(
-        responder: PacketResponder, acked_seqs: set[int], to_send: list[int]
-    ) -> None:
-        """Fold this attempt's acknowledged packets into the block state.
-
-        ACKs arrive strictly in send order, so the acknowledged sequence
-        numbers are a prefix of this attempt's send list.
-        """
-        acked_seqs.update(to_send[: responder.acked_count])

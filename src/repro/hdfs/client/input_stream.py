@@ -19,10 +19,10 @@ through either protocol are actually usable.  Semantics follow Hadoop:
   ``coalesce_reads`` enabled (the default) a pristine stream collapses
   into a :class:`~repro.hdfs.train.ReadTrain` — identical timeline, O(1)
   heap events per block;
-* a replica co-located with the reader is served by a short-circuit
-  local read (``HdfsConfig.short_circuit_reads``): a direct disk scan
-  that bypasses connection setup, the serve queue and both NICs, like
-  Hadoop's ``dfs.client.read.shortcircuit``;
+* a replica co-located with the reader is always served by a
+  short-circuit local read: a direct disk scan that bypasses connection
+  setup, the serve queue and both NICs, like Hadoop's
+  ``dfs.client.read.shortcircuit``;
 * a source dying mid-stream does not restart the block: the reader
   re-ranks the surviving replicas and resumes from the next-best one at
   the exact byte offset already delivered.
@@ -175,10 +175,7 @@ class HdfsReader:
         """
         datanode = self.deployment.datanode(source)
         size = block.size - offset
-        if (
-            datanode.node is self.node
-            and self.config.hdfs.short_circuit_reads
-        ):
+        if datanode.node is self.node:
             streamed = yield from self._short_circuit(datanode, size)
             return streamed
         if not datanode.node.alive:

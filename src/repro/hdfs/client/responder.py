@@ -3,15 +3,20 @@
 One responder watches one pipeline's ACK stream.  The streamer appends
 every sent packet to the responder's ACK queue; the responder removes
 packets as their ACKs arrive and fires ``block_done`` after the last
-packet of the block is acknowledged.  On pipeline failure the responder
-is stopped and its queue is dropped with the pipeline: the client counts
-the acknowledged prefix (``acked_count``) and resends every other packet
-from its own ``produced`` map (Algorithm 3 step 3), not from this queue.
+packet of the block is acknowledged.  Its loop starts with the first
+``packet_sent``: under a packet train nothing is sent packet by packet,
+and the train settles ``block_done`` and the counts itself.  On pipeline
+failure the responder is stopped and its queue is dropped with the
+pipeline: the client folds the acknowledged prefix (``acked_count``) into
+its :class:`~repro.hdfs.client.send.BlockProgress` and resends every other
+packet from its ``produced`` list (Algorithm 3 step 3), not from this
+queue.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Optional
 
 from ...sim import Environment, Event, Interrupt, Process, ProcessGenerator, Store
 from ..protocol import Ack, Block, Packet
@@ -32,17 +37,20 @@ class PacketResponder:
         self.block_done: Event = env.event()
         self.acked_bytes = 0
         self.acked_count = 0
-        self._proc: Process = env.process(
-            self._run(), name=f"responder:b{block.block_id}"
-        )
+        #: The ACK loop, spawned by the first :meth:`packet_sent`.
+        self._proc: Optional[Process] = None
 
     def packet_sent(self, packet: Packet) -> None:
         """Streamer bookkeeping: ``packet`` is now awaiting its ACK."""
         self.ack_queue.append(packet)
+        if self._proc is None:
+            self._proc = self.env.process(
+                self._run(), name=f"responder:b{self.block.block_id}"
+            )
 
     def stop(self) -> None:
         """Tear the responder down (pipeline error or teardown)."""
-        if self._proc.is_alive:
+        if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt("responder stopped")
 
     def _run(self) -> ProcessGenerator:

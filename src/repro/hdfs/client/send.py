@@ -1,7 +1,14 @@
-"""Single-hop packet send: the per-packet send of both write clients.
+"""Block send: the one transmission path of both write clients (§II steps 3–4).
 
-``HdfsClient._stream_block`` and ``SmarthClient._send_seqs`` deliver each
-packet to the pipeline's first datanode in three steps: reserve a buffer
+:func:`send_block` sends one block's packets to the pipeline's first
+datanode, either as the packet train the caller planned or packet by
+packet, and reports :data:`SENT`, :data:`PAUSED` or :data:`FAILED`.
+``HdfsClient`` then waits for every ACK (stop-and-wait); ``SmarthClient``
+waits only for the FNFA, and pauses between packets when another pipeline
+fails (Algorithm 4 line 1).  A block's progress across attempts is three
+counts in :class:`BlockProgress`.
+
+The per-packet path delivers each packet in three steps: reserve a buffer
 token, run the analytic network transfer, hand the packet to the
 receiver's inbox.  The steps run inside the client's own generator, each
 raced against the pipeline's error event, so a packet costs no spawned
@@ -13,16 +20,143 @@ churn.  Downstream hops use the forwarder's own send,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
-from ...sim import Environment, ProcessGenerator, race
+from ...sim import Environment, Event, ProcessGenerator, Store, race
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...cluster.node import Node
     from ...net.transport import Network
+    from ..deployment import PipelineHandle
     from ..protocol import Packet
+    from ..train import PacketTrain
+    from .output_stream import BlockPlan
+    from .responder import PacketResponder
 
-__all__ = ["send_packet_inline"]
+__all__ = [
+    "BlockProgress",
+    "FAILED",
+    "PAUSED",
+    "SENT",
+    "send_block",
+    "send_packet_inline",
+]
+
+#: Every packet of the block reached the first datanode.
+SENT = "sent"
+#: Stopped between packets because ``pause`` fired; the pipeline is healthy.
+PAUSED = "paused"
+#: The pipeline failed; the failed datanode comes with it.
+FAILED = "failed"
+
+
+class BlockProgress:
+    """One block's transmission state across pipeline attempts.
+
+    The responder pops ACKs only from the head of its queue and the
+    client sends in sequence order, so the acknowledged packets and the
+    ones sent on the current attempt are always prefixes: packets
+    ``[0, acked)`` are acknowledged by the whole pipeline, and
+    ``[acked, acked + sent)`` went out on the current handle.
+    """
+
+    __slots__ = ("plan", "produced", "acked", "sent")
+
+    def __init__(self, plan: "BlockPlan"):
+        self.plan = plan
+        #: Packets taken off the data queue, in sequence order; recovery
+        #: resends from here without re-charging production time.
+        self.produced: list["Packet"] = []
+        self.acked = 0
+        self.sent = 0
+
+    @property
+    def acked_bytes(self) -> int:
+        return sum(packet.size for packet in self.produced[: self.acked])
+
+    def end_attempt(self, responder: "PacketResponder") -> None:
+        """Fold the failed attempt's acknowledged prefix in (Algorithm 3
+        step 2); everything after it is resent on the next handle."""
+        self.acked += responder.acked_count
+        self.sent = 0
+
+
+def send_block(
+    client,
+    handle: "PipelineHandle",
+    responder: "PacketResponder",
+    progress: BlockProgress,
+    data_queue: Store,
+    t_attempt: int,
+    train: Optional["PacketTrain"],
+    pause: Optional[Event] = None,
+    **span_args: object,
+) -> ProcessGenerator:
+    """Send the block's unsent packets; returns ``(status, failed)``.
+
+    With a ``train`` the whole block goes as one analytic packet train,
+    and this resumes at the last packet's first-hop arrival
+    (``train.sent``); the train keeps conducting the downstream hops and
+    the ACK walk, and settles the responder at the block-done time.
+    Otherwise packets go one by one from ``progress.acked +
+    progress.sent``, and a triggered ``pause`` stops the loop after the
+    packet that just landed.  A train cannot pause mid-block: ``pause``
+    is checked only after the whole block is sent, so another pipeline's
+    failure is serviced right after this block finishes streaming.  That
+    is protocol-legal (the block being streamed is healthy) but not
+    packet-for-packet identical, so it can only happen via a direct
+    unscheduled kill (scheduled disturbances decline the train up
+    front).  ``span_args`` go on the client's ``stream`` span.
+    """
+    env = client.env
+    tracer = client.deployment.tracer
+    t_stream = tracer.begin(
+        "stream", f"client:{client.name}", f"b{handle.block.block_id}",
+        env.now, parent=t_attempt, **span_args,
+    )
+    produced = progress.produced
+
+    if train is not None:
+        train.start()
+        yield race(env, train.sent, handle.error)
+        produced.extend(train.packets)
+        progress.sent += train.sent_count
+        if not train.sent.triggered:
+            # The error settle already ran (synchronously, inside the
+            # error event's callbacks).  A per-packet sender parked on
+            # the data queue only observes the error once the packet
+            # arrives, so drain the train's pending get before closing.
+            if train.pending_get is not None:
+                produced.append((yield train.pending_get))
+            tracer.end(t_stream, env.now, aborted=True)
+            return FAILED, handle.error.value
+        tracer.end(t_stream, env.now)
+        if pause is not None and pause.triggered:
+            return PAUSED, None
+        return SENT, None
+
+    first = handle.receivers[0]
+    for seq in range(progress.acked + progress.sent, progress.plan.n_packets):
+        if seq < len(produced):
+            packet = produced[seq]
+        else:
+            packet = yield data_queue.get()
+            produced.append(packet)
+        failed = yield from send_packet_inline(
+            env, client.network, client.node, first, packet, handle.error
+        )
+        if failed is not None:
+            tracer.end(t_stream, env.now, aborted=True)
+            return FAILED, failed
+        progress.sent += 1
+        responder.packet_sent(packet)
+        if pause is not None and pause.triggered:
+            # Algorithm 4 line 1: another pipeline failed — stop the
+            # current block transfer after the packet that just landed.
+            tracer.end(t_stream, env.now, paused=True)
+            return PAUSED, None
+    tracer.end(t_stream, env.now)
+    return SENT, None
 
 
 def send_packet_inline(
@@ -36,15 +170,16 @@ def send_packet_inline(
     """One packet's single-hop send, inlined into the client's loop.
 
     A send on an already-failed pipeline commits nothing: no buffer
-    token, no channel quote.  On an error while the send is in flight the
-    current step is abandoned: a pending token grant goes to waste and an
-    unfinished transfer never applies its byte counters or flow sample
-    (its channel quotes stay committed, like any wire time already spent).
-    Returns the failed datanode's name, or ``None`` once the packet is in
-    the receiver's inbox.
+    token, no channel quote, no receiver loops.  On an error while the
+    send is in flight the current step is abandoned: a pending token
+    grant goes to waste and an unfinished transfer never applies its
+    byte counters or flow sample (its channel quotes stay committed, like
+    any wire time already spent).  Returns the failed datanode's name, or
+    ``None`` once the packet is in the receiver's inbox.
     """
     if error.triggered:
         return error.value
+    receiver.start()
     put = receiver._buffer_tokens.put(packet.seq)
     if not put.processed:
         yield race(env, put, error)

@@ -23,6 +23,11 @@ Each block write opens a :class:`BlockReceiver` on every pipeline datanode
   move to the next block while slower replicas trail behind — and when
   ``blockReceived`` is reported to the namenode.
 
+The receive, forward and ACK-relay loops start with the first packet sent
+into the hop (:meth:`BlockReceiver.start`).  A block sent as a packet
+train never starts them: the train performs their observable actions
+itself (see :mod:`repro.hdfs.train`).
+
 Failure model: killing a datanode interrupts its receivers and fires each
 affected pipeline's error signal (the socket-reset analogue); peers
 touching a dead node fire the same signal.
@@ -72,7 +77,6 @@ class BlockReceiver:
         ack_out: Store,
         error: Event,
         buffer_bytes: int,
-        downstream: Optional["BlockReceiver"] = None,
         fnfa_out: Optional[Store] = None,
         client_node: Optional[Node] = None,
         upstream_node: Optional[Node] = None,
@@ -83,7 +87,8 @@ class BlockReceiver:
         self.block = block
         self.ack_out = ack_out
         self.error = error
-        self.downstream = downstream
+        #: The next pipeline hop (None for the tail), set while wiring.
+        self.downstream: Optional["BlockReceiver"] = None
         self.fnfa_out = fnfa_out
         self.client_node = client_node
         #: Where our ACKs physically go: the client for the first datanode,
@@ -131,15 +136,12 @@ class BlockReceiver:
         now = self.env.now
         self._trace_store = tracer.begin("store", actor, f"{bt}:store", now)
         self._trace_ack = tracer.begin("ack_relay", actor, f"{bt}:ack", now)
-        self._trace_fwd = 0  # opened by _start_forwarder on non-tail hops
+        self._trace_fwd = 0  # opened by set_downstream on non-tail hops
 
-        label = f"{datanode.name}:b{block.block_id}"
-        self._procs: list[Process] = [
-            self.env.process(self._run(), name=f"recv:{label}"),
-            self.env.process(self._ack_loop(), name=f"ackr:{label}"),
-        ]
-        if downstream is not None:  # may also be linked via set_downstream
-            self._start_forwarder()
+        #: The receive, ACK-relay and forward loops (spawned by
+        #: :meth:`start`) and the finalizer.
+        self._procs: list[Process] = []
+        self._started = False
 
     # -- public ------------------------------------------------------------
     @property
@@ -168,7 +170,34 @@ class BlockReceiver:
         """Link the next pipeline hop (done while wiring, before any packet
         can arrive — receivers are created head-first by ``open_pipeline``)."""
         self.downstream = receiver
-        self._start_forwarder()
+        self._trace_fwd = self.datanode.tracer.begin(
+            "forward",
+            f"datanode:{self.datanode.name}",
+            f"b{self.block.block_id}:forward",
+            self.env.now,
+        )
+
+    def start(self) -> None:
+        """Spawn the receive, ACK-relay and forward loops (idempotent).
+
+        Called by the first send into this hop.  Each loop's first step
+        is a blocking ``get`` and nothing reaches the receiver before that
+        send, so starting them here moves no other event — and a block
+        sent as a packet train never starts them at all.  Does nothing
+        once the receiver is aborted.
+        """
+        if self._started or self._aborted:
+            return
+        self._started = True
+        label = f"{self.name}:b{self.block.block_id}"
+        self._procs.append(self.env.process(self._run(), name=f"recv:{label}"))
+        self._procs.append(
+            self.env.process(self._ack_loop(), name=f"ackr:{label}")
+        )
+        if self.downstream is not None:
+            self._procs.append(
+                self.env.process(self._forward_loop(), name=f"fwd:{label}")
+            )
 
     def send_in(self, src_node: Node, packet: Packet) -> ProcessGenerator:
         """Upstream-facing: reserve buffer space, transfer, enqueue.
@@ -178,24 +207,11 @@ class BlockReceiver:
         The buffer token is held until the packet leaves (forwarded, or
         written on the tail).
         """
+        self.start()
         yield self._buffer_tokens.put(packet.seq)
         self.max_buffered = max(self.max_buffered, len(self._buffer_tokens))
         yield from self.datanode.network.transfer(src_node, self.host, packet.size)
         yield self.inbox.put(packet)
-
-    def quiesce_for_train(self) -> None:
-        """Stop the per-packet loops so a packet train can take over.
-
-        The receiver stays registered with its datanode (observability:
-        ``active_receivers``, the buffer monitor, kill-the-busy-node fault
-        picks) and :meth:`abort` still works; only the recv/forward/ACK
-        processes are retired.  The train performs their externally
-        observable actions — finalize, FNFA, blockReceived, close — at
-        the analytically identical times.
-        """
-        for proc in self._procs:
-            if proc.is_alive and proc is not self.env.active_process:
-                proc.interrupt("packet train takeover")
 
     def abort(self, failed_datanode: str | None = None) -> None:
         """Tear the receiver down (datanode death or pipeline recovery)."""
@@ -217,20 +233,6 @@ class BlockReceiver:
         self.datanode._receiver_closed(self)
 
     # -- internals ----------------------------------------------------------
-    def _start_forwarder(self) -> None:
-        self._trace_fwd = self.datanode.tracer.begin(
-            "forward",
-            f"datanode:{self.datanode.name}",
-            f"b{self.block.block_id}:forward",
-            self.env.now,
-        )
-        self._procs.append(
-            self.env.process(
-                self._forward_loop(),
-                name=f"fwd:{self.name}:b{self.block.block_id}",
-            )
-        )
-
     def _run(self) -> ProcessGenerator:
         """Receive loop: store locally at link speed, hand to forwarder."""
         try:
@@ -524,7 +526,6 @@ class Datanode:
         block: Block,
         ack_out: Store,
         error: Event,
-        downstream: Optional[BlockReceiver] = None,
         fnfa_out: Optional[Store] = None,
         client_node: Optional[Node] = None,
         upstream_node: Optional[Node] = None,
@@ -540,7 +541,6 @@ class Datanode:
             ack_out=ack_out,
             error=error,
             buffer_bytes=buffer_bytes or self.config.block_size,
-            downstream=downstream,
             fnfa_out=fnfa_out,
             client_node=client_node,
             upstream_node=upstream_node,

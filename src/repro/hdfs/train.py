@@ -34,14 +34,18 @@ Observable history is preserved bit-for-bit: the journal's
 spawning the *real* :meth:`BlockReceiver._local_finalize` at the
 analytically-computed last-write time, receiver closes and the responder's
 ``block_done`` fire at the legacy timestamps, and NIC/disk/flow counters
-are batch-applied at settle (nothing observes them mid-block).
+are batch-applied at settle (nothing observes them mid-block).  The
+receivers' and the responder's per-packet loops never start under a
+train: they start with the first packet sent one by one.
 
-The planner only accepts *pristine* windows — fresh attempt, no scheduled
-fault/throttle disturbances, no co-resident foreign receivers, no other
-train guarding a needed channel — and otherwise declines, falling back to
-the per-packet path.  Datanode kills mid-train (only reachable through
-direct, unscheduled ``kill()`` calls) settle the committed prefix and
-reconstruct the client-visible recovery state per Algorithm 3.
+The clients plan a train only for a block nothing was produced for, and
+:func:`repro.hdfs.client.send.send_block` runs it.  The planner only
+accepts *pristine* windows — no scheduled fault/throttle disturbances, no
+co-resident foreign receivers, no other train guarding a needed channel —
+and otherwise declines, falling back to the per-packet path.  Datanode
+kills mid-train (only reachable through direct, unscheduled ``kill()``
+calls) settle the committed prefix and reconstruct the client-visible
+recovery state per Algorithm 3.
 
 :class:`ReadTrain` applies the same machinery to the read path: the
 steady-state chunk cascade of one block read — disk prefetch of chunk
@@ -82,21 +86,20 @@ def plan_train(
     responder: "PacketResponder",
     data_queue: Store,
     plan: "BlockPlan",
-    fresh: bool = True,
     batchable: bool = False,
 ) -> Optional["PacketTrain"]:
     """Return a ready-to-start train for this block, or ``None`` to decline.
 
-    The predicate is deliberately conservative: any condition that could
-    make the analytic timeline diverge from the per-packet one — resend
-    state, a scheduled disturbance, loopback, a foreign receiver sharing
-    a hop datanode, another train already guarding a needed channel —
-    falls back to the legacy path.
+    The clients ask only for a block nothing was produced for yet: a
+    resend carries per-packet state the train does not reproduce.  The
+    predicate is deliberately conservative: any condition that could
+    make the analytic timeline diverge from the per-packet one — a
+    scheduled disturbance, loopback, a foreign receiver sharing a hop
+    datanode, another train already guarding a needed channel — falls
+    back to the legacy path.
     """
     if deployment.config.hdfs.coalesce_packets == 1:
         return None
-    if not fresh:
-        return None  # resend attempts carry per-seq state; stay per-packet
     if deployment.scheduled_disturbances:
         # Any scheduled kill/throttle (or its aftermath: recovery and
         # re-replication traffic) makes the window non-pristine.
@@ -151,8 +154,6 @@ class TrainBase:
         self._L = self.network.config.link_latency
         self._C = self.network.config.control_latency
 
-        #: Fires when the train's stream completes (subclass-defined time).
-        self.done: Event = self.env.event()
         #: Every channel whose occupancy this train holds analytically.
         self.channels: list = []
         #: Per channel: parallel (issues, ends) lists in FIFO order.
@@ -312,16 +313,10 @@ class PacketTrain(TrainBase):
             seen.setdefault(id(channel), channel)
         self.channels = list(seen.values())
 
-        # ``done`` (from TrainBase) fires once the success settle has
-        # completed (legacy block-done time: the head datanode's last ACK
-        # reaching the client).
         #: Fires at the last packet's first-hop arrival (legacy "all
-        #: packets sent" point — SMARTH's send loop resumes here).
+        #: packets sent" point — ``send_block`` resumes here).  The block
+        #: is done when the train settles the responder's ``block_done``.
         self.sent: Event = self.env.event()
-        #: Simulated time the "sent" milestone fired (the baseline client
-        #: races ``done`` rather than ``sent``, so it reads this to close
-        #: its stream span at the legacy loop-exit instant).
-        self.sent_at: float = 0.0
         #: Packets actually consumed from the data queue, in order.
         self.packets: list["Packet"] = []
         #: A data-queue get issued but not yet satisfied when the train
@@ -356,11 +351,15 @@ class PacketTrain(TrainBase):
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Quiesce the receivers, arm guards, and spawn the conductor."""
+        """Arm guards and spawn the conductor.
+
+        The receivers' per-packet loops never start: only a send starts
+        them (:meth:`BlockReceiver.start`), and the train performs their
+        externally observable actions — finalize, FNFA, blockReceived,
+        close — at the analytically identical times.
+        """
         assert not self._started
         self._started = True
-        for receiver in self.receivers:
-            receiver.quiesce_for_train()
         for channel in self.channels:
             channel._guard = self._make_guard(channel)
             self._guarded.add(id(channel))
@@ -612,7 +611,6 @@ class PacketTrain(TrainBase):
         receiver = self.receivers[h]
         if kind == "sent":
             self.sent_count = self._K
-            self.sent_at = self.env.now
             if not self.sent.triggered:
                 self.sent.succeed()
         elif kind == "fin":
@@ -710,10 +708,8 @@ class PacketTrain(TrainBase):
         responder.ack_queue.clear()
         responder.acked_count += self._K
         responder.acked_bytes += self._total_bytes
-        responder.stop()
         if not responder.block_done.triggered:
             responder.block_done.succeed(self.block)
-        self.done.succeed(self.block)
 
     def _on_error(self, event: Event) -> None:
         """Pipeline error mid-train: settle the committed prefix.
@@ -766,10 +762,11 @@ def plan_read_train(
 
     Mirrors :func:`plan_train`'s conservatism: any condition that could
     make the analytic chunk cascade diverge from the per-chunk loop — a
-    scheduled disturbance, a resumed stream (non-zero ``offset``),
-    loopback, a foreign write receiver or another read serve sharing the
-    source datanode, another train guarding a needed channel — falls
-    back to the legacy path.
+    scheduled disturbance, a resumed stream (non-zero ``offset``), a
+    foreign write receiver or another read serve sharing the source
+    datanode, another train guarding a needed channel — falls back to the
+    legacy path.  A reader on the source's own host never gets here: it
+    reads its local replica short-circuit.
     """
     if deployment.config.hdfs.coalesce_reads == 1:
         return None
@@ -779,8 +776,6 @@ def plan_read_train(
         return None
     if not source.node.alive:
         return None
-    if source.node is client_node:
-        return None  # loopback: shared NIC roles
     if source._active:
         return None  # foreign write stream on the source datanode
     for other in source._serving:
@@ -842,6 +837,9 @@ class ReadTrain(TrainBase):
             seen.setdefault(id(channel), channel)
         self.channels = list(seen.values())
 
+        #: Fires when the stream ends: with the block on success, with
+        #: ``None`` after a mid-train kill.
+        self.done: Event = self.env.event()
         #: Bytes whose transfer had completed when the stream ended —
         #: the whole block on success, the delivered prefix after a kill.
         self.delivered_bytes = 0

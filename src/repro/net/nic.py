@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from ..sim import Channel, Environment, ProcessGenerator
+from ..sim import Channel, Environment
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.node import Node
@@ -46,9 +46,9 @@ class NIC:
         self.egress = Channel(env, name=f"{name}:tx")
         #: Serializing receive channel.
         self.ingress = Channel(env, name=f"{name}:rx")
-        #: Lifetime byte counters (for throughput accounting).  Updated
-        #: when an occupancy is *committed* (analytic model), so mid-run
-        #: reads include bytes whose quoted completion lies in the future.
+        #: Lifetime byte counters (for throughput accounting).  The
+        #: transport adds a transfer's bytes when it arrives; a packet or
+        #: read train adds its block's bytes when it settles.
         self.bytes_sent = 0
         self.bytes_received = 0
 
@@ -58,24 +58,6 @@ class NIC:
         tx, rx = self.egress.busy_until, self.ingress.busy_until
         return tx if tx > rx else rx
 
-    def occupy_egress(self, size: int, rate: float) -> ProcessGenerator:
-        """Hold the transmit channel for ``size / rate`` seconds.
-
-        ``rate`` is the *effective* path rate (already min-reduced over the
-        receiver and any throttles), which models a ``tc``-shaped flow: the
-        sender clocks packets out at the shaped rate, so a slow destination
-        occupies the sender for longer.
-        """
-        end = self.egress.quote(size, rate)
-        self.bytes_sent += size
-        yield self.env.timeout_at(end)
-
-    def occupy_ingress(self, size: int, rate: float) -> ProcessGenerator:
-        """Hold the receive channel for ``size / rate`` seconds."""
-        end = self.ingress.quote(size, rate)
-        self.bytes_received += size
-        yield self.env.timeout_at(end)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<NIC {self.name} rate={self.rate:.0f} B/s>"
 
@@ -83,9 +65,8 @@ class NIC:
 def aggregate_counters(nodes: "Iterable[Node]") -> tuple[int, int]:
     """Sum ``(bytes_sent, bytes_received)`` over every node's NIC.
 
-    Campaign benchmarks report aggregate bytes moved; the counters are
-    committed at occupancy-quote time, so a mid-run read includes bytes
-    whose quoted completion lies in the future.
+    Campaign benchmarks report aggregate bytes moved, read after the run
+    (a train applies its bytes only when it settles).
     """
     sent = received = 0
     for node in nodes:

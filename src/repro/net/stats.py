@@ -1,8 +1,12 @@
 """Per-flow transfer accounting.
 
-The SMARTH client needs measured transfer speeds per first-datanode
-(§III-B); the experiment harness needs end-to-end throughput.  Both read
-from :class:`FlowStats` records collected by the transport layer.
+The transport layer records one :class:`FlowSample` per completed
+transfer into :class:`FlowStats` (packet and read trains record theirs
+when they settle).  Nothing in the simulator reads them back — SMARTH's
+speed records come from FNFA timing (``SmarthClient._await_fnfa``).  The
+readers are the transport tests and the read-train equivalence test,
+which compares every retained flow of the train against the per-chunk
+loop's.
 
 By default :class:`FlowStats` *aggregates*: each (src, dst) pair keeps
 byte/time/count accumulators, so memory is O(node pairs) no matter how

@@ -54,9 +54,9 @@ class Network:
     def transfer(self, src: "Node", dst: "Node", size: int) -> ProcessGenerator:
         """Move ``size`` bytes from ``src`` to ``dst`` (a process generator).
 
-        Completes when the last byte has *arrived* at ``dst``.  Yields the
-        flow's :class:`FlowSample` as the process return value so callers
-        can feed SMARTH's speed records.
+        Completes when the last byte has *arrived* at ``dst`` and returns
+        the flow's :class:`FlowSample`, which is also recorded in
+        :attr:`stats` (only the transport tests read either one).
 
         It is :meth:`transfer_begin` plus one wait: both NIC channels are
         FIFO, so the occupancy is quoted analytically (``max(now,

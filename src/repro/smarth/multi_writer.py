@@ -24,8 +24,8 @@ from ..cluster.node import Node
 from ..hdfs.client.output_stream import BlockPlan, start_producer
 from ..hdfs.client.recovery import recover_pipeline
 from ..hdfs.client.responder import PacketResponder
-from ..hdfs.client.send import send_packet_inline
-from ..hdfs.deployment import HdfsDeployment
+from ..hdfs.client.send import FAILED, SENT, send_block
+from ..hdfs.deployment import HdfsDeployment, PipelineHandle
 from ..hdfs.protocol import DatanodeDead, WriteResult
 from ..hdfs.train import plan_train
 from ..policy.base import NO_TUNING, ClientTuning
@@ -36,10 +36,6 @@ from .records import SpeedRecords, SpeedSample
 from .reporter import speed_reporter
 
 __all__ = ["SmarthClient"]
-
-_OK = "ok"
-_PAUSED = "paused"
-_ERROR = "error"
 
 
 class SmarthClient:
@@ -290,7 +286,7 @@ class SmarthClient:
                 self.node,
                 want_fnfa=not pipeline.fnfa_received,
                 buffer_bytes=buffer_bytes,
-                initial_bytes=pipeline.acked_bytes,
+                initial_bytes=pipeline.progress.acked_bytes,
             )
         except DatanodeDead:
             tracer.end(pipeline.trace_attempt, self.env.now, aborted=True)
@@ -308,8 +304,10 @@ class SmarthClient:
     ) -> ProcessGenerator:
         """Send every pending packet of the pipeline's block."""
         while True:
-            status, failed = yield from self._send_seqs(pipeline, data_queue)
-            if status == _OK:
+            status, failed = yield from self._send_seqs(
+                pipeline, data_queue, pause=self._error_flag
+            )
+            if status is SENT:
                 pipeline.fully_streamed = True
                 pipeline.trace_ack = self.deployment.tracer.begin(
                     "ack", f"client:{self.name}",
@@ -317,126 +315,43 @@ class SmarthClient:
                     self.env.now, parent=pipeline.trace_attempt,
                 )
                 return
-            if status == _ERROR:
+            if status is FAILED:
                 self._enqueue_error(pipeline, failed)
             yield from self._drain_errors(data_queue, buffer_bytes)
 
     def _send_seqs(
-        self, pipeline: SmarthPipeline, data_queue: Store, watch_flag: bool = True
+        self,
+        pipeline: SmarthPipeline,
+        data_queue: Store,
+        pause: Optional[Event] = None,
     ) -> ProcessGenerator:
         """One transmission attempt.  Returns (status, failed_datanode).
 
-        ``watch_flag=False`` is used when resending *inside* an error
-        drain — the flag is already triggered for the failure being
-        serviced and must not pause the resend.
+        ``pause`` is the error flag while the block streams (Algorithm 4
+        line 1), and ``None`` when resending *inside* an error drain: the
+        flag is already triggered for the failure being serviced and must
+        not pause the resend.
         """
-        env = self.env
-        handle = pipeline.handle
-        tracer = self.deployment.tracer
-        t_stream = tracer.begin(
-            "stream", f"client:{self.name}", f"b{pipeline.block.block_id}",
-            env.now, parent=pipeline.trace_attempt,
-        )
-
-        # Steady-state fast path: hand the whole block to one packet
-        # train (see repro.hdfs.train).  Only a completely fresh attempt
-        # qualifies — any produced/sent/acked state means a resend, whose
-        # per-packet bookkeeping the train does not reproduce.
-        if (
-            not pipeline.produced
-            and not pipeline.sent_seqs
-            and not pipeline.acked_seqs
-            and pipeline.recoveries == 0
-        ):
+        progress = pipeline.progress
+        train = None
+        if not progress.produced:
+            # Steady-state fast path: hand the whole block to one packet
+            # train (see repro.hdfs.train).
             train = plan_train(
                 self.deployment,
                 self.node,
-                handle,
+                pipeline.handle,
                 pipeline.responder,
                 data_queue,
-                pipeline.plan,
+                progress.plan,
                 batchable=self._batchable,
             )
-            if train is not None:
-                return (
-                    yield from self._stream_train(
-                        pipeline, train, watch_flag, t_stream
-                    )
-                )
-
-        first = handle.receivers[0]
-        for seq in pipeline.pending_seqs():
-            packet = pipeline.produced.get(seq)
-            if packet is None:
-                packet = yield data_queue.get()
-                pipeline.produced[seq] = packet
-
-            failed = yield from send_packet_inline(
-                env, self.network, self.node, first, packet, handle.error
+        return (
+            yield from send_block(
+                self, pipeline.handle, pipeline.responder, progress,
+                data_queue, pipeline.trace_attempt, train, pause,
             )
-            if failed is not None:
-                tracer.end(t_stream, env.now, aborted=True)
-                return _ERROR, failed
-            pipeline.note_sent(seq)
-            pipeline.responder.packet_sent(packet)
-            if watch_flag and self._error_flag.triggered:
-                # Algorithm 4 line 1: another pipeline failed — stop the
-                # current block transfer after the packet that just landed.
-                tracer.end(t_stream, env.now, paused=True)
-                return _PAUSED, None
-        tracer.end(t_stream, env.now)
-        return _OK, None
-
-    def _stream_train(
-        self,
-        pipeline: SmarthPipeline,
-        train,
-        watch_flag: bool,
-        t_stream: int = 0,
-    ) -> ProcessGenerator:
-        """Run one block's transmission as a coalesced packet train.
-
-        Resumes at the legacy "last packet delivered to the first
-        datanode" instant (``train.sent``); the train itself keeps
-        conducting the downstream hops and the ACK walk in the
-        background, settling the responder at the legacy block-done time.
-        Unlike the per-packet loop this does not pause mid-block when
-        *another* pipeline fails — the error set is serviced right after
-        this block finishes streaming, which is protocol-legal (the block
-        being streamed is healthy) but not packet-for-packet identical,
-        so it can only happen via a direct unscheduled kill (scheduled
-        disturbances decline the train up front).
-        """
-        env = self.env
-        handle = pipeline.handle
-        tracer = self.deployment.tracer
-        train.start()
-        yield race(env, train.sent, handle.error)
-        produced = pipeline.produced
-        for packet in train.packets:
-            produced[packet.seq] = packet
-
-        if not train.sent.triggered:
-            # The error settle already ran (synchronously, inside the
-            # error event's callbacks); mirror the per-packet loop's
-            # client-side state for Algorithm 4.
-            if train.pending_get is not None:
-                packet = yield train.pending_get
-                produced[packet.seq] = packet
-            for seq in range(train.sent_count):
-                pipeline.note_sent(seq)
-            # Close after the pending-get drain: a per-packet sender
-            # parked on the data queue only observes the error once the
-            # packet arrives, and the span end must match that instant.
-            tracer.end(t_stream, env.now, aborted=True)
-            return _ERROR, handle.error.value
-
-        for seq in range(train.sent_count):
-            pipeline.note_sent(seq)
-        tracer.end(t_stream, env.now)
-        if watch_flag and self._error_flag.triggered:
-            return _PAUSED, None
-        return _OK, None
+        )
 
     def _await_fnfa(
         self, pipeline: SmarthPipeline, data_queue: Store, buffer_bytes: int
@@ -482,13 +397,19 @@ class SmarthClient:
     # ------------------------------------------------------------------
     def _arm_watcher(self, pipeline: SmarthPipeline) -> None:
         """Watch a background pipeline for completion or failure."""
+        # Bind the attempt now: a recovery can tear it down (dropping the
+        # pipeline's responder) before the watcher first runs.
         pipeline.watcher = self.env.process(
-            self._watch(pipeline), name=f"watch:b{pipeline.block.block_id}"
+            self._watch(pipeline, pipeline.responder, pipeline.handle),
+            name=f"watch:b{pipeline.block.block_id}",
         )
 
-    def _watch(self, pipeline: SmarthPipeline) -> ProcessGenerator:
-        responder = pipeline.responder
-        handle = pipeline.handle
+    def _watch(
+        self,
+        pipeline: SmarthPipeline,
+        responder: PacketResponder,
+        handle: PipelineHandle,
+    ) -> ProcessGenerator:
         try:
             yield race(self.env, responder.block_done, handle.error)
             if responder.block_done.triggered:
@@ -553,7 +474,7 @@ class SmarthClient:
                 pipeline.block,
                 pipeline.targets,
                 failed or "",
-                pipeline.acked_bytes,
+                pipeline.progress.acked_bytes,
                 excluded,
                 trace_parent=pipeline.trace_block,
             )
@@ -585,10 +506,8 @@ class SmarthClient:
     def _resend_background(
         self, pipeline: SmarthPipeline, data_queue: Store
     ) -> ProcessGenerator:
-        status, failed = yield from self._send_seqs(
-            pipeline, data_queue, watch_flag=False
-        )
-        if status == _ERROR:
+        status, failed = yield from self._send_seqs(pipeline, data_queue)
+        if status is FAILED:
             # The rebuilt pipeline failed too: recurse via the set.
             self._enqueue_error(pipeline, failed)
             return

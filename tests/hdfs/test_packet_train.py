@@ -93,6 +93,44 @@ class TestSteadyStateEquivalence:
         assert env_events[0] * 3 <= env_events[1]
 
 
+#: Name prefixes of the per-packet loops: a receiver's receive, ACK-relay
+#: and forward loops, and the client responder's ACK loop.
+PER_PACKET_LOOPS = ("recv:", "ackr:", "fwd:", "responder:")
+
+
+def _spawned_process_names(monkeypatch, coalesce, client_cls):
+    """Names of every process one single-block upload creates."""
+    names = []
+    spawn = Environment.process
+
+    def recording(self, generator, name=None):
+        names.append(name or "")
+        return spawn(self, generator, name=name)
+
+    monkeypatch.setattr(Environment, "process", recording)
+    _run(coalesce, client_cls=client_cls, size=16 * MB)
+    return names
+
+
+@pytest.mark.parametrize(
+    "client_cls", [HdfsClient, SmarthClient], ids=["hdfs", "smarth"]
+)
+class TestNoPerPacketLoopsUnderTrain:
+    """The loops start with the first packet sent one by one, so a block
+    sent as a train never creates them; the train's real finalizers
+    (``fin:``) still run."""
+
+    def test_train_starts_no_per_packet_loop(self, monkeypatch, client_cls):
+        names = _spawned_process_names(monkeypatch, 0, client_cls)
+        assert [n for n in names if n.startswith(PER_PACKET_LOOPS)] == []
+        assert any(n.startswith("fin:") for n in names)
+
+    def test_per_packet_path_starts_every_loop(self, monkeypatch, client_cls):
+        names = _spawned_process_names(monkeypatch, 1, client_cls)
+        for kind in PER_PACKET_LOOPS + ("fin:",):
+            assert any(n.startswith(kind) for n in names), kind
+
+
 class TestMidTrainThrottle:
     """A ``tc`` rule change lands while trains are in flight: the affected
     trains must split at the change point — frozen prefix kept, suffix
@@ -242,24 +280,6 @@ class TestPredicateDeclines:
         assert (
             plan_train(
                 deployment, cluster.client_host, handle, responder, queue, plan
-            )
-            is None
-        )
-
-    def test_declines_on_resend(self):
-        env, cluster, deployment = self._fresh_pipeline()
-        plan, handle, responder, queue = self._open(
-            deployment, cluster.client_host
-        )
-        assert (
-            plan_train(
-                deployment,
-                cluster.client_host,
-                handle,
-                responder,
-                queue,
-                plan,
-                fresh=False,
             )
             is None
         )

@@ -91,6 +91,7 @@ class TestAckMatching:
 class TestRecoveryHooks:
     def test_stop_interrupts(self, env):
         block, ack_in, responder, packets = setup(env)
+        responder.packet_sent(packets[0])  # the first send starts the loop
         env.run(until=0.1)
         responder.stop()
         env.run(until=0.2)

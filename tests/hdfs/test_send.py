@@ -7,6 +7,7 @@ from repro.config import SimulationConfig
 from repro.hdfs import HdfsDeployment
 from repro.hdfs.client.output_stream import BlockPlan
 from repro.hdfs.client.responder import PacketResponder
+from repro.hdfs.client.send import BlockProgress
 from repro.hdfs.protocol import Block, Packet
 from repro.sim import Environment, Resource, Store
 from repro.smarth import SmarthDeployment
@@ -41,7 +42,9 @@ def test_send_on_failed_pipeline_commits_nothing(system):
     egress = client.node.nic.egress
     busy_before = egress.busy_until
     if system == "hdfs":
-        loop = client._stream_block(plan, handle, responder, {}, set(), data_queue)
+        loop = client._stream_block(
+            handle, responder, BlockProgress(plan), data_queue
+        )
     else:
         pipeline = SmarthPipeline(
             env, plan, block, TARGETS, Resource(env).request()

@@ -121,8 +121,8 @@ class TestServeQueue:
 
 
 class TestShortCircuit:
-    def _local_setup(self, short_circuit: int):
-        env, deployment = build(short_circuit_reads=short_circuit)
+    def _local_setup(self):
+        env, deployment = build()
         put(env, deployment, "/f", BLOCK)
         block = deployment.namenode.namespace.get("/f").blocks[0]
         holder = deployment.namenode.blocks.locations(block.block_id)[0]
@@ -130,7 +130,7 @@ class TestShortCircuit:
         return env, deployment, HdfsReader(deployment, host=host), host
 
     def test_local_replica_bypasses_nic_and_serve_queue(self):
-        env, deployment, reader, host = self._local_setup(short_circuit=1)
+        env, deployment, reader, host = self._local_setup()
         sent0 = host.nic.bytes_sent
         read0 = host.disk.bytes_read
         result = env.run(until=env.process(reader.get("/f")))
@@ -139,20 +139,6 @@ class TestShortCircuit:
         assert host.nic.bytes_sent == sent0
         assert host.disk.bytes_read == read0 + BLOCK
         assert deployment.metrics.histogram("read.serve_wait").count == 0
-
-    def test_disabled_short_circuit_goes_through_the_datanode(self):
-        env, deployment, reader, host = self._local_setup(short_circuit=0)
-        result = env.run(until=env.process(reader.get("/f")))
-        assert result.size == BLOCK
-        # Loopback still skips the NIC but the stream was admitted.
-        assert deployment.metrics.histogram("read.serve_wait").count == 1
-
-    def test_short_circuit_is_faster(self):
-        env1, dep1, reader1, _ = self._local_setup(short_circuit=1)
-        fast = env1.run(until=env1.process(reader1.get("/f")))
-        env0, dep0, reader0, _ = self._local_setup(short_circuit=0)
-        slow = env0.run(until=env0.process(reader0.get("/f")))
-        assert fast.duration < slow.duration
 
 
 class TestResumeFromOffset:

@@ -42,26 +42,23 @@ class TestNIC:
             NIC(env, 0)
 
     def test_egress_serializes_at_rate(self, env):
-        nic = NIC(env, rate=1000.0)
-
-        def send(env, nic):
-            yield env.process(nic.occupy_egress(500, nic.rate))
-            yield env.process(nic.occupy_egress(500, nic.rate))
-
-        env.run(until=env.process(send(env, nic)))
-        assert env.now == pytest.approx(1.0)
-        assert nic.bytes_sent == 1000
+        """Two sends issued at once from one NIC queue at its line rate."""
+        net, a, b = make_pair(env, rate_a=1000.0, rate_b=1000.0)
+        first = env.process(net.transfer(a, b, 500))
+        second = env.process(net.transfer(a, b, 500))
+        env.run(until=env.all_of([first, second]))
+        assert a.nic.egress.busy_until == pytest.approx(1.0)
+        assert env.now == pytest.approx(1.0 + net.config.link_latency)
+        assert a.nic.bytes_sent == 1000
 
     def test_full_duplex_ingress_egress_independent(self, env):
-        nic = NIC(env, rate=1000.0)
-
-        def both(env, nic):
-            tx = env.process(nic.occupy_egress(1000, nic.rate))
-            rx = env.process(nic.occupy_ingress(1000, nic.rate))
-            yield env.all_of([tx, rx])
-
-        env.run(until=env.process(both(env, nic)))
-        assert env.now == pytest.approx(1.0)  # not 2.0: full duplex
+        net, a, b = make_pair(env, rate_a=1000.0, rate_b=1000.0)
+        tx = env.process(net.transfer(a, b, 1000))
+        rx = env.process(net.transfer(b, a, 1000))
+        env.run(until=env.all_of([tx, rx]))
+        # Not 2.0: a's egress and ingress carry one transfer each at once.
+        assert env.now == pytest.approx(1.0 + net.config.link_latency)
+        assert a.nic.bytes_sent == a.nic.bytes_received == 1000
 
 
 class TestThrottleTable:
