@@ -1,18 +1,16 @@
-"""10k-client campaign benchmark: the packet train's batched feeder.
+"""10k-client campaign benchmark: packet trains against the per-packet loop.
 
-Not a paper figure — this measures the train's **batched feeder**
-against the per-row feeder on the campaign shape it was built for
-(:func:`repro.workloads.campaign10k`: 100 pods x 100 clients x 10
-datanodes at full scale, 4 MB files inside the data-queue bound so the
-batched feeder engages on every block).  The per-row side runs the same
-packet trains through :class:`_PerRowTrain`, a benchmark-local subclass
-that turns the feeder off, so one data-queue get per packet waits on the
-heap.  Timelines must be bit-identical; the feeder's win shows up twice:
-the machine-independent *event reduction* (the batched feeder retires a
-whole block's packet stream with zero heap events per packet) and the
-wall-clock *speedup*.  Both runs are timed best-of-N because the ratio
-of two ~second walls is noisy on shared runners; the event reduction is
-deterministic and carries the hard floor.
+Not a paper figure — this measures the packet trains on the campaign
+shape (:func:`repro.workloads.campaign10k`: 100 pods x 100 clients x 10
+datanodes at full scale, 4 MB files) against their oracle, the
+per-packet write loop (``coalesce_packets=1``), as
+``test_batch_equivalence.py`` does.  Timelines must be bit-identical;
+the trains' win shows up twice: the machine-independent *event
+reduction* (a train plans its whole block at start, production included,
+and costs a handful of milestones) and the wall-clock *speedup*.  Both
+runs are timed best-of-N because the ratio of two ~second walls is noisy
+on shared runners; the event reduction is deterministic and carries the
+hard floor.
 
 Writes ``benchmarks/results/BENCH_campaign.json``; the CI perf-smoke
 job checks it against the ``campaign`` group in ``perf_floor.json``.
@@ -26,19 +24,9 @@ import time
 from conftest import write_bench_json
 
 from repro.config import SimulationConfig
-from repro.hdfs import train
 from repro.workloads import campaign10k, run_pods_single_env
 
-
-class _PerRowTrain(train.PacketTrain):
-    """A packet train that gets each chunk with its own heap wait."""
-
-    def __init__(self, *args, **kwargs):
-        kwargs["batchable"] = False
-        super().__init__(*args, **kwargs)
-
-
-#: Best-of-N timing for the per-row/batch pair (wall-ratio noise guard).
+#: Best-of-N timing for the per-packet/train pair (wall-ratio noise guard).
 TIMING_REPS = 2
 
 
@@ -65,50 +53,50 @@ def _best_of(fn, reps=TIMING_REPS):
     return best_outcome, best_wall
 
 
-def test_campaign_batched_feeder(benchmark, results_dir, scale, monkeypatch):
-    """Per-row vs batched train feeder on the campaign shape."""
+def test_campaign_trains(benchmark, results_dir, scale):
+    """Trains vs the per-packet loop on the campaign shape."""
     plan = campaign10k(scale=max(0.02, scale * 0.4))
-    config = SimulationConfig()
     cpus = _cpus()
 
-    batch, batch_wall = benchmark.pedantic(
-        lambda: _best_of(lambda: run_pods_single_env(plan, config=config)),
+    trains, train_wall = benchmark.pedantic(
+        lambda: _best_of(
+            lambda: run_pods_single_env(plan, config=SimulationConfig())
+        ),
         rounds=1,
         iterations=1,
     )
-    # ``plan_train`` builds its trains from the module global.
-    monkeypatch.setattr(train, "PacketTrain", _PerRowTrain)
-    per_row, per_row_wall = _best_of(
-        lambda: run_pods_single_env(plan, config=config)
+    per_packet_config = SimulationConfig().with_hdfs(coalesce_packets=1)
+    per_packet, per_packet_wall = _best_of(
+        lambda: run_pods_single_env(plan, config=per_packet_config)
     )
 
-    # The feeder contract: bit-identical timing, fewer heap events.
-    assert batch.timeline == per_row.timeline
-    assert batch.fully_replicated and per_row.fully_replicated
-    assert batch.bytes_moved == per_row.bytes_moved
+    # The train contract: bit-identical timing, fewer heap events.
+    assert trains.timeline == per_packet.timeline
+    assert trains.fully_replicated and per_packet.fully_replicated
+    assert trains.bytes_moved == per_packet.bytes_moved
 
-    speedup = per_row_wall / batch_wall if batch_wall > 0 else 0.0
+    speedup = per_packet_wall / train_wall if train_wall > 0 else 0.0
     event_reduction = (
-        per_row.events_processed / batch.events_processed
-        if batch.events_processed
+        per_packet.events_processed / trains.events_processed
+        if trains.events_processed
         else 0.0
     )
     eps = (
-        round(batch.events_processed / batch_wall) if batch_wall > 0 else 0
+        round(trains.events_processed / train_wall) if train_wall > 0 else 0
     )
-    bytes_sent, bytes_received = batch.bytes_moved
+    bytes_sent, bytes_received = trains.bytes_moved
 
     lines = [
-        f"campaign10k batched feeder "
+        f"campaign10k trains vs per-packet loop "
         f"({len(plan.pods)} pods, {plan.n_clients} clients, "
         f"{plan.n_datanodes} datanodes)",
         f"cpus                 : {cpus}",
-        f"makespan (simulated) : {batch.makespan:.6f}",
+        f"makespan (simulated) : {trains.makespan:.6f}",
         f"aggregate bytes      : {bytes_sent} sent / {bytes_received} received",
-        f"per-row feeder wall  : {per_row_wall:.3f}s "
-        f"({per_row.events_processed} events)",
-        f"batched feeder wall  : {batch_wall:.3f}s "
-        f"({batch.events_processed} events, {eps} events/s)",
+        f"per-packet wall      : {per_packet_wall:.3f}s "
+        f"({per_packet.events_processed} events)",
+        f"train wall           : {train_wall:.3f}s "
+        f"({trains.events_processed} events, {eps} events/s)",
         f"wall speedup         : {speedup:.2f}x (best of {TIMING_REPS})",
         f"event reduction      : {event_reduction:.2f}x",
     ]
@@ -126,13 +114,13 @@ def test_campaign_batched_feeder(benchmark, results_dir, scale, monkeypatch):
             "n_clients": plan.n_clients,
             "n_datanodes": plan.n_datanodes,
             "file_bytes": plan.pods[0].file_bytes,
-            "makespan": batch.makespan,
+            "makespan": trains.makespan,
             "bytes_sent": bytes_sent,
             "bytes_received": bytes_received,
-            "per_row_wall_seconds": round(per_row_wall, 3),
-            "per_row_events": per_row.events_processed,
-            "wall_seconds": round(batch_wall, 3),
-            "events_processed": batch.events_processed,
+            "per_packet_wall_seconds": round(per_packet_wall, 3),
+            "per_packet_events": per_packet.events_processed,
+            "wall_seconds": round(train_wall, 3),
+            "events_processed": trains.events_processed,
             "events_per_sec": eps,
             "timeline_identical": True,  # asserted above
             "speedup": round(speedup, 2),
@@ -145,8 +133,8 @@ def test_campaign_batched_feeder(benchmark, results_dir, scale, monkeypatch):
 
     # The machine-independent claim is enforced everywhere; the wall
     # ratio only where a second-long measurement can be trusted at all.
-    assert event_reduction >= 1.5, (
-        f"batched feeder removed only {event_reduction:.2f}x of the "
-        "per-row event traffic"
+    assert event_reduction >= 20, (
+        f"trains removed only {event_reduction:.2f}x of the per-packet "
+        "event traffic"
     )
 

@@ -6,7 +6,7 @@ instantiates namenode/datanode/client *services* on top of nodes.
 
 from __future__ import annotations
 
-from ..sim import Environment, ProcessGenerator
+from ..sim import Environment
 from .disk import Disk
 from .instance import InstanceType
 from ..net.nic import NIC
@@ -34,17 +34,6 @@ class Node:
         self.disk = Disk(env, instance.disk_rate, name=f"{name}.disk")
         #: Set False by the fault injector; services must check it.
         self.alive = True
-
-    def produce(self, size: int) -> ProcessGenerator:
-        """Model packet production (``T_c``): local read + checksum.
-
-        Production happens on the client's CPU at the instance's
-        production rate; it is not a shared resource because the DataStreamer
-        is a single thread producing packets sequentially.
-        """
-        if size < 0:
-            raise ValueError(f"size must be non-negative, got {size}")
-        yield self.env.timeout(size / self.instance.production_rate)
 
     def fail(self) -> None:
         """Mark the machine dead (fault injection)."""

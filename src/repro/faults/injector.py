@@ -50,11 +50,13 @@ class FaultInjector:
         return self.deployment.env
 
     def _register_disturbance(self, at: float) -> None:
-        """Record a scheduled disturbance time on the deployment.
+        """Record a scheduled kill time on the deployment.
 
-        The packet-train fast path declines to coalesce any window that
-        contains a scheduled kill/throttle, so registering up front keeps
-        the coalesced and per-packet timelines bit-identical.
+        The packet-train fast path declines to coalesce once a kill is
+        scheduled, so registering up front keeps the coalesced and
+        per-packet timelines bit-identical.  Throttles are not
+        registered: a train replays a throttle-table change like any
+        other (:meth:`repro.hdfs.train.TrainBase._on_throttle`).
         """
         self.deployment.scheduled_disturbances.append(at)
 
@@ -117,7 +119,6 @@ class FaultInjector:
         from ..units import mbps
 
         self.deployment.datanode(name)  # validate early
-        self._register_disturbance(at)
 
         def proc(env: Environment) -> ProcessGenerator:
             yield env.timeout(max(0.0, at - env.now))
@@ -133,7 +134,6 @@ class FaultInjector:
         from ..net.throttle import NodeThrottle
 
         self.deployment.datanode(name)  # validate early
-        self._register_disturbance(at)
 
         def proc(env: Environment) -> ProcessGenerator:
             yield env.timeout(max(0.0, at - env.now))

@@ -12,7 +12,6 @@ from .client import (
     PacketResponder,
     ReadResult,
     plan_file,
-    producer,
 )
 from .datanode import BlockReceiver, Datanode
 from .datanode_manager import DatanodeDescriptor, DatanodeManager
@@ -51,7 +50,6 @@ __all__ = [
     "BlockUnavailable",
     "PacketResponder",
     "plan_file",
-    "producer",
     "Namespace",
     "INodeFile",
     "FileState",

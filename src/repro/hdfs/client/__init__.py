@@ -2,7 +2,7 @@
 
 from .data_streamer import HdfsClient
 from .input_stream import BlockUnavailable, HdfsReader, ReadResult
-from .output_stream import BlockPlan, plan_file, producer, start_producer
+from .output_stream import BlockPlan, Production, plan_file, start_producer
 from .recovery import RecoveryFailed, recover_pipeline
 from .responder import PacketResponder
 
@@ -13,8 +13,8 @@ __all__ = [
     "BlockUnavailable",
     "PacketResponder",
     "BlockPlan",
+    "Production",
     "plan_file",
-    "producer",
     "start_producer",
     "recover_pipeline",
     "RecoveryFailed",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ...cluster.node import Node
-from ...sim import ProcessGenerator, Store, race
+from ...sim import ProcessGenerator, race
 from ..deployment import HdfsDeployment, PipelineHandle
 from ..protocol import DatanodeDead, WriteResult
 from ..train import plan_train
@@ -29,9 +29,6 @@ class HdfsClient:
     """Baseline write client (the paper's unmodified Hadoop 1.0.3)."""
 
     system = "hdfs"
-    #: Whether the current upload's file fits the data queue (set per
-    #: put); gates the train's batched feeder.
-    _batchable = False
 
     def __init__(
         self,
@@ -66,10 +63,8 @@ class HdfsClient:
         # Step 1: create the namespace entry.
         yield from namenode.create_file(self.name, path)
 
-        # Step 2: producer starts filling the data queue.
-        plans, data_queue, self._batchable = start_producer(
-            self.env, self.node, path, size, hdfs_cfg
-        )
+        # Step 2: the producer starts filling the data queue.
+        plans, production = start_producer(self.env, self.node, size, hdfs_cfg)
 
         pipelines: list[tuple[str, ...]] = []
         recoveries = 0
@@ -87,7 +82,7 @@ class HdfsClient:
             )
             metrics.count("blocks_total")
 
-            progress = BlockProgress(plan)
+            progress = BlockProgress(plan, production)
 
             while True:  # retry loop around pipeline failures
                 t_attempt = tracer.begin(
@@ -119,7 +114,7 @@ class HdfsClient:
                     responder = PacketResponder(self.env, block, handle.ack_in)
 
                     failed = yield from self._stream_block(
-                        handle, responder, progress, data_queue, t_attempt
+                        handle, responder, progress, t_attempt
                     )
                     metrics.gauge("pipelines_live", -1)
                     if failed is None:
@@ -133,7 +128,7 @@ class HdfsClient:
                     progress.end_attempt(responder)
 
                 # Algorithm 3: teardown, recover, then resend every
-                # un-ACKed packet from ``progress.produced``.
+                # un-ACKed packet taken so far.
                 recoveries += 1
                 blacklist.add(failed)
                 block, targets = yield from recover_pipeline(
@@ -178,7 +173,6 @@ class HdfsClient:
         handle: PipelineHandle,
         responder: PacketResponder,
         progress: BlockProgress,
-        data_queue: Store,
         t_attempt: int = 0,
     ) -> ProcessGenerator:
         """Send one block's packets and wait for all ACKs (stop-and-wait).
@@ -186,20 +180,14 @@ class HdfsClient:
         Returns ``None`` on success or the failed datanode's name.
         """
         train = None
-        if not progress.produced:
+        if not progress.taken:
             # Steady-state fast path: coalesce the whole block into one
             # analytically-conducted packet train (see repro.hdfs.train).
             train = plan_train(
-                self.deployment,
-                self.node,
-                handle,
-                responder,
-                data_queue,
-                progress.plan,
-                batchable=self._batchable,
+                self.deployment, self.node, handle, responder, progress
             )
         status, failed = yield from send_block(
-            self, handle, responder, progress, data_queue, t_attempt, train,
+            self, handle, responder, progress, t_attempt, train,
             packets=progress.plan.n_packets - progress.acked,
         )
         if status is FAILED:

@@ -6,16 +6,16 @@ When the client catches an error while transmitting a block it
    (the caller tears the pipeline down before invoking us);
 2. moves all packets in the ACK queue back to the data queue (here the
    caller stops the responder and folds its acknowledged prefix into the
-   block's :class:`~repro.hdfs.client.send.BlockProgress`, whose
-   ``produced`` list keeps every un-ACKed packet);
+   block's :class:`~repro.hdfs.client.send.BlockProgress`; every packet
+   the block has taken after that prefix is un-ACKed);
 3. loops: pick the *primary* datanode from the surviving targets, replace
    the failed node with a fresh datanode from the namenode, run
    ``recoverBlock`` (generation-stamp bump + replica sync: the primary
    copies the already-acknowledged bytes to each replacement), and retry
    with the next primary if the current one died meanwhile;
 4. the caller then recreates the block streams and the ResponseProcessor
-   and resends the un-ACKed packets from ``produced``
-   (:func:`~repro.hdfs.client.send.send_block`).
+   and resends the un-ACKed packets from the block's plan, without
+   charging production again (:func:`~repro.hdfs.client.send.send_block`).
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ and the train settles ``block_done`` and the counts itself.  On pipeline
 failure the responder is stopped and its queue is dropped with the
 pipeline: the client folds the acknowledged prefix (``acked_count``) into
 its :class:`~repro.hdfs.client.send.BlockProgress` and resends every other
-packet from its ``produced`` list (Algorithm 3 step 3), not from this
-queue.
+packet it has taken, from the block's plan (Algorithm 3 step 3), not from
+this queue.
 """
 
 from __future__ import annotations

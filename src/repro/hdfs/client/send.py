@@ -6,7 +6,8 @@ packet, and reports :data:`SENT`, :data:`PAUSED` or :data:`FAILED`.
 ``HdfsClient`` then waits for every ACK (stop-and-wait); ``SmarthClient``
 waits only for the FNFA, and pauses between packets when another pipeline
 fails (Algorithm 4 line 1).  A block's progress across attempts is three
-counts in :class:`BlockProgress`.
+counts in :class:`BlockProgress`, and its packets are taken from the
+file's :class:`~repro.hdfs.client.output_stream.Production`.
 
 The per-packet path delivers each packet in three steps: reserve a buffer
 token, run the analytic network transfer, hand the packet to the
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ...sim import Environment, Event, ProcessGenerator, Store, race
+from ...sim import Environment, Event, ProcessGenerator, race
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...cluster.node import Node
@@ -30,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..deployment import PipelineHandle
     from ..protocol import Packet
     from ..train import PacketTrain
-    from .output_stream import BlockPlan
+    from .output_stream import BlockPlan, Production
     from .responder import PacketResponder
 
 __all__ = [
@@ -53,26 +54,27 @@ FAILED = "failed"
 class BlockProgress:
     """One block's transmission state across pipeline attempts.
 
-    The responder pops ACKs only from the head of its queue and the
-    client sends in sequence order, so the acknowledged packets and the
-    ones sent on the current attempt are always prefixes: packets
-    ``[0, acked)`` are acknowledged by the whole pipeline, and
-    ``[acked, acked + sent)`` went out on the current handle.
+    The client takes packets from ``production`` in sequence order, the
+    responder pops ACKs only from the head of its queue and the client
+    sends in sequence order, so every state is a prefix: packets ``[0,
+    taken)`` are taken from the data queue, ``[0, acked)`` are
+    acknowledged by the whole pipeline, and ``[acked, acked + sent)``
+    went out on the current handle.  Recovery resends from the plan
+    without re-charging production time.
     """
 
-    __slots__ = ("plan", "produced", "acked", "sent")
+    __slots__ = ("plan", "production", "taken", "acked", "sent")
 
-    def __init__(self, plan: "BlockPlan"):
+    def __init__(self, plan: "BlockPlan", production: "Production"):
         self.plan = plan
-        #: Packets taken off the data queue, in sequence order; recovery
-        #: resends from here without re-charging production time.
-        self.produced: list["Packet"] = []
+        self.production = production
+        self.taken = 0
         self.acked = 0
         self.sent = 0
 
     @property
     def acked_bytes(self) -> int:
-        return sum(packet.size for packet in self.produced[: self.acked])
+        return sum(self.plan.packet_sizes[: self.acked])
 
     def end_attempt(self, responder: "PacketResponder") -> None:
         """Fold the failed attempt's acknowledged prefix in (Algorithm 3
@@ -86,7 +88,6 @@ def send_block(
     handle: "PipelineHandle",
     responder: "PacketResponder",
     progress: BlockProgress,
-    data_queue: Store,
     t_attempt: int,
     train: Optional["PacketTrain"],
     pause: Optional[Event] = None,
@@ -105,8 +106,11 @@ def send_block(
     failure is serviced right after this block finishes streaming.  That
     is protocol-legal (the block being streamed is healthy) but not
     packet-for-packet identical, so it can only happen via a direct
-    unscheduled kill (scheduled disturbances decline the train up
-    front).  ``span_args`` go on the client's ``stream`` span.
+    unscheduled kill (scheduled kills decline the train up front).
+    Packets not yet taken are taken from production on the way: the
+    per-packet loop waits only for a packet not yet produced, and a
+    train takes its block analytically.  ``span_args`` go on the
+    client's ``stream`` span.
     """
     env = client.env
     tracer = client.deployment.tracer
@@ -114,20 +118,18 @@ def send_block(
         "stream", f"client:{client.name}", f"b{handle.block.block_id}",
         env.now, parent=t_attempt, **span_args,
     )
-    produced = progress.produced
-
     if train is not None:
         train.start()
         yield race(env, train.sent, handle.error)
-        produced.extend(train.packets)
         progress.sent += train.sent_count
         if not train.sent.triggered:
             # The error settle already ran (synchronously, inside the
-            # error event's callbacks).  A per-packet sender parked on
-            # the data queue only observes the error once the packet
-            # arrives, so drain the train's pending get before closing.
-            if train.pending_get is not None:
-                produced.append((yield train.pending_get))
+            # error event's callbacks) and took what a per-packet sender
+            # would have.  That sender, parked on production, observes
+            # the error only once its packet is produced.
+            last_take = progress.production.last_take
+            if last_take > env.now:
+                yield env.timeout_at(last_take)
             tracer.end(t_stream, env.now, aborted=True)
             return FAILED, handle.error.value
         tracer.end(t_stream, env.now)
@@ -135,13 +137,13 @@ def send_block(
             return PAUSED, None
         return SENT, None
 
+    plan = progress.plan
     first = handle.receivers[0]
-    for seq in range(progress.acked + progress.sent, progress.plan.n_packets):
-        if seq < len(produced):
-            packet = produced[seq]
-        else:
-            packet = yield data_queue.get()
-            produced.append(packet)
+    for seq in range(progress.acked + progress.sent, plan.n_packets):
+        if seq == progress.taken:
+            yield from progress.production.take(env, plan.first + seq)
+            progress.taken += 1
+        packet = plan.packet(seq)
         failed = yield from send_packet_inline(
             env, client.network, client.node, first, packet, handle.error
         )

@@ -57,6 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
     from ..sim import Request
     from .namenode import Namenode
+    from .train import PacketTrain
 
 __all__ = ["Datanode", "BlockReceiver", "ReadServe", "trigger_pipeline_error"]
 
@@ -142,6 +143,9 @@ class BlockReceiver:
         #: :meth:`start`) and the finalizer.
         self._procs: list[Process] = []
         self._started = False
+        #: The packet train carrying this block, if any: it holds no
+        #: buffer tokens here, so it answers :attr:`buffered_packets`.
+        self.train: Optional["PacketTrain"] = None
 
     # -- public ------------------------------------------------------------
     @property
@@ -159,6 +163,8 @@ class BlockReceiver:
     @property
     def buffered_packets(self) -> int:
         """Packets currently occupying buffer space (for buffer tests)."""
+        if self.train is not None:
+            return self.train.buffered(self)
         return len(self._buffer_tokens)
 
     @property

@@ -7,15 +7,18 @@ resolves synchronously and every wait is a :meth:`Channel.quote`).  A
 :class:`PacketTrain` exploits that: one *conductor* process per pipeline
 computes the whole block's timeline analytically from the same quote
 math, performs only the externally-observable actions in real time, and
-turns O(packets × hops) heap events into O(packets) feeder waits plus a
-handful of per-block milestones.
+turns O(packets × hops) heap events into a handful of per-block
+milestones.
 
 The conductor stays honest three ways:
 
-* **Real producer interaction.**  The data-queue ``get`` for packet ``k``
-  is issued at exactly the legacy issue time (the completion of packet
-  ``k-1``'s first-hop send), so producer pacing, queue occupancy and the
-  blocked-putter wakeup order are the real thing, not a model.
+* **Analytic production.**  Packet ``k`` is taken off the data queue at
+  ``g_k = max(issue_k, r_k)``: the legacy issue time (the completion of
+  packet ``k-1``'s first-hop send; the train's start for packet 0), or
+  the instant production puts the packet into the queue
+  (:class:`~repro.hdfs.client.output_stream.Production`), whichever is
+  later.  The takes feed back into production's queue bound, so the
+  whole block is planned at start.
 * **Channel guards.**  Train occupancy is held as a per-channel ledger of
   ``(issue, end)`` quotes rather than a committed ``busy_until``.  The
   instant a *foreign* caller quotes a guarded channel, the guard
@@ -38,26 +41,26 @@ are batch-applied at settle (nothing observes them mid-block).  The
 receivers' and the responder's per-packet loops never start under a
 train: they start with the first packet sent one by one.
 
-The clients plan a train only for a block nothing was produced for, and
+The clients plan a train only for a block nothing was taken for, and
 :func:`repro.hdfs.client.send.send_block` runs it.  The planner only
-accepts *pristine* windows — no scheduled fault/throttle disturbances, no
-co-resident foreign receivers, no other train guarding a needed channel —
-and otherwise declines, falling back to the per-packet path.  Datanode
-kills mid-train (only reachable through direct, unscheduled ``kill()``
-calls) settle the committed prefix and reconstruct the client-visible
-recovery state per Algorithm 3.
+accepts *pristine* windows — no scheduled kills, no co-resident foreign
+receivers, no other train guarding a needed channel — and otherwise
+declines, falling back to the per-packet path.  A scheduled throttle is
+no disturbance: it reaches the train as a throttle-table change and
+replays it.  Datanode kills mid-train (only reachable through direct,
+unscheduled ``kill()`` calls) settle the committed prefix and
+reconstruct the client-visible recovery state per Algorithm 3.
 
 :class:`ReadTrain` applies the same machinery to the read path: the
 steady-state chunk cascade of one block read — disk prefetch of chunk
 ``k+1`` overlapping the transfer of chunk ``k`` — is a three-channel FIFO
 recurrence (source disk, source egress, reader ingress), so a whole block
 collapses into one conductor with a single end milestone.  The guard /
-ledger / frozen-prefix-replay machinery is shared through
-:class:`TrainBase`; reads have no producer, no ACKs and no downstream
-hops, so the conductor computes the full timeline up front and only
-replays on invalidation.  A mid-train datanode kill settles the
-strictly-delivered chunk prefix and reports the byte count so the reader
-can resume from the next-ranked replica.
+ledger / frozen-prefix-replay machinery and the conductor are shared
+through :class:`TrainBase`: both trains compute their full timeline up
+front and only replay on invalidation.  A mid-train datanode kill
+settles the strictly-delivered chunk prefix and reports the byte count
+so the reader can resume from the next-ranked replica.
 """
 
 from __future__ import annotations
@@ -66,15 +69,15 @@ from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Optional
 
 from ..net.stats import FlowSample
-from ..sim import Environment, Event, ProcessGenerator, Store, race
+from ..sim import Environment, Event, ProcessGenerator, race
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.node import Node
-    from .client.output_stream import BlockPlan
     from .client.responder import PacketResponder
-    from .datanode import Datanode, ReadServe
+    from .client.send import BlockProgress
+    from .datanode import BlockReceiver, Datanode, ReadServe
     from .deployment import HdfsDeployment, PipelineHandle
-    from .protocol import Block, Packet
+    from .protocol import Block
 
 __all__ = ["TrainBase", "PacketTrain", "ReadTrain", "plan_train", "plan_read_train"]
 
@@ -84,24 +87,22 @@ def plan_train(
     client_node: "Node",
     handle: "PipelineHandle",
     responder: "PacketResponder",
-    data_queue: Store,
-    plan: "BlockPlan",
-    batchable: bool = False,
+    progress: "BlockProgress",
 ) -> Optional["PacketTrain"]:
     """Return a ready-to-start train for this block, or ``None`` to decline.
 
-    The clients ask only for a block nothing was produced for yet: a
-    resend carries per-packet state the train does not reproduce.  The
+    The clients ask only for a block nothing was taken for yet: a resend
+    carries per-packet state the train does not reproduce.  The
     predicate is deliberately conservative: any condition that could
     make the analytic timeline diverge from the per-packet one — a
-    scheduled disturbance, loopback, a foreign receiver sharing a hop
-    datanode, another train already guarding a needed channel — falls
-    back to the legacy path.
+    scheduled kill, loopback, a foreign receiver sharing a hop datanode,
+    another train already guarding a needed channel — falls back to the
+    legacy path.
     """
     if deployment.config.hdfs.coalesce_packets == 1:
         return None
     if deployment.scheduled_disturbances:
-        # Any scheduled kill/throttle (or its aftermath: recovery and
+        # A scheduled kill (or its aftermath: recovery and
         # re-replication traffic) makes the window non-pristine.
         return None
     if handle.error.triggered:
@@ -118,10 +119,7 @@ def plan_train(
         for other in receiver.datanode._active:
             if other is not receiver:
                 return None  # foreign stream on a hop datanode
-    train = PacketTrain(
-        deployment, client_node, handle, responder, data_queue, plan,
-        batchable=batchable,
-    )
+    train = PacketTrain(deployment, client_node, handle, responder, progress)
     for channel in train.channels:
         if channel._guard is not None:
             return None  # another train holds this channel's ledger
@@ -129,7 +127,7 @@ def plan_train(
 
 
 class TrainBase:
-    """Guard / ledger / frozen-prefix-replay machinery shared by trains.
+    """Guard / ledger / frozen-prefix replay and the conductor, shared.
 
     A train holds its channels' occupancy *analytically*: instead of
     committing quotes to ``busy_until`` as it plans, it keeps a
@@ -137,8 +135,10 @@ class TrainBase:
     each channel.  A foreign quote materialises exactly the ledger prefix
     legacy would already have committed, then wakes the conductor (the
     ``_flag``) to replay the remainder with frozen-prefix semantics.
-    Subclasses provide the timeline recurrences (:meth:`_replay`) and the
-    conductor; everything here is recurrence-agnostic.
+    Subclasses provide the rates (``_snapshot_rates``), the timeline
+    recurrences (``_extend``, ``_replay``) and their ``(when, order, kind,
+    hop)`` milestones (``_rebuild_milestones``, ``_fire``); everything
+    here is recurrence-agnostic.
     """
 
     #: Metrics counter bumped once per conducted train.
@@ -166,6 +166,53 @@ class TrainBase:
         self._started = False
         self._dead = False
         self._finished = False
+        #: Rows of the timeline (packets or chunks), set by subclasses.
+        self._K = 0
+        self._t0 = 0.0  # the train's start
+        self._old: Optional[tuple] = None  # previous arrays during replay
+        self._freeze_before = 0.0
+
+    # -- lifecycle ---------------------------------------------------------
+    def _arm(self, name: str) -> None:
+        """Arm the guards, subscribe to throttle changes, snapshot the
+        rates and the ledger, and spawn the conductor."""
+        assert not self._started
+        self._started = True
+        self._t0 = self.env.now
+        for channel in self.channels:
+            channel._guard = self._make_guard(channel)
+            self._guarded.add(id(channel))
+        self.network.throttles.subscribe(self._on_throttle)
+        self._reset_plan()
+        self.deployment.metrics.count(self.conducted_metric)
+        self.env.process(self._conduct(), name=name)
+
+    def _conduct(self) -> ProcessGenerator:
+        """Plan rows ``0..K-1``, then walk the milestones in time order,
+        replaying on invalidation."""
+        env = self.env
+        if self._dead:
+            return  # settled before it could plan anything
+        for k in range(self._K):
+            self._extend(k)
+        self._rebuild_milestones()
+        while self._milestones:
+            self._maybe_replay()
+            if self._dead:
+                return
+            when, _order, kind, h = self._milestones[0]
+            if env.now < when:
+                timer = env.timeout_at(when)
+                yield race(env, timer, self._flag)
+                # Invalidation may have won the race; the superseded
+                # timer would otherwise sit in the heap until its time.
+                timer.cancel()
+                if self._dead:
+                    return
+                continue
+            self._milestones.pop(0)
+            self._fire(kind, h)
+        self._finished = True
 
     # -- invalidation hooks ------------------------------------------------
     def _make_guard(self, channel):
@@ -233,6 +280,13 @@ class TrainBase:
                 self._guarded.discard(key)
 
     # -- ledger math -------------------------------------------------------
+    def _reset_plan(self) -> None:
+        """Re-read the rates and start empty ledgers on the channels'
+        current ``busy_until`` floors."""
+        self._snapshot_rates()
+        self._chan_busy = {id(ch): ch._busy_until for ch in self.channels}
+        self._ledger = {id(ch): ([], []) for ch in self.channels}
+
     def _quote(self, channel, issue: float, size: int, rate: float) -> float:
         """The :meth:`Channel.quote` recurrence against the train ledger."""
         key = id(channel)
@@ -262,9 +316,6 @@ class TrainBase:
         if ends and ends[-1] > self._chan_busy[key]:
             self._chan_busy[key] = ends[-1]
 
-    def _replay(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _maybe_replay(self) -> None:
         if self._flag.triggered:
             self._flag = self.env.event()
@@ -281,18 +332,18 @@ class PacketTrain(TrainBase):
         client_node: "Node",
         handle: "PipelineHandle",
         responder: "PacketResponder",
-        data_queue: Store,
-        plan: "BlockPlan",
-        batchable: bool = False,
+        progress: "BlockProgress",
     ):
         super().__init__(deployment, handle.block)
         self.client_node = client_node
         self.handle = handle
         self.responder = responder
-        self.data_queue = data_queue
-        self.plan = plan
+        self.progress = progress
         self.receivers = handle.receivers
 
+        plan = progress.plan
+        self._production = progress.production
+        self._first = plan.first  # file-wide number of packet 0
         self._sizes = plan.packet_sizes
         self._K = plan.n_packets
         self._total_bytes = plan.size
@@ -317,19 +368,13 @@ class PacketTrain(TrainBase):
         #: packets sent" point — ``send_block`` resumes here).  The block
         #: is done when the train settles the responder's ``block_done``.
         self.sent: Event = self.env.event()
-        #: Packets actually consumed from the data queue, in order.
-        self.packets: list["Packet"] = []
-        #: A data-queue get issued but not yet satisfied when the train
-        #: was killed.  Legacy leaves the same dangling get behind; the
-        #: client drains it so the produced packet is not lost.
-        self.pending_get = None
         #: Packets whose first-hop delivery completed (legacy's per-packet
         #: send loop would have recorded these as sent) — the whole block
         #: on success, the arrived prefix after an error settle.
         self.sent_count = 0
 
         # Per-hop timeline arrays, index = packet seq.
-        self._g: list[float] = []  # feeder get completion (real)
+        self._g: list[float] = []  # take off the data queue
         H = self._n_hops
         self._p = [[] for _ in range(H)]    # transfer issue
         self._ee = [[] for _ in range(H)]   # egress channel end
@@ -340,41 +385,37 @@ class PacketTrain(TrainBase):
         self._rel = [[] for _ in range(H)]  # buffer token release
 
         self._rates: list[float] = []
-        self._old: Optional[tuple] = None  # previous arrays during replay
-        self._freeze_before = 0.0
-
-        #: Batched feeder: consume every already-produced packet in one
-        #: synchronous pass with analytic get times.  Only safe when the
-        #: caller proved the whole file fits the data queue (puts can
-        #: never block, so early gets wake nobody).
-        self._batch_feed = batchable
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Arm guards and spawn the conductor.
+        """Arm the train and spawn its conductor.
 
         The receivers' per-packet loops never start: only a send starts
         them (:meth:`BlockReceiver.start`), and the train performs their
         externally observable actions — finalize, FNFA, blockReceived,
-        close — at the analytically identical times.
+        close — at the analytically identical times.  The receivers ask
+        the train for their buffer occupancy (:meth:`buffered`).
         """
-        assert not self._started
-        self._started = True
-        for channel in self.channels:
-            channel._guard = self._make_guard(channel)
-            self._guarded.add(id(channel))
-        self.network.throttles.subscribe(self._on_throttle)
         # Settle synchronously inside the error event's callback chain so
         # the client (subscribed after us) resumes against settled state.
         assert self.handle.error.callbacks is not None
         self.handle.error.callbacks.append(self._on_error)
-        self._snapshot_rates()
-        self._chan_busy = {id(ch): ch._busy_until for ch in self.channels}
-        self._ledger = {id(ch): ([], []) for ch in self.channels}
-        self.deployment.metrics.count(self.conducted_metric)
-        self.env.process(
-            self._conduct(), name=f"train:b{self.block.block_id}"
-        )
+        for receiver in self.receivers:
+            receiver.train = self
+        self._arm(f"train:b{self.block.block_id}")
+
+    def buffered(self, receiver: "BlockReceiver") -> int:
+        """Buffer tokens ``receiver`` holds now: granted minus released.
+
+        A hop's token grants are its transfer issues ``p`` and its
+        releases are ``rel``; both columns are nondecreasing, so each
+        count is one bisection.  Zero once the train has settled.
+        """
+        if self._finished or self._dead:
+            return 0
+        h = self.receivers.index(receiver)
+        now = self.env.now
+        return bisect_right(self._p[h], now) - bisect_right(self._rel[h], now)
 
     # -- timeline math -----------------------------------------------------
     def _snapshot_rates(self) -> None:
@@ -382,15 +423,30 @@ class PacketTrain(TrainBase):
             self.network.effective_rate(src, dst) for src, dst in self._links
         ]
 
+    def _take(self, k: int) -> None:
+        """Take packet ``k`` off the data queue, analytically.
+
+        The take is issued when packet ``k-1`` lands at the first hop
+        (packet 0's at the train's start) and resolves once production
+        has put the packet into the queue.
+        """
+        issue = self._t0 if k == 0 else self._a[0][k - 1]
+        ready = self._production.ready(self._first + k)
+        take = issue if issue > ready else ready
+        self._production.take_at(self._first + k, take)
+        self._g.append(take)
+
     def _extend(self, k: int) -> None:
         """Compute packet ``k``'s full multi-hop row from the recurrences.
 
         Mirrors, hop by hop, what the per-packet processes do: first-hop
-        issue gated by the feeder get and hop-0 buffer tokens, transfer
-        quotes on egress+ingress, the analytic disk write at arrival,
+        issue gated by the take and hop-0 buffer tokens, transfer quotes
+        on egress+ingress, the analytic disk write at arrival,
         store-and-forward into the next hop gated by its tokens, and the
         write-and-downstream-gated ACK relay walking back to the client.
         """
+        if k == len(self._g):
+            self._take(k)
         size = self._sizes[k]
         H = self._n_hops
         old = self._old
@@ -444,14 +500,25 @@ class PacketTrain(TrainBase):
             self._u[h].append(ready + self._C)
 
     def _replay(self) -> None:
-        """Frozen-prefix recompute at ``now`` with current rates/floors."""
-        rows = len(self._g)
+        """Frozen-prefix recompute at ``now`` with current rates/floors.
+
+        Takes issued before ``now`` stand: row ``k``'s take is issued at
+        ``a[0][k-1]``, so those are the first ``bisect_left(a0, now) + 1``
+        rows.  Later rows are taken again against the replayed plan, and
+        production forgets their old takes first.  That happens only
+        before ``sent``, so the next block's takes are never touched.
+        """
         H = self._n_hops
+        K = self._K
+        frozen_T = self._freeze_before = self.env.now
+        kept = bisect_left(self._a[0], frozen_T) + 1
+        if kept < K:
+            del self._g[kept:]
+            self._production.rewind(self._first + kept)
         # _old layout: [0]=issues(p), [1]=egress ends, [2]=ingress ends,
         # [3]=disk issues(a), [4]=disk ends(w) — see _extend's frozen path.
         self._old = (self._p, self._ee, self._ie, self._a, self._w)
         old_u, old_rel = self._u, self._rel
-        frozen_T = self._freeze_before = self.env.now
         self._p = [[] for _ in range(H)]
         self._ee = [[] for _ in range(H)]
         self._ie = [[] for _ in range(H)]
@@ -459,9 +526,7 @@ class PacketTrain(TrainBase):
         self._w = [[] for _ in range(H)]
         self._u = [[] for _ in range(H)]
         self._rel = [[] for _ in range(H)]
-        self._snapshot_rates()
-        self._chan_busy = {id(ch): ch._busy_until for ch in self.channels}
-        self._ledger = {id(ch): ([], []) for ch in self.channels}
+        self._reset_plan()
 
         # A row whose *last* quote issue — the tail hop's disk issue
         # ``a[H-1][k]``, the maximum issue in the row — is already frozen
@@ -490,106 +555,10 @@ class PacketTrain(TrainBase):
                     self._seed_ledger(self._ingress[h], self._p[h], self._ie[h])
                     self._seed_ledger(self._disk_ch[h], self._a[h], self._w[h])
 
-        batch_feed = self._batch_feed
-        for k in range(cutoff, rows):
-            if batch_feed and k and self._g[k] > frozen_T:
-                # The per-row feeder has not issued this get yet (its
-                # analytic time lies past the invalidation): re-derive it
-                # against the replayed plan, exactly as that feeder would
-                # re-issue it after waking here.
-                issue = self._a[0][k - 1]
-                self._g[k] = issue if issue > frozen_T else frozen_T
+        for k in range(cutoff, K):
             self._extend(k)
         self._old = None
-        if self._milestones:
-            self._rebuild_milestones()
-
-    # -- the conductor -----------------------------------------------------
-    def _feed_available(self, k: int) -> int:
-        """Batch feeder: consume the already-produced packet prefix now.
-
-        Every packet sitting in the data queue at this wake is consumed in
-        one synchronous pass (a get on a non-empty store resolves without
-        touching the heap) with its *analytic* legacy get time recorded:
-        ``max(now, a[0][k-1])`` — the instant the per-row feeder's get
-        would have resolved, since the packet is provably available by
-        then.  No producer put can be blocked (the ``batchable`` gate
-        guarantees the file fits the queue), so the early gets are
-        observationally silent; invalidations cannot fire mid-pass
-        because no simulated time passes and no events dispatch.
-        """
-        K = self._K
-        items = self.data_queue._items
-        now = self.env.now
-        a0 = self._a[0]
-        while k < K and items:
-            issue = now if k == 0 else a0[k - 1]
-            get_ev = self.data_queue.get()
-            assert get_ev.triggered  # non-empty store: synchronous get
-            packet = get_ev.value
-            assert packet.seq == k and packet.size == self._sizes[k]
-            self.packets.append(packet)
-            self._g.append(issue if issue > now else now)
-            self._extend(k)
-            k += 1
-        return k
-
-    def _conduct(self) -> ProcessGenerator:
-        env = self.env
-        K = self._K
-        k = 0
-        while k < K:
-            if self._batch_feed:
-                k = self._feed_available(k)
-                if k >= K:
-                    break
-            # Sleep to the legacy get-issue time (completion of the
-            # previous packet's first-hop send); a replay may move it.
-            while True:
-                self._maybe_replay()
-                if self._dead:
-                    return
-                issue_at = env.now if k == 0 else self._a[0][k - 1]
-                if env.now >= issue_at:
-                    break
-                timer = env.timeout_at(issue_at)
-                yield race(env, timer, self._flag)
-                # Invalidation may have won the race; the superseded issue
-                # timer would otherwise sit in the heap until its old time.
-                timer.cancel()
-                if self._dead:
-                    return
-            get_ev = self.data_queue.get()
-            self.pending_get = get_ev
-            while not get_ev.triggered:
-                yield race(env, get_ev, self._flag)
-                if self._dead:
-                    return  # pending_get stays exposed for the client
-                self._maybe_replay()
-            self.pending_get = None
-            packet = get_ev.value
-            assert packet.seq == k and packet.size == self._sizes[k]
-            self.packets.append(packet)
-            self._g.append(env.now)
-            self._extend(k)
-            k += 1
-
         self._rebuild_milestones()
-        while self._milestones:
-            self._maybe_replay()
-            if self._dead:
-                return
-            when, _order, kind, h = self._milestones[0]
-            if env.now < when:
-                timer = env.timeout_at(when)
-                yield race(env, timer, self._flag)
-                timer.cancel()
-                if self._dead:
-                    return
-                continue
-            self._milestones.pop(0)
-            self._fire(kind, h)
-        self._finished = True
 
     # -- milestones --------------------------------------------------------
     def _rebuild_milestones(self) -> None:
@@ -611,6 +580,7 @@ class PacketTrain(TrainBase):
         receiver = self.receivers[h]
         if kind == "sent":
             self.sent_count = self._K
+            self.progress.taken = self._K
             if not self.sent.triggered:
                 self.sent.succeed()
         elif kind == "fin":
@@ -723,16 +693,22 @@ class PacketTrain(TrainBase):
         self._dead = True
         now = self.env.now
         H = self._n_hops
-        computed = len(self._g)
+        rows = len(self._g)  # 0 if the conductor has not planned yet
         # Strictly-before semantics: an action scheduled at exactly the
         # failure instant would race the kill in legacy; ties are
         # measure-zero and the conservative reading drops them.  The
         # per-hop timeline columns are nondecreasing (FIFO chains), so
         # one bisection per column gives the strictly-before prefix.
-        arrived = [
-            min(bisect_left(self._a[h], now), computed) for h in range(H)
-        ]
+        arrived = [bisect_left(self._a[h], now) for h in range(H)]
         granted = [bisect_left(self._p[h], now) for h in range(H)]
+        # A per-packet sender has taken the arrived prefix plus the
+        # packet it was sending or waiting for; production forgets the
+        # rest (``send_block`` waits out that last take if it lies
+        # ahead).
+        taken = min(arrived[0] + (self._t0 < now), rows)
+        self.progress.taken = taken
+        if taken < rows:
+            self._production.rewind(self._first + taken)
         self._apply_counters(arrived, arrived)
         for h, receiver in enumerate(self.receivers):
             receiver._bytes_received = sum(self._sizes[: arrived[h]])
@@ -746,7 +722,10 @@ class PacketTrain(TrainBase):
         acked = bisect_left(self._u[0], now)
         responder.acked_count += acked
         responder.acked_bytes += sum(self._sizes[:acked])
-        responder.ack_queue.extend(self.packets[acked:arrived[0]])
+        plan = self.progress.plan
+        responder.ack_queue.extend(
+            plan.packet(k) for k in range(acked, arrived[0])
+        )
         self._bump()  # wake the conductor so it can exit promptly
 
 
@@ -847,7 +826,6 @@ class ReadTrain(TrainBase):
         self.failed: Optional[str] = None
 
         self._rate = 0.0
-        self._t0 = 0.0
         # Timeline arrays, index = chunk.  _di/_d: disk quote issue/end;
         # _m: disk-wait resolution (= transfer issue); _e/_i: egress and
         # ingress ends; _x: transfer completion (incl. link latency).
@@ -857,27 +835,12 @@ class ReadTrain(TrainBase):
         self._e: list[float] = []
         self._i: list[float] = []
         self._x: list[float] = []
-        self._old: Optional[tuple] = None
-        self._freeze_before = 0.0
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Arm guards and spawn the conductor (call at the stream start)."""
-        assert not self._started
-        self._started = True
-        self._t0 = self.env.now
-        for channel in self.channels:
-            channel._guard = self._make_guard(channel)
-            self._guarded.add(id(channel))
-        self.network.throttles.subscribe(self._on_throttle)
+        """Arm the train and spawn its conductor (call at the stream start)."""
         self.serve.on_kill = self._on_kill
-        self._snapshot_rates()
-        self._chan_busy = {id(ch): ch._busy_until for ch in self.channels}
-        self._ledger = {id(ch): ([], []) for ch in self.channels}
-        self.deployment.metrics.count(self.conducted_metric)
-        self.env.process(
-            self._conduct(), name=f"readtrain:b{self.block.block_id}"
-        )
+        self._arm(f"readtrain:b{self.block.block_id}")
 
     # -- timeline math -----------------------------------------------------
     def _snapshot_rates(self) -> None:
@@ -918,52 +881,28 @@ class ReadTrain(TrainBase):
 
     def _replay(self) -> None:
         """Frozen-prefix recompute at ``now`` with current rates/floors."""
-        rows = len(self._x)
         # _old layout: [0]=disk issues, [1]=disk ends, [2]=transfer
         # issues, [3]=egress ends, [4]=ingress ends — see _extend.
         self._old = (self._di, self._d, self._m, self._e, self._i)
         self._freeze_before = self.env.now
         self._di, self._d, self._m = [], [], []
         self._e, self._i, self._x = [], [], []
-        self._snapshot_rates()
-        self._chan_busy = {id(ch): ch._busy_until for ch in self.channels}
-        self._ledger = {id(ch): ([], []) for ch in self.channels}
-        for k in range(rows):
+        self._reset_plan()
+        for k in range(self._K):
             self._extend(k)
         self._old = None
         self._rebuild_milestones()
 
-    # -- the conductor -----------------------------------------------------
+    # -- the milestone -----------------------------------------------------
     def _rebuild_milestones(self) -> None:
         if "end" in self._fired or not self._x:
             self._milestones = []
         else:
-            self._milestones = [self._x[-1]]
+            self._milestones = [(self._x[-1], 0, "end", 0)]
 
-    def _conduct(self) -> ProcessGenerator:
-        env = self.env
-        # Reads have no producer: the whole timeline is computable now.
-        for k in range(self._K):
-            self._extend(k)
-        self._rebuild_milestones()
-        while self._milestones:
-            self._maybe_replay()
-            if self._dead:
-                return
-            if not self._milestones:
-                break
-            when = self._milestones[0]
-            if env.now < when:
-                timer = env.timeout_at(when)
-                yield race(env, timer, self._flag)
-                timer.cancel()
-                if self._dead:
-                    return
-                continue
-            self._milestones.pop(0)
-            self._fired.add("end")
-            self._settle_success()
-        self._finished = True
+    def _fire(self, kind: str, h: int) -> None:
+        self._fired.add(kind)
+        self._settle_success()
 
     # -- settles -----------------------------------------------------------
     def _record_flows(self, rows: int) -> None:

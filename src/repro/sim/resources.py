@@ -10,8 +10,10 @@ Three primitives cover everything the HDFS/SMARTH models need:
 * :class:`Resource` — ``capacity`` concurrent holders, FIFO queuing.  Used
   for namenode RPC handler slots and SMARTH pipeline slots.
 * :class:`Store` — an optionally-bounded FIFO buffer of items.  Used for
-  the client data queue, per-pipeline ACK queues and datanode forwarding
-  buffers (where the bound models the 64 MB first-datanode buffer).
+  per-pipeline ACK queues and datanode inboxes, forwarding queues and
+  buffer tokens (where the bound models the 64 MB first-datanode
+  buffer).  The client's data queue is no store: it is the production
+  recurrence of :mod:`repro.hdfs.client.output_stream`.
 """
 
 from __future__ import annotations

@@ -21,15 +21,15 @@ import random
 from typing import Optional
 
 from ..cluster.node import Node
-from ..hdfs.client.output_stream import BlockPlan, start_producer
+from ..hdfs.client.output_stream import start_producer
 from ..hdfs.client.recovery import recover_pipeline
 from ..hdfs.client.responder import PacketResponder
-from ..hdfs.client.send import FAILED, SENT, send_block
+from ..hdfs.client.send import FAILED, SENT, BlockProgress, send_block
 from ..hdfs.deployment import HdfsDeployment, PipelineHandle
 from ..hdfs.protocol import DatanodeDead, WriteResult
 from ..hdfs.train import plan_train
 from ..policy.base import NO_TUNING, ClientTuning
-from ..sim import Event, Interrupt, ProcessGenerator, Resource, Store, race
+from ..sim import Event, Interrupt, ProcessGenerator, Resource, race
 from .local_opt import LocalOptimizer
 from .pipeline import PipelineState, SmarthPipeline
 from .records import SpeedRecords, SpeedSample
@@ -42,9 +42,6 @@ class SmarthClient:
     """Multi-pipeline write client implementing the SMARTH protocol."""
 
     system = "smarth"
-    #: Whether the current upload's file fits the data queue (set per
-    #: put); gates the train's batched feeder.
-    _batchable = False
 
     def __init__(
         self,
@@ -129,9 +126,7 @@ class SmarthClient:
 
         yield from namenode.create_file(self.name, path)
 
-        plans, data_queue, self._batchable = start_producer(
-            env, self.node, path, size, hdfs_cfg
-        )
+        plans, production = start_producer(env, self.node, size, hdfs_cfg)
 
         cap = (
             tuning.max_pipelines
@@ -151,13 +146,13 @@ class SmarthClient:
             # recovered, and only this loop recovers: wait for either.
             while True:
                 yield race(env, slot, self._error_flag)
-                yield from self._drain_errors(data_queue, buffer_bytes)
+                yield from self._drain_errors(buffer_bytes)
                 if slot.triggered:
                     break
-            yield from self._wait_for_headroom(data_queue, buffer_bytes)
+            yield from self._wait_for_headroom(buffer_bytes)
 
             pipeline = yield from self._open_new_pipeline(
-                path, plan, slot, buffer_bytes
+                path, BlockProgress(plan, production), slot, buffer_bytes
             )
             self._active.add(pipeline)
             all_pipelines.append(pipeline)
@@ -165,14 +160,14 @@ class SmarthClient:
 
             # Stream the whole block to the first datanode, then wait for
             # the FNFA before requesting the next block (§III-A step 3).
-            yield from self._stream_pipeline(pipeline, data_queue, buffer_bytes)
-            yield from self._await_fnfa(pipeline, data_queue, buffer_bytes)
+            yield from self._stream_pipeline(pipeline, buffer_bytes)
+            yield from self._await_fnfa(pipeline, buffer_bytes)
 
             pipeline.state = PipelineState.BACKGROUND
             self._arm_watcher(pipeline)
 
         # §III-A step 5: wait until the pipeline set is empty.
-        yield from self._drain_all(data_queue, buffer_bytes)
+        yield from self._drain_all(buffer_bytes)
 
         yield from namenode.complete_file(self.name, path)
         if self._reporter.is_alive:
@@ -202,9 +197,7 @@ class SmarthClient:
             busy.update(pipeline.targets)
         return busy
 
-    def _wait_for_headroom(
-        self, data_queue: Store, buffer_bytes: int
-    ) -> ProcessGenerator:
+    def _wait_for_headroom(self, buffer_bytes: int) -> ProcessGenerator:
         """Hold back until a full-width pipeline can be placed.
 
         Algorithm 1 recomputes ``n = num / repli`` per request; when
@@ -224,19 +217,22 @@ class SmarthClient:
             if not live:
                 return
             yield self.env.any_of([p.done for p in live] + [self._error_flag])
-            yield from self._drain_errors(data_queue, buffer_bytes)
+            yield from self._drain_errors(buffer_bytes)
 
     def _open_new_pipeline(
-        self, path: str, plan: BlockPlan, slot, buffer_bytes: int
+        self, path: str, progress: BlockProgress, slot, buffer_bytes: int
     ) -> ProcessGenerator:
         """addBlock + Algorithm 2 reorder + build the receiver chain."""
         namenode = self.deployment.namenode
+        plan = progress.plan
         excluded = self._busy_datanodes() | self._blacklist
         result = yield from namenode.add_block(
             self.name, path, plan.size, excluded=excluded
         )
         targets = self.local_opt.reorder(result.targets)
-        pipeline = SmarthPipeline(self.env, plan, result.block, targets, slot)
+        pipeline = SmarthPipeline(
+            self.env, progress, result.block, targets, slot
+        )
         pipeline.trace_block = self.deployment.tracer.begin(
             "block", f"client:{self.name}", f"b{result.block.block_id}",
             self.env.now, parent=self._trace_upload, size=plan.size,
@@ -300,12 +296,12 @@ class SmarthClient:
 
     # ------------------------------------------------------------------
     def _stream_pipeline(
-        self, pipeline: SmarthPipeline, data_queue: Store, buffer_bytes: int
+        self, pipeline: SmarthPipeline, buffer_bytes: int
     ) -> ProcessGenerator:
         """Send every pending packet of the pipeline's block."""
         while True:
             status, failed = yield from self._send_seqs(
-                pipeline, data_queue, pause=self._error_flag
+                pipeline, pause=self._error_flag
             )
             if status is SENT:
                 pipeline.fully_streamed = True
@@ -317,13 +313,10 @@ class SmarthClient:
                 return
             if status is FAILED:
                 self._enqueue_error(pipeline, failed)
-            yield from self._drain_errors(data_queue, buffer_bytes)
+            yield from self._drain_errors(buffer_bytes)
 
     def _send_seqs(
-        self,
-        pipeline: SmarthPipeline,
-        data_queue: Store,
-        pause: Optional[Event] = None,
+        self, pipeline: SmarthPipeline, pause: Optional[Event] = None
     ) -> ProcessGenerator:
         """One transmission attempt.  Returns (status, failed_datanode).
 
@@ -334,7 +327,7 @@ class SmarthClient:
         """
         progress = pipeline.progress
         train = None
-        if not progress.produced:
+        if not progress.taken:
             # Steady-state fast path: hand the whole block to one packet
             # train (see repro.hdfs.train).
             train = plan_train(
@@ -342,19 +335,17 @@ class SmarthClient:
                 self.node,
                 pipeline.handle,
                 pipeline.responder,
-                data_queue,
-                progress.plan,
-                batchable=self._batchable,
+                progress,
             )
         return (
             yield from send_block(
                 self, pipeline.handle, pipeline.responder, progress,
-                data_queue, pipeline.trace_attempt, train, pause,
+                pipeline.trace_attempt, train, pause,
             )
         )
 
     def _await_fnfa(
-        self, pipeline: SmarthPipeline, data_queue: Store, buffer_bytes: int
+        self, pipeline: SmarthPipeline, buffer_bytes: int
     ) -> ProcessGenerator:
         """Block until the first datanode confirms the whole block."""
         env = self.env
@@ -391,7 +382,7 @@ class SmarthClient:
                 return
             if handle.error.triggered:
                 self._enqueue_error(pipeline, handle.error.value)
-            yield from self._drain_errors(data_queue, buffer_bytes)
+            yield from self._drain_errors(buffer_bytes)
         tracer.end(t_fnfa, env.now)
 
     # ------------------------------------------------------------------
@@ -446,9 +437,7 @@ class SmarthClient:
         if not self._error_flag.triggered:
             self._error_flag.succeed()
 
-    def _drain_errors(
-        self, data_queue: Store, buffer_bytes: int
-    ) -> ProcessGenerator:
+    def _drain_errors(self, buffer_bytes: int) -> ProcessGenerator:
         """Algorithm 4 lines 3-6: recover every pipeline in the error set."""
         while self._error_list:
             pipeline = self._error_list.pop(0)
@@ -492,7 +481,7 @@ class SmarthClient:
                 # The client had finished streaming this block before the
                 # failure: resend the un-ACKed tail now (Algorithm 4 line
                 # 7, "start transferring the interrupted block").
-                yield from self._resend_background(pipeline, data_queue)
+                yield from self._resend_background(pipeline)
                 if (
                     pipeline.state is PipelineState.BACKGROUND
                     and pipeline.state is not PipelineState.DONE
@@ -503,10 +492,8 @@ class SmarthClient:
         # Reset the wake-up flag for the next failure.
         self._error_flag = self.env.event()
 
-    def _resend_background(
-        self, pipeline: SmarthPipeline, data_queue: Store
-    ) -> ProcessGenerator:
-        status, failed = yield from self._send_seqs(pipeline, data_queue)
+    def _resend_background(self, pipeline: SmarthPipeline) -> ProcessGenerator:
+        status, failed = yield from self._send_seqs(pipeline)
         if status is FAILED:
             # The rebuilt pipeline failed too: recurse via the set.
             self._enqueue_error(pipeline, failed)
@@ -516,12 +503,10 @@ class SmarthClient:
             self.env.now, parent=pipeline.trace_attempt,
         )
 
-    def _drain_all(
-        self, data_queue: Store, buffer_bytes: int
-    ) -> ProcessGenerator:
+    def _drain_all(self, buffer_bytes: int) -> ProcessGenerator:
         """Wait until every pipeline is DONE, recovering stragglers."""
         while True:
-            yield from self._drain_errors(data_queue, buffer_bytes)
+            yield from self._drain_errors(buffer_bytes)
             live = [p for p in self._active if p.state is not PipelineState.DONE]
             if not live:
                 return

@@ -13,7 +13,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional
 
-from ..hdfs.client.output_stream import BlockPlan
 from ..hdfs.client.responder import PacketResponder
 from ..hdfs.client.send import BlockProgress
 from ..hdfs.deployment import PipelineHandle
@@ -38,13 +37,13 @@ class SmarthPipeline:
     def __init__(
         self,
         env: Environment,
-        plan: BlockPlan,
+        progress: BlockProgress,
         block: Block,
         targets: tuple[str, ...],
         slot: Request,
     ):
         self.env = env
-        self.plan = plan
+        self.plan = progress.plan
         self.block = block
         self.targets = targets
         self.slot = slot
@@ -54,11 +53,11 @@ class SmarthPipeline:
         self.responder: Optional[PacketResponder] = None
         self.watcher: Optional[Process] = None
 
-        #: Produced, acknowledged and sent counts across attempts.  A
+        #: Taken, acknowledged and sent counts across attempts.  A
         #: pause to service another pipeline's failure resumes after the
         #: packets already sent on the current handle (the pipeline is
         #: healthy; duplicates would corrupt it).
-        self.progress = BlockProgress(plan)
+        self.progress = progress
 
         self.fnfa_received = False
         #: True once every packet of the block has been transmitted at

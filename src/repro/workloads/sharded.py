@@ -153,10 +153,10 @@ def campaign10k(scale: float = 1.0) -> PodPlan:
     datanodes (10,000 clients, 1,000 datanodes at full scale).
 
     Pod shape is tuned for the analytic fast paths the campaign
-    benchmark measures: 4 MB files (one 64-packet block, inside the
-    data-queue bound so the train's batched feeder engages) and a 0.5 s
-    client stagger (uploads within a pod barely overlap, so the
-    coalesced packet-train path conducts nearly every block).  ``scale``
+    benchmark measures: 4 MB files (one 64-packet block, which a packet
+    train plans whole at start, production included) and a 0.5 s client
+    stagger (uploads within a pod barely overlap, so the coalesced
+    packet-train path conducts nearly every block).  ``scale``
     shrinks the campaign by dropping pods — the per-pod shape, and
     therefore per-client timing, is invariant — e.g. ``scale=0.02`` is
     the 2-pod CI smoke shape.

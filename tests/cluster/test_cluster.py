@@ -96,12 +96,6 @@ class TestNode:
         with pytest.raises(ValueError):
             Node(env, "", SMALL, rack="r")
 
-    def test_produce_time(self, env):
-        node = Node(env, "n1", SMALL, rack="r")
-        size = 64 * MB
-        env.run(until=env.process(node.produce(size)))
-        assert env.now == pytest.approx(size / SMALL.production_rate)
-
     def test_fail_and_recover(self, env):
         node = Node(env, "n1", SMALL, rack="r")
         node.fail()

@@ -1,12 +1,13 @@
-"""The train's batched feeder on the campaign shape it was built for.
+"""Packet trains on the campaign shape, against the per-packet loop.
 
-Campaign pods write 4 MB files, which fit the 80-packet data queue, so
-every block takes the batched feeder: the whole already-produced chunk
-prefix is consumed in one synchronous pass with zero heap events per
-packet.  The per-packet loop (``coalesce_packets=1``) is the oracle —
-the per-client timeline must be bit-identical while the heap traffic
-drops.  The paper-shape runs (files larger than the queue, feeder off)
-are pinned against the same oracle by ``test_train_equivalence.py``.
+Campaign pods write 4 MB files: each block goes as one packet train that
+plans its whole timeline at start, production included (the train takes
+each packet analytically from the file's production recurrence), and
+costs a handful of milestones instead of events per packet.  The
+per-packet loop (``coalesce_packets=1``) is the oracle — the per-client
+timeline must be bit-identical while the heap traffic drops.  The
+paper-shape runs (files larger than the 80-packet data queue) are pinned
+against the same oracle by ``test_train_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -14,12 +15,17 @@ from __future__ import annotations
 from repro.config import SimulationConfig
 from repro.workloads import campaign10k, run_pods_single_env
 
+#: Exact heap events of ``campaign10k(scale=0.02)``: with trains (the
+#: default) and on the per-packet loop.  Both counts are deterministic;
+#: a change that moves them moves them on purpose.
+TRAIN_EVENTS = 11_930
+PER_PACKET_EVENTS = 255_530
+
 
 def test_campaign_timeline_identical_and_fewer_events():
-    """The engaged path: on the campaign pod shape (whole file inside
-    the data-queue bound) the batched feeder must retire packet traffic
-    analytically — strictly fewer heap events — while the per-client
-    timeline stays bit-identical."""
+    """On the campaign pod shape the trains retire the packet traffic
+    analytically — exactly the pinned heap events — while the
+    per-client timeline stays bit-identical."""
     plan = campaign10k(scale=0.02)
     batch = run_pods_single_env(plan, config=SimulationConfig())
     legacy = run_pods_single_env(
@@ -28,4 +34,5 @@ def test_campaign_timeline_identical_and_fewer_events():
     assert batch.timeline == legacy.timeline
     assert batch.fully_replicated and legacy.fully_replicated
     assert batch.bytes_moved == legacy.bytes_moved
-    assert batch.events_processed < legacy.events_processed
+    assert batch.events_processed == TRAIN_EVENTS
+    assert legacy.events_processed == PER_PACKET_EVENTS

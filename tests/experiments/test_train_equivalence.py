@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.figures import experiment_config
 from repro.faults.campaign import ChaosSchedule, report_json, run_campaign
+from repro.hdfs import train
 
 SCALE = 0.25
 LEGACY_CONFIG = experiment_config().with_hdfs(coalesce_packets=1)
@@ -51,19 +54,44 @@ def test_faultrec_identical_with_and_without_trains():
     assert fast == legacy
 
 
-def test_chaos_report_identical_per_seed(monkeypatch):
-    """A fixed-seed chaos campaign produces a byte-identical report in
-    both modes (every schedule registers its disturbances up front, so
-    trains stand down and the per-packet timeline replays verbatim)."""
-    fast = run_campaign(seed=11, runs=2, protocols=("hdfs", "smarth"), scale=0.1)
-
+def _per_packet_chaos(monkeypatch) -> None:
     original = ChaosSchedule.config
     monkeypatch.setattr(
         ChaosSchedule,
         "config",
         lambda self: original(self).with_hdfs(coalesce_packets=1),
     )
+
+
+def test_chaos_report_identical_per_seed(monkeypatch):
+    """A fixed-seed chaos campaign produces a byte-identical report in
+    both modes (every schedule with a kill registers it up front, so
+    trains stand down and the per-packet timeline replays verbatim)."""
+    fast = run_campaign(seed=11, runs=2, protocols=("hdfs", "smarth"), scale=0.1)
+    _per_packet_chaos(monkeypatch)
     legacy = run_campaign(
         seed=11, runs=2, protocols=("hdfs", "smarth"), scale=0.1
     )
+    assert report_json(fast) == report_json(legacy)
+
+
+@pytest.mark.parametrize("subseed", (1, 2))
+def test_throttle_only_chaos_identical_on_trains(monkeypatch, subseed):
+    """Write sub-seeds 1 and 2 schedule throttles only, so their blocks
+    run as packet trains that replay each throttle change; the report
+    matches the per-packet loop's byte for byte."""
+    started = []
+    start = train.PacketTrain.start
+
+    def counted_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(train.PacketTrain, "start", counted_start)
+    fast = run_campaign(seed=subseed, runs=1)
+    kinds = fast["fault_kinds"]
+    assert kinds and set(kinds) <= {"throttle", "unthrottle"}
+    assert started
+    _per_packet_chaos(monkeypatch)
+    legacy = run_campaign(seed=subseed, runs=1)
     assert report_json(fast) == report_json(legacy)

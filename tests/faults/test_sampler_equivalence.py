@@ -26,8 +26,9 @@ from repro.faults import (
     run_schedule,
 )
 from repro.faults import campaign as campaign_module
-from repro.hdfs import HdfsDeployment
+from repro.hdfs import HdfsClient, HdfsDeployment
 from repro.sim import Environment
+from repro.smarth import SmarthClient
 from repro.units import KB, MB
 
 from tests.faults.reference_sampler import PollingSampler
@@ -141,6 +142,38 @@ def test_violations_match_under_a_tight_bound(
     monitor = run_paired(paired, "write", subseed, protocol)
     assert_same_checks(monitor)
     assert monitor.records["buffer_bound"].violations
+
+
+def _tight_bound_upload(client_cls, coalesce: int):
+    """One undisturbed 32 MB upload watched at a one-byte buffer bound."""
+    env = Environment()
+    config = SimulationConfig().with_hdfs(
+        block_size=16 * MB, packet_size=64 * KB, coalesce_packets=coalesce
+    )
+    cluster = build_homogeneous(env, SMALL, n_datanodes=9, config=config)
+    deployment = HdfsDeployment(cluster)
+    monitor = InvariantMonitor(deployment, buffer_bound_bytes=1)
+    client = client_cls(deployment)
+    env.run(until=env.process(client.put("/data/f.bin", 32 * MB)))
+    monitor.stop()
+    return monitor.records["buffer_bound"], env.events_processed
+
+
+@pytest.mark.parametrize(
+    "client_cls", [HdfsClient, SmarthClient], ids=["hdfs", "smarth"]
+)
+def test_train_buffers_match_per_packet_under_a_tight_bound(client_cls):
+    """A receiver under a packet train holds no buffer tokens; it answers
+    from the train's token grants and releases, so the sampler records
+    what it records on the per-packet path, message for message."""
+    train, train_events = _tight_bound_upload(client_cls, 0)
+    legacy, legacy_events = _tight_bound_upload(client_cls, 1)
+    assert train_events * 3 < legacy_events  # the trains did run
+    assert train.violations
+    assert (train.checks, train.violations) == (
+        legacy.checks,
+        legacy.violations,
+    )
 
 
 def _idle_deployment() -> HdfsDeployment:

@@ -79,7 +79,9 @@ class TestSteadyStateEquivalence:
         _assert_equivalent(client_cls=SmarthClient)
 
     def test_train_actually_engages(self):
-        """The fast path must reduce events, not silently decline."""
+        """The fast path must reduce events, not silently decline: the
+        64 MB upload's exact heap events on the per-packet loop (1) and
+        with trains (0), which plan each block whole at start."""
         env_events = {}
         for coalesce in (1, 0):
             env = Environment()
@@ -90,7 +92,7 @@ class TestSteadyStateEquivalence:
             client = HdfsClient(deployment)
             env.run(until=env.process(client.put("/data/f.bin", UPLOAD)))
             env_events[coalesce] = env.events_processed
-        assert env_events[0] * 3 <= env_events[1]
+        assert env_events == {1: 19_635, 0: 171}
 
 
 #: Name prefixes of the per-packet loops: a receiver's receive, ACK-relay
@@ -231,13 +233,16 @@ class TestPredicateDeclines:
         return env, cluster, HdfsDeployment(cluster)
 
     def _open(self, deployment, client_node, plan_size=16 * MB):
-        from repro.hdfs.client.output_stream import plan_file
+        from repro.hdfs.client.output_stream import start_producer
         from repro.hdfs.client.responder import PacketResponder
-        from repro.sim import Store
+        from repro.hdfs.client.send import BlockProgress
 
         env = deployment.env
         namenode = deployment.namenode
-        plan = plan_file(plan_size, deployment.config.hdfs)[0]
+        plans, production = start_producer(
+            env, client_node, plan_size, deployment.config.hdfs
+        )
+        plan = plans[0]
 
         def setup(env):
             yield from namenode.create_file("client", "/t.bin")
@@ -256,60 +261,45 @@ class TestPredicateDeclines:
             buffer_bytes=deployment.config.hdfs.socket_buffer,
         )
         responder = PacketResponder(env, result.block, handle.ack_in)
-        queue = Store(env, capacity=8)
-        return plan, handle, responder, queue
+        return handle, responder, BlockProgress(plan, production)
+
+    def _plan(self, deployment, client_node):
+        handle, responder, progress = self._open(deployment, client_node)
+        return plan_train(deployment, client_node, handle, responder, progress)
 
     def test_declines_when_coalescing_disabled(self):
         env, cluster, deployment = self._fresh_pipeline(coalesce=1)
-        plan, handle, responder, queue = self._open(
-            deployment, cluster.client_host
-        )
-        assert (
-            plan_train(
-                deployment, cluster.client_host, handle, responder, queue, plan
-            )
-            is None
-        )
+        assert self._plan(deployment, cluster.client_host) is None
 
     def test_declines_on_scheduled_disturbance(self):
         env, cluster, deployment = self._fresh_pipeline()
         deployment.scheduled_disturbances.append(1.0)
-        plan, handle, responder, queue = self._open(
-            deployment, cluster.client_host
-        )
-        assert (
-            plan_train(
-                deployment, cluster.client_host, handle, responder, queue, plan
-            )
-            is None
-        )
+        assert self._plan(deployment, cluster.client_host) is None
 
     def test_plans_train_on_clean_pipeline(self):
         env, cluster, deployment = self._fresh_pipeline()
-        plan, handle, responder, queue = self._open(
-            deployment, cluster.client_host
-        )
-        train = plan_train(
-            deployment, cluster.client_host, handle, responder, queue, plan
-        )
+        train = self._plan(deployment, cluster.client_host)
         assert train is not None
         assert train.sent_count == 0
         assert len(train.channels) >= 3
 
     def test_injector_scheduled_faults_decline_trains(self):
-        """A registered injector schedule keeps every train off the road,
-        so fault experiments replay the per-packet timeline verbatim."""
+        """A scheduled kill keeps every train off the road, so fault
+        experiments replay the per-packet timeline verbatim."""
+        from repro.faults import FaultInjector
+
+        env, cluster, deployment = self._fresh_pipeline()
+        FaultInjector(deployment).kill_at("dn1", at=5.0)
+        assert self._plan(deployment, cluster.client_host) is None
+
+    def test_injector_scheduled_throttles_plan_trains(self):
+        """A throttle-only schedule is no disturbance: the train replays
+        the throttle-table change when it lands."""
         from repro.faults import FaultInjector
 
         env, cluster, deployment = self._fresh_pipeline()
         injector = FaultInjector(deployment)
         injector.throttle_at("dn1", 50.0, at=5.0)
-        plan, handle, responder, queue = self._open(
-            deployment, cluster.client_host
-        )
-        assert (
-            plan_train(
-                deployment, cluster.client_host, handle, responder, queue, plan
-            )
-            is None
-        )
+        injector.unthrottle_at("dn1", at=6.0)
+        assert not deployment.scheduled_disturbances
+        assert self._plan(deployment, cluster.client_host) is not None

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.hdfs.client.output_stream import BlockPlan
+from repro.hdfs.client.output_stream import BlockPlan, Production
 from repro.hdfs.client.responder import PacketResponder
-from repro.hdfs.protocol import Ack, Block, Packet
+from repro.hdfs.client.send import BlockProgress
+from repro.hdfs.protocol import Ack, Block
 from repro.sim import Environment, Resource, Store
 from repro.smarth.pipeline import PipelineState, SmarthPipeline
 
@@ -14,12 +15,14 @@ def env():
     return Environment()
 
 
-def make_pipeline(env, n_packets=4):
-    plan = BlockPlan(index=0, size=n_packets * 100, packet_sizes=(100,) * n_packets)
+def make_pipeline(env, n_packets=4, sizes=None):
+    sizes = sizes or (100,) * n_packets
+    plan = BlockPlan(index=0, size=sum(sizes), packet_sizes=sizes)
+    progress = BlockProgress(plan, Production(env.now, [plan], 1e6))
     block = Block(1, "/f", 0, plan.size)
     slots = Resource(env, capacity=3)
     slot = slots.request()
-    return SmarthPipeline(env, plan, block, ("dn0", "dn1", "dn2"), slot)
+    return SmarthPipeline(env, progress, block, ("dn0", "dn1", "dn2"), slot)
 
 
 class _FakeHandle:
@@ -36,8 +39,8 @@ class TestStateTracking:
     def test_initial_state(self, env):
         p = make_pipeline(env)
         assert p.state is PipelineState.STREAMING
-        assert p.progress.produced == []
-        assert (p.progress.acked, p.progress.sent) == (0, 0)
+        assert p.plan is p.progress.plan
+        assert (p.progress.taken, p.progress.acked, p.progress.sent) == (0, 0, 0)
         assert p.progress.acked_bytes == 0
         assert not p.fnfa_received and not p.fully_streamed
 
@@ -48,10 +51,10 @@ class TestStateTracking:
         handle = _FakeHandle(env)
         p.bind(handle, PacketResponder(env, p.block, handle.ack_in))
         progress = p.progress
-        progress.produced = [Packet(seq, 100) for seq in range(4)]
+        progress.taken = 4
         progress.sent += 2
         resume = progress.acked + progress.sent
-        assert [pk.seq for pk in progress.produced[resume:]] == [2, 3]
+        assert list(range(resume, progress.taken)) == [2, 3]
 
     def test_fold_acks_uses_attempt_order(self, env):
         """Teardown adds the attempt's ACKed prefix to ``acked`` and forgets
@@ -62,13 +65,11 @@ class TestStateTracking:
         responder = PacketResponder(env, p.block, handle.ack_in)
         p.bind(handle, responder)
         progress = p.progress
-        progress.produced = [
-            Packet(seq, 100, is_last=(seq == 3)) for seq in range(4)
-        ]
+        progress.taken = 4
         progress.acked = 1  # an earlier attempt's ACKed prefix
-        for packet in progress.produced[1:3]:
+        for seq in (1, 2):
             progress.sent += 1
-            responder.packet_sent(packet)
+            responder.packet_sent(p.plan.packet(seq))
 
         def feed(env):
             yield handle.ack_in.put(Ack(p.block.block_id, 1))
@@ -89,7 +90,7 @@ class TestStateTracking:
         handle = _FakeHandle(env)
         p.bind(handle, PacketResponder(env, p.block, handle.ack_in))
         progress = p.progress
-        progress.produced = [Packet(seq, 100) for seq in range(4)]
+        progress.taken = 4
         progress.sent += 1
         p.teardown()
         new_handle = _FakeHandle(env)
@@ -98,7 +99,7 @@ class TestStateTracking:
         assert (p.handle, p.responder) == (new_handle, new_responder)
         assert (progress.acked, progress.sent) == (0, 0)
         resume = progress.acked + progress.sent
-        assert [pk.seq for pk in progress.produced[resume:]] == [0, 1, 2, 3]
+        assert list(range(resume, progress.taken)) == [0, 1, 2, 3]
 
     def test_rebind_block_adopts_generation_and_targets(self, env):
         p = make_pipeline(env)
@@ -109,8 +110,9 @@ class TestStateTracking:
         assert p.targets == ("dn0", "dn5", "dn6")
 
     def test_acked_bytes_sums_produced(self, env):
-        p = make_pipeline(env)
-        p.progress.produced = [Packet(0, 100), Packet(1, 100), Packet(2, 50)]
+        """The ACKed prefix's bytes come from the plan's packet sizes."""
+        p = make_pipeline(env, sizes=(100, 100, 50))
+        p.progress.taken = 3
         p.progress.acked = 2
         assert p.progress.acked_bytes == 200
 
