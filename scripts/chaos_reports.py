@@ -13,7 +13,7 @@ the directories is a report-identity check for a refactor::
 
 The ``repro`` package is whichever one ``PYTHONPATH`` names, so one copy
 of this script serves both checkouts.  Sub-seeds 0-199 at scale 1.0 take
-about 35 s on one core of a 2-vCPU Xeon container (CPython 3.11).
+about 7 s on one core of a 2-vCPU AMD EPYC container (CPython 3.11.7).
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
+from typing import Callable, Optional
 
 from .protocol import Block, BlockState, FileNotFound
 
@@ -44,6 +45,13 @@ class BlockManager:
     def __init__(self, start_id: int = 1000):
         self._ids = count(start_id)
         self._blocks: dict[int, BlockInfo] = {}
+        #: Called after every replica or commit change (the replication
+        #: monitor's wake-up hook).
+        self.on_change: Optional[Callable[[], None]] = None
+
+    def _changed(self) -> None:
+        if self.on_change is not None:
+            self.on_change()
 
     # -- allocation ----------------------------------------------------------
     def allocate(self, path: str, index: int, size: int) -> Block:
@@ -57,6 +65,7 @@ class BlockManager:
         info = self._get(block_id)
         for dn in datanodes:
             info.replicas.setdefault(dn, ReplicaInfo(datanode=dn))
+        self._changed()
 
     def bump_generation(self, block_id: int) -> Block:
         """Recovery: new generation stamp invalidates stale replicas."""
@@ -71,16 +80,19 @@ class BlockManager:
         replica = info.replicas.setdefault(datanode, ReplicaInfo(datanode=datanode))
         replica.bytes_confirmed = size
         replica.finalized = True
+        self._changed()
 
     def drop_replica(self, block_id: int, datanode: str) -> None:
         """Forget one replica (failed datanode removed from a pipeline)."""
         info = self._get(block_id)
         info.replicas.pop(datanode, None)
+        self._changed()
 
     def commit(self, block_id: int) -> None:
         """Mark the block complete (client finished, replicas confirmed)."""
         info = self._get(block_id)
         info.state = BlockState.COMPLETE
+        self._changed()
 
     # -- queries ----------------------------------------------------------------
     def info(self, block_id: int) -> BlockInfo:
@@ -136,6 +148,7 @@ class BlockManager:
     def restore_state(self, state: dict) -> None:
         self._blocks = dict(state["blocks"])
         self._ids = count(state["next_id"])
+        self._changed()
 
     def _get(self, block_id: int) -> BlockInfo:
         try:

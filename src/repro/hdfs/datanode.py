@@ -447,7 +447,6 @@ class Datanode:
         #: Called after every :meth:`open_receiver` (the invariant
         #: monitor's wake-up hook).
         self.on_receiver_open: Optional["Callable[[], None]"] = None
-        self._heartbeat_proc: Optional[Process] = None
         #: FIFO serve-slot admission for read streams (the
         #: ``dfs.datanode.max.transfer.threads`` analogue): at most
         #: ``serve_streams`` concurrent readers, the rest queue.
@@ -484,40 +483,28 @@ class Datanode:
         self.namenode = namenode
         namenode.register_datanode(self.name, self.node.rack)
         if start_heartbeat:
-            self._heartbeat_proc = self.env.process(
-                self._heartbeat_loop(), name=f"hb:{self.name}"
-            )
+            self._start_heartbeats()
+
+    def _start_heartbeats(self) -> None:
+        """Beat every interval from now (the namenode's analytic chain)."""
+        assert self.namenode is not None
+        self.namenode.datanodes.start_beats(
+            self.name, self.network.control_delay(self.node, self.namenode.node)
+        )
 
     def stop_heartbeats(self) -> None:
-        """Interrupt the heartbeat loop (checkpoint barriers; no-op if idle)."""
-        if self._heartbeat_proc is not None and self._heartbeat_proc.is_alive:
-            self._heartbeat_proc.interrupt("heartbeats stopped")
-
-    def _heartbeat_loop(self) -> ProcessGenerator:
-        assert self.namenode is not None
-        interval = self.config.heartbeat_interval
-        try:
-            while True:
-                yield self.env.timeout(interval)
-                if not self.node.alive:
-                    return
-                yield from self.network.send_control(self.node, self.namenode.node)
-                self.namenode.datanode_heartbeat(self.name)
-        except Interrupt:
-            return
+        """Stop heartbeating (checkpoint barriers; no-op if not beating)."""
+        if self.namenode is not None:
+            self.namenode.datanodes.stop_beats(self.name)
 
     def register_heartbeats_again(self) -> None:
-        """Restart the heartbeat loop after the machine recovers.
+        """Restart heartbeats after the machine recovers.
 
         The namenode sees the node as live again on the next beat (its
         liveness is purely heartbeat-driven).
         """
-        if self.namenode is None:
-            return
-        if self._heartbeat_proc is None or not self._heartbeat_proc.is_alive:
-            self._heartbeat_proc = self.env.process(
-                self._heartbeat_loop(), name=f"hb:{self.name}"
-            )
+        if self.namenode is not None:
+            self._start_heartbeats()
 
     def report_block_received(self, block: Block, size: int) -> ProcessGenerator:
         """Send blockReceived to the namenode (control message)."""
@@ -614,8 +601,7 @@ class Datanode:
             self._serving, key=lambda s: (s.block_id, s.client)
         ):
             serve.abort()
-        if self._heartbeat_proc is not None and self._heartbeat_proc.is_alive:
-            self._heartbeat_proc.interrupt("datanode killed")
+        self.stop_heartbeats()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Datanode {self.name} active={len(self._active)}>"

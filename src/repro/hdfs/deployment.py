@@ -1,10 +1,10 @@
 """Wiring an HDFS service deployment onto a cluster substrate.
 
 :class:`HdfsDeployment` instantiates the namenode and one datanode service
-per datanode host, registers them (heartbeats start immediately), and
-provides :meth:`open_pipeline` — the §II step 3 construction both the
-baseline client and SMARTH use to chain BlockReceivers with their ACK
-relays.
+per datanode host, registers them (each starts its analytic heartbeat
+chain at once), and provides :meth:`open_pipeline` — the §II step 3
+construction both the baseline client and SMARTH use to chain
+BlockReceivers with their ACK relays.
 """
 
 from __future__ import annotations

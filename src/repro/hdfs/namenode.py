@@ -3,8 +3,9 @@
 Client-facing calls (``create_file``, ``add_block``, ``complete_file``,
 ``get_additional_datanode``) are process generators that charge the RPC
 round-trip latency ``T_n`` (§III-D) before executing.  Datanode-facing
-calls (registration, heartbeats, blockReceived) arrive via control
-messages and execute synchronously at the namenode.
+calls (registration, blockReceived) arrive via control messages and
+execute synchronously at the namenode; datanode heartbeats are analytic
+beat chains in the :class:`~repro.hdfs.datanode_manager.DatanodeManager`.
 
 The placement policy is pluggable: baseline deployments use
 :class:`~repro.hdfs.placement.DefaultPlacementPolicy`; SMARTH deployments
@@ -213,7 +214,12 @@ class Namenode:
 
     # -- liveness-monitor lifecycle (checkpoint barriers stop/restart it) ------
     def start_monitor(self) -> None:
-        """(Re)start the datanode liveness monitor if it is not running."""
+        """(Re)start the datanode liveness monitor if it is not running.
+
+        The monitor is a process that only holds its lifetime; it arms a
+        tick only where a datanode expires
+        (:meth:`~repro.hdfs.datanode_manager.DatanodeManager.monitor`).
+        """
         if self._monitor is None or not self._monitor.is_alive:
             self._monitor = self.env.process(
                 self.datanodes.monitor(), name="nn:monitor"
@@ -251,6 +257,7 @@ class Namenode:
             client=client, path=path,
         )
         yield from self._rpc()
+        self.datanodes.settle()
         inode = self.namespace.check_lease(path, client)
         rank = self.tracer.begin(
             "rank", "namenode", f"allocate:{client}", self.env.now, parent=sid,
@@ -286,6 +293,7 @@ class Namenode:
         Returns the chosen datanode name.
         """
         yield from self._rpc()
+        self.datanodes.settle()
         existing_set = set(existing)
         avoid = existing_set | set(excluded)
         candidates = [
@@ -331,9 +339,6 @@ class Namenode:
     # -- datanode-facing (synchronous, reached via control messages) -----------
     def register_datanode(self, name: str, rack: str) -> None:
         self.datanodes.register(name, rack)
-
-    def datanode_heartbeat(self, name: str) -> None:
-        self.datanodes.heartbeat(name)
 
     def block_received(self, block_id: int, datanode: str, size: int) -> None:
         self.blocks.replica_received(block_id, datanode, size)

@@ -19,6 +19,11 @@ Model:
   reports ``blockReceived``;
 * per-source concurrency is capped (HDFS's
   ``dfs.namenode.replication.max-streams`` analogue).
+
+A tick that found nothing to do finds nothing again until the liveness
+map or the block map changes, so the monitor then sleeps: its next tick
+is scheduled by the change itself, on the same grid (see
+:meth:`ReplicationMonitor.wake`).
 """
 
 from __future__ import annotations
@@ -26,11 +31,11 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Optional
 
-from ..sim import Interrupt, ProcessGenerator
+from ..policy.base import ReplicationPolicy
+from ..sim import Event, Interrupt, ProcessGenerator
 from .protocol import BlockState
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..policy.base import ReplicationPolicy
     from .deployment import HdfsDeployment
 
 __all__ = ["ReplicationMonitor", "copy_block"]
@@ -98,7 +103,16 @@ class ReplicationMonitor:
         #: Replicas dropped by the excess pass (for tests/reporting).
         self.removed: list[tuple[int, str]] = []
         self.rng = random.Random(deployment.config.seed ^ 0x9EA1)
+        #: Whether the last plan drew from :attr:`rng`.
+        self._drew = False
+        #: The grid tick of the last scan, and whether that scan let the
+        #: monitor sleep; while it sleeps, the event its loop waits on.
+        self._tick = 0.0
+        self._sleep = False
+        self._wake: Optional[Event] = None
         self._proc = None
+        self.namenode.datanodes.on_transition = self.wake
+        self.namenode.blocks.on_change = self.wake
         if autostart:
             self.start()
 
@@ -111,31 +125,111 @@ class ReplicationMonitor:
         if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt("monitor stopped")
 
+    def wake(self, at_tick: bool = False) -> None:
+        """Resume a dormant monitor on its grid (no-op while awake).
+
+        The next scan is the first grid tick after now, scheduled as one
+        event: the tick itself.  ``at_tick`` reports deaths the liveness
+        monitor's tick declared at this instant.  The loops ordered that
+        tick just before this monitor's scan of the same instant, so a
+        scan due now runs right here, inside the liveness tick's event,
+        and the loop skips it when its own event for this instant fires.
+        """
+        wake = self._wake
+        if wake is None or (wake.triggered and not at_tick):
+            return
+        now = self.env.now
+        tick = self._tick + self.interval
+        while tick < now:
+            tick += self.interval
+        if at_tick and tick == now:
+            self._wake = None
+            self._sleep = self._scan()
+            self._wake = wake
+            if wake.triggered or self._sleep:
+                return
+            tick += self.interval
+        elif wake.triggered:
+            return
+        elif tick == now:
+            tick += self.interval
+        wake.succeed_at(tick)
+
+    @property
+    def _may_sleep(self) -> bool:
+        """Whether an idle scan proves the next ones idle too.
+
+        Not under a policy whose replica target moves with time, or one
+        that trims excess replicas (``hotspot``): each of its scans can
+        act, and counts promotions.
+        """
+        policy = self.policy
+        return (
+            type(policy).target_replication
+            is ReplicationPolicy.target_replication
+            and not policy.manages_excess
+        )
+
     # ------------------------------------------------------------------
     def _run(self) -> ProcessGenerator:
+        """Scan on the grid ``t_{k+1} = t_k + interval`` from the start.
+
+        While a scan leaves nothing to watch, the monitor sleeps until
+        :meth:`wake`: nothing a skipped scan reads can have changed, so
+        it would have done nothing.
+        """
+        self._tick = self.env.now
+        self._sleep = False
         try:
             while True:
-                yield self.env.timeout(self.interval)
-                self._sweep_dead_nodes()
-                for task in self._plan():
-                    block_id, source, target = task
-                    self._in_flight.add(block_id)
-                    self._streams[source] = self._streams.get(source, 0) + 1
-                    self.env.process(
-                        self._replicate(block_id, source, target),
-                        name=f"rerepl:b{block_id}",
-                    )
-                if self.policy.manages_excess:
-                    self._trim_excess()
+                if self._sleep:
+                    self._wake = self.env.event()
+                    yield self._wake
+                    self._wake = None
+                else:
+                    yield self.env.timeout(self.interval)
+                if self._tick != self.env.now:
+                    self._sleep = self._scan()
         except Interrupt:
+            self._wake = None
             return
 
-    def _sweep_dead_nodes(self) -> None:
-        """Drop replicas hosted on namenode-declared-dead datanodes."""
+    def _scan(self) -> bool:
+        """One tick: sweep, plan and start copies, trim excess.
+
+        Returns whether the monitor may sleep: the scan swept no replica,
+        planned no task and drew nothing from :attr:`rng`, no copy is in
+        flight, and the policy's targets are fixed.
+        """
+        self._tick = self.env.now
+        self.namenode.datanodes.settle()
+        swept = self._sweep_dead_nodes()
+        tasks = self._plan()
+        for block_id, source, target in tasks:
+            self._in_flight.add(block_id)
+            self._streams[source] = self._streams.get(source, 0) + 1
+            self.env.process(
+                self._replicate(block_id, source, target),
+                name=f"rerepl:b{block_id}",
+            )
+        if self.policy.manages_excess:
+            self._trim_excess()
+        return self._may_sleep and not (
+            swept or tasks or self._drew or self._in_flight
+        )
+
+    def _sweep_dead_nodes(self) -> bool:
+        """Drop replicas hosted on namenode-declared-dead datanodes.
+
+        Returns whether any replica was dropped.
+        """
         manager = self.namenode.datanodes
+        swept = False
         for name in manager.all_names():
-            if not manager.descriptor(name).alive:
-                self.namenode.blocks.remove_datanode(name)
+            if not manager.is_alive(name):
+                if self.namenode.blocks.remove_datanode(name):
+                    swept = True
+        return swept
 
     def _plan(self) -> list[tuple[int, str, str]]:
         """One (block, source, target) task per healable block.
@@ -152,6 +246,7 @@ class ReplicationMonitor:
         live = set(manager.live_datanodes())
         now = self.env.now
         tasks: list[tuple[int, str, str]] = []
+        self._drew = False
 
         for block_id in blocks.under_replicated(self.policy.scan_replication()):
             if block_id in self._in_flight:
@@ -173,6 +268,7 @@ class ReplicationMonitor:
             ]
             if not sources:
                 continue
+            self._drew = True
             source = self.policy.select_source(self.rng, sources)
             target = self.policy.select_target(
                 self.rng, holders, live, topology
@@ -225,3 +321,4 @@ class ReplicationMonitor:
         finally:
             self._in_flight.discard(block_id)
             self._streams[source] = max(0, self._streams.get(source, 0) - 1)
+            self.wake()

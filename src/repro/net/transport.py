@@ -110,12 +110,13 @@ class Network:
 
         return done_event, finish
 
+    def control_delay(self, src: "Node", dst: "Node") -> float:
+        """Latency of one control message: none on the same host."""
+        return 0.0 if src is dst else self.config.control_latency
+
     def send_control(self, src: "Node", dst: "Node") -> ProcessGenerator:
         """Deliver a latency-only control message from ``src`` to ``dst``."""
-        if src is dst:
-            yield self.env.timeout(0)
-        else:
-            yield self.env.timeout(self.config.control_latency)
+        yield self.env.timeout(self.control_delay(src, dst))
 
     def connection_setup(self, hops: int = 1) -> ProcessGenerator:
         """Model pipeline construction cost: ``hops`` stream connects."""

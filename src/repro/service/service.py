@@ -7,17 +7,18 @@ long-lived SMARTH/HDFS deployment.  The simulated horizon is split into
 
 1. the driver stops admitting new arrivals and drains the queue and all
    in-flight uploads;
-2. the perpetual infrastructure loops (datanode heartbeats, the liveness
-   monitor, the replication scanner) are interrupted in canonical sorted
-   order;
+2. the perpetual infrastructure services are stopped in canonical sorted
+   order: each datanode's analytic heartbeat chain (its last beat stays
+   in the namenode's descriptor), the liveness monitor and the
+   replication scanner, whose armed timers are withdrawn;
 3. the schedule runs dry (:class:`~repro.sim.SnapshotError` if it
    doesn't — nothing may survive a barrier);
 4. all remaining state is plain data and is snapshotted, then the same
-   loops restart through the same code path.
+   services restart through the same code path.
 
 Because a barrier leaves *zero* pending events, a resumed run rebuilds
 the deployment from the spec (with services stopped), restores the plain
-state, resets the clock/event-id counter, and restarts the loops through
+state, resets the clock/event-id counter, and restarts the services through
 the identical path — so every subsequent ``(time, priority, eid)``
 triple, and therefore every journal line, metric and SLO table, is
 byte-identical to the straight run.  The straight run performs the same
@@ -332,7 +333,7 @@ class IngestService:
         self._quiesce()
 
     def _start_infra(self) -> None:
-        """(Re)start the perpetual loops in canonical order."""
+        """(Re)start the perpetual services in canonical order."""
         for name in sorted(self.deployment.datanodes):
             datanode = self.deployment.datanodes[name]
             if datanode.node.alive:
@@ -465,7 +466,7 @@ class IngestService:
             self.metrics.count(class_violations(arrival.cls))
 
     def _quiesce(self) -> None:
-        """Stop the loops, run the schedule dry, verify quiescence."""
+        """Stop the services, run the schedule dry, verify quiescence."""
         for name in sorted(self.deployment.datanodes):
             self.deployment.datanodes[name].stop_heartbeats()
         self.deployment.namenode.stop_monitor()

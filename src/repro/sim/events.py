@@ -104,8 +104,9 @@ class Event:
         discards it when popped — without advancing the clock, without
         counting it as processed, and without running callbacks.  The
         environment compacts the heap once tombstones dominate it, so
-        abandoned timers (heartbeats after their owner finished, losers of
-        a :func:`race`, stale recovery timeouts) stop churning the heap.
+        abandoned timers (a speed reporter's next beat after its upload
+        finished, losers of a :func:`race`, stale recovery timeouts, a
+        liveness tick re-planned away) stop churning the heap.
 
         Cancelling is the *caller's* assertion that no remaining subscriber
         matters.  Only successful, already-triggered events may be
@@ -132,6 +133,20 @@ class Event:
         self._ok = True
         self._value = value
         self.env.schedule(self)
+        return self
+
+    def succeed_at(self, when: float, value: Any = None) -> "Event":
+        """Set the event's value and schedule its callbacks for ``when``.
+
+        Like :meth:`succeed`, but at an absolute future time: a process
+        already waiting on the event resumes then, so a sleeper can be
+        woken at a chosen instant for the cost of that one event.
+        """
+        if self.triggered:
+            raise RuntimeError(f"{self!r} has already been triggered")
+        self.env.schedule_at(self, when)
+        self._ok = True
+        self._value = value
         return self
 
     def fail(self, exception: BaseException) -> "Event":

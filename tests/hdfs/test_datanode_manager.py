@@ -6,6 +6,8 @@ from repro.config import HdfsConfig
 from repro.hdfs import DatanodeManager
 from repro.sim import Environment
 
+from .reference_liveness import monitor_loop
+
 
 @pytest.fixture()
 def env():
@@ -67,3 +69,40 @@ class TestLiveness:
         manager.mark_dead("dn0")
         assert manager.all_names() == ("dn0",)
         assert len(manager) == 1
+
+    def test_expiry_tick_is_armed_where_the_loop_armed_it(self):
+        """A reader armed after the monitor planned an expiry, but more
+        than an interval before it, reads before that tick: the polling
+        loop created each tick's timer one interval ahead."""
+        seen = {}
+        for name, start in (("analytic", DatanodeManager.monitor),
+                            ("loop", monitor_loop)):
+            env = Environment()
+            manager = DatanodeManager(
+                env, HdfsConfig(heartbeat_interval=3.0, dead_node_heartbeats=2)
+            )
+            manager.register("dn0", "rack0")  # silent: expires at t=9
+            env.process(start(manager))
+
+            def reader(env, manager, out):
+                yield env.timeout(1.0)
+                yield env.timeout(8.0)
+                out.append(manager.is_alive("dn0"))
+
+            out = []
+            env.process(reader(env, manager, out))
+            env.run(until=10)
+            seen[name] = (out, manager.is_alive("dn0"))
+        assert seen["analytic"] == seen["loop"] == ([True], False)
+
+    def test_second_monitor_refused(self, env, manager):
+        env.process(manager.monitor())
+        env.run(until=1)
+        with pytest.raises(RuntimeError):
+            env.process(manager.monitor())
+            env.run(until=2)
+
+    def test_latency_must_stay_below_the_interval(self, manager):
+        manager.register("dn0", "rack0")
+        with pytest.raises(ValueError):
+            manager.start_beats("dn0", latency=3.0)

@@ -92,7 +92,29 @@ class TestSteadyStateEquivalence:
             client = HdfsClient(deployment)
             env.run(until=env.process(client.put("/data/f.bin", UPLOAD)))
             env_events[coalesce] = env.events_processed
-        assert env_events == {1: 19_635, 0: 171}
+        assert env_events == {1: 19_626, 0: 162}
+
+    def test_kernel_pipeline_counts(self):
+        """``bench_kernel``'s pipeline shape (256 MB over 32 MB blocks):
+        the exact heap events of both modes, whose ratio the
+        ``kernel.pipeline`` event-reduction floor gates."""
+        env_events, durations = {}, set()
+        for coalesce in (1, 0):
+            env = Environment()
+            config = SimulationConfig().with_hdfs(
+                block_size=32 * MB,
+                packet_size=64 * KB,
+                coalesce_packets=coalesce,
+            )
+            cluster = build_homogeneous(env, SMALL, n_datanodes=9, config=config)
+            client = HdfsClient(HdfsDeployment(cluster))
+            result = env.run(
+                until=env.process(client.put("/bench/pipeline.bin", 256 * MB))
+            )
+            env_events[coalesce] = env.events_processed
+            durations.add(result.duration)
+        assert env_events == {1: 78_161, 0: 321}
+        assert len(durations) == 1
 
 
 #: Name prefixes of the per-packet loops: a receiver's receive, ACK-relay

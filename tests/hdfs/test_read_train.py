@@ -147,3 +147,25 @@ def test_train_mode_uses_fewer_events():
         return env.events_processed - before
 
     assert events(1) >= 1.5 * events(0)
+
+
+def test_streaming_read_counts():
+    """``bench_read``'s streaming shape (8 MB blocks) at 64 MB: the exact
+    heap events of the read in both modes, whose ratio the
+    ``read.streaming`` event-reduction floor gates, and one duration."""
+    events, durations = {}, set()
+    for coalesce in (1, 0):
+        env = Environment()
+        cfg = SimulationConfig().with_hdfs(
+            block_size=8 * MB, packet_size=PACKET, coalesce_reads=coalesce
+        )
+        cluster = build_homogeneous(env, SMALL, n_datanodes=9, config=cfg)
+        deployment = HdfsDeployment(cluster)
+        client = deployment.client()
+        env.run(until=env.process(client.put("/f", 64 * MB)))
+        before = env.events_processed
+        result = env.run(until=env.process(HdfsReader(deployment).get("/f")))
+        events[coalesce] = env.events_processed - before
+        durations.add(result.duration)
+    assert events == {1: 2_076, 0: 68}
+    assert len(durations) == 1

@@ -109,3 +109,38 @@ class TestHealing:
         upload(env, deployment)
         env.run(until=env.now + 30)
         assert deployment.replication_monitor.completed == []
+
+
+class TestDormancy:
+    """An idle scan puts the monitor to sleep; a change wakes it on its
+    grid (``interval`` 1 s from t=0), for one event: the scan itself."""
+
+    def _scans(self, deployment):
+        monitor = deployment.replication_monitor
+        scans = []
+        scan = monitor._scan
+
+        def recording():
+            scans.append(monitor.env.now)
+            return scan()
+
+        monitor._scan = recording
+        return monitor, scans
+
+    def test_wakes_on_the_next_grid_tick(self):
+        env, deployment = build()
+        monitor, scans = self._scans(deployment)
+
+        def poke(env):
+            yield env.timeout_at(2.5)
+            monitor.wake()  # off the grid: the scan at 3
+            yield env.timeout_at(5.0)
+            monitor.wake()  # on a tick: the scan of this instant was due
+            # before the change, so the next one is at 6
+            yield env.timeout_at(8.0)
+            monitor.wake(at_tick=True)  # a liveness tick's deaths: now
+            scans.append(("inline", env.now))
+
+        env.process(poke(env))
+        env.run(until=12)
+        assert scans == [1.0, 3.0, 6.0, 8.0, ("inline", 8.0)]

@@ -127,9 +127,10 @@ class TestReporterStop:
         assert stops[0].time == pytest.approx(result.end)
         assert not client._reporter.is_alive
         # Heap hygiene at upload completion: the only live entries left
-        # are the cluster's own periodic machinery (6 datanode heartbeats
-        # + the liveness monitor) and the reporter's just-finished process
-        # event — not a backlog of abandoned client timers.  The
-        # reporter's next beat and every per-packet race loser were
-        # cancelled, so the live count is bounded by cluster size.
+        # are the cluster's own machinery (datanode heartbeats are
+        # analytic, the liveness monitor arms a timer only where a node
+        # expires) and the reporter's just-finished process event — not a
+        # backlog of abandoned client timers.  The reporter's next beat
+        # and every per-packet race loser were cancelled, so the live
+        # count is bounded by cluster size.
         assert len(env) <= 6 + 2
