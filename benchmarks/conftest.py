@@ -36,11 +36,12 @@ def write_bench_json(
 
     Machine-readable companion to the ``.txt`` results: CI jobs (the
     perf-smoke floor check) and the README's performance table read
-    these instead of scraping text.
+    these instead of scraping text.  Every section records the
+    ``REPRO_BENCH_SCALE`` it ran at as ``bench_scale``.
     """
     path = results_dir / f"BENCH_{name}.json"
     data = json.loads(path.read_text()) if path.exists() else {}
-    data[section] = payload
+    data[section] = {**payload, "bench_scale": bench_scale()}
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return path
 

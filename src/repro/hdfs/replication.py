@@ -197,13 +197,15 @@ class ReplicationMonitor:
     def _scan(self) -> bool:
         """One tick: sweep, plan and start copies, trim excess.
 
-        Returns whether the monitor may sleep: the scan swept no replica,
-        planned no task and drew nothing from :attr:`rng`, no copy is in
-        flight, and the policy's targets are fixed.
+        Returns whether the monitor may sleep: the scan planned no task
+        and drew nothing from :attr:`rng`, no copy is in flight, and the
+        policy's targets are fixed.  What the sweep dropped does not keep
+        it awake: the sweep is idempotent and this scan's plan already
+        saw its result.
         """
         self._tick = self.env.now
         self.namenode.datanodes.settle()
-        swept = self._sweep_dead_nodes()
+        self._sweep_dead_nodes()
         tasks = self._plan()
         for block_id, source, target in tasks:
             self._in_flight.add(block_id)
@@ -214,22 +216,14 @@ class ReplicationMonitor:
             )
         if self.policy.manages_excess:
             self._trim_excess()
-        return self._may_sleep and not (
-            swept or tasks or self._drew or self._in_flight
-        )
+        return self._may_sleep and not (tasks or self._drew or self._in_flight)
 
-    def _sweep_dead_nodes(self) -> bool:
-        """Drop replicas hosted on namenode-declared-dead datanodes.
-
-        Returns whether any replica was dropped.
-        """
+    def _sweep_dead_nodes(self) -> None:
+        """Drop replicas hosted on namenode-declared-dead datanodes."""
         manager = self.namenode.datanodes
-        swept = False
         for name in manager.all_names():
             if not manager.is_alive(name):
-                if self.namenode.blocks.remove_datanode(name):
-                    swept = True
-        return swept
+                self.namenode.blocks.remove_datanode(name)
 
     def _plan(self) -> list[tuple[int, str, str]]:
         """One (block, source, target) task per healable block.

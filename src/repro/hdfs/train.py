@@ -20,17 +20,21 @@ The conductor stays honest three ways:
   later.  The takes feed back into production's queue bound, so the
   whole block is planned at start.
 * **Channel guards.**  Train occupancy is held as a per-channel ledger of
-  ``(issue, end)`` quotes rather than a committed ``busy_until``.  The
-  instant a *foreign* caller quotes a guarded channel, the guard
-  materialises the ledger prefix with ``issue <= now`` (those quotes are
-  immutable, exactly like legacy in-flight packets) so the foreign
-  transfer chains behind it, then wakes the conductor to re-plan.
+  ``(issue, end)`` quotes rather than a committed ``busy_until``.  Every
+  channel serves one role in a train, so its ledger is not a copy but a
+  pair of the timeline's own columns.  The instant a *foreign* caller
+  quotes a guarded channel, the guard materialises the ledger prefix with
+  ``issue <= now`` (those quotes are immutable, exactly like legacy
+  in-flight packets) so the foreign transfer chains behind it, then wakes
+  the conductor to re-plan.
 * **Frozen-prefix replay.**  On any invalidation (throttle-table change,
   foreign quote) the plan is recomputed at the interruption time ``T``:
   operations whose issue time is ``< T`` keep their quotes verbatim,
   everything later is re-quoted with the current effective rates and the
   channels' real ``busy_until`` as floors.  Causality guarantees replayed
-  issue times never move before ``T``, so the split is well defined.
+  issue times never move before ``T``, so the split is well defined: a
+  frozen quote's recomputed issue equals its old one, and the rows whose
+  every quote is frozen are copied rather than recomputed.
 
 Observable history is preserved bit-for-bit: the journal's
 ``block_stored`` / FNFA / ``blockReceived`` activity is produced by
@@ -68,7 +72,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Optional
 
-from ..net.stats import FlowSample
 from ..sim import Environment, Event, ProcessGenerator, race
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,15 +133,17 @@ class TrainBase:
     """Guard / ledger / frozen-prefix replay and the conductor, shared.
 
     A train holds its channels' occupancy *analytically*: instead of
-    committing quotes to ``busy_until`` as it plans, it keeps a
-    per-channel ledger of ``(issue, end)`` pairs and installs a guard on
-    each channel.  A foreign quote materialises exactly the ledger prefix
-    legacy would already have committed, then wakes the conductor (the
+    committing quotes to ``busy_until`` as it plans, it installs a guard
+    on each channel and keeps the channel's ``(issue, end)`` quotes as a
+    ledger.  No channel serves two roles in one train, so each ledger is
+    a pair of the timeline's own columns (``_ledger_columns``), in FIFO
+    order.  A foreign quote materialises exactly the ledger prefix legacy
+    would already have committed, then wakes the conductor (the
     ``_flag``) to replay the remainder with frozen-prefix semantics.
-    Subclasses provide the rates (``_snapshot_rates``), the timeline
-    recurrences (``_extend``, ``_replay``) and their ``(when, order, kind,
-    hop)`` milestones (``_rebuild_milestones``, ``_fire``); everything
-    here is recurrence-agnostic.
+    Subclasses provide the rates (``_snapshot_rates``), the planner of
+    rows ``k0..K-1`` (``_plan``), the replay (``_replay``) and their
+    ``(when, order, kind, hop)`` milestones (``_rebuild_milestones``,
+    ``_fire``); everything here is recurrence-agnostic.
     """
 
     #: Metrics counter bumped once per conducted train.
@@ -156,9 +161,11 @@ class TrainBase:
 
         #: Every channel whose occupancy this train holds analytically.
         self.channels: list = []
-        #: Per channel: parallel (issues, ends) lists in FIFO order.
+        #: Per channel id: its (issues, ends) timeline columns.
         self._ledger: dict = {}
-        self._chan_busy: dict = {}
+        #: Per channel, in ``channels`` order: its busy float while
+        #: planning (the ``busy_until`` of :meth:`Channel.quote`).
+        self._busy: list[float] = []
         self._flag: Event = self.env.event()
         self._guarded: set = set()  # channel ids still holding our guard
         self._fired: set = set()
@@ -169,13 +176,11 @@ class TrainBase:
         #: Rows of the timeline (packets or chunks), set by subclasses.
         self._K = 0
         self._t0 = 0.0  # the train's start
-        self._old: Optional[tuple] = None  # previous arrays during replay
-        self._freeze_before = 0.0
 
     # -- lifecycle ---------------------------------------------------------
     def _arm(self, name: str) -> None:
         """Arm the guards, subscribe to throttle changes, snapshot the
-        rates and the ledger, and spawn the conductor."""
+        rates and the busy floors, and spawn the conductor."""
         assert not self._started
         self._started = True
         self._t0 = self.env.now
@@ -193,8 +198,7 @@ class TrainBase:
         env = self.env
         if self._dead:
             return  # settled before it could plan anything
-        for k in range(self._K):
-            self._extend(k)
+        self._plan(0)
         self._rebuild_milestones()
         while self._milestones:
             self._maybe_replay()
@@ -281,40 +285,25 @@ class TrainBase:
 
     # -- ledger math -------------------------------------------------------
     def _reset_plan(self) -> None:
-        """Re-read the rates and start empty ledgers on the channels'
-        current ``busy_until`` floors."""
+        """Re-read the rates, point each channel's ledger at its timeline
+        columns and start its busy float on its ``busy_until`` floor.
+
+        In a replay the columns already hold the copied frozen prefix, so
+        the floor is raised to the prefix's last end: ends are
+        nondecreasing along a ledger, so that is every kept quote's.
+        The planners quote as :meth:`Channel.quote` does, on these floats:
+        a live quote is ``end = max(busy, issue) + size / rate`` and then
+        ``busy = end``; a frozen one keeps its old end and raises ``busy``
+        to it.
+        """
         self._snapshot_rates()
-        self._chan_busy = {id(ch): ch._busy_until for ch in self.channels}
-        self._ledger = {id(ch): ([], []) for ch in self.channels}
-
-    def _quote(self, channel, issue: float, size: int, rate: float) -> float:
-        """The :meth:`Channel.quote` recurrence against the train ledger."""
-        key = id(channel)
-        busy = self._chan_busy[key]
-        start = busy if busy > issue else issue
-        end = start + size / rate
-        self._chan_busy[key] = end
-        issues, ends = self._ledger[key]
-        issues.append(issue)
-        ends.append(end)
-        return end
-
-    def _keep(self, channel, issue: float, end: float) -> float:
-        """Carry a frozen (pre-invalidation) quote through a replay."""
-        key = id(channel)
-        if end > self._chan_busy[key]:
-            self._chan_busy[key] = end
-        issues, ends = self._ledger[key]
-        issues.append(issue)
-        ends.append(end)
-        return end
-
-    def _seed_ledger(self, channel, issues: list, ends: list) -> None:
-        """Install a copied frozen prefix as a channel's replay ledger."""
-        key = id(channel)
-        self._ledger[key] = (issues[:], ends[:])
-        if ends and ends[-1] > self._chan_busy[key]:
-            self._chan_busy[key] = ends[-1]
+        self._ledger = dict(zip(map(id, self.channels), self._ledger_columns()))
+        busy = self._busy = []
+        for channel, (_issues, ends) in zip(self.channels, self._ledger.values()):
+            floor = channel._busy_until
+            if ends and ends[-1] > floor:
+                floor = ends[-1]
+            busy.append(floor)
 
     def _maybe_replay(self) -> None:
         if self._flag.triggered:
@@ -359,10 +348,10 @@ class PacketTrain(TrainBase):
         self._ingress = [dst.nic.ingress for _src, dst in self._links]
         self._disk_ch = [r.host.disk._channel for r in self.receivers]
         self._disk_rate = [r.host.disk.rate for r in self.receivers]
-        seen: dict = {}
-        for channel in (*self._egress, *self._ingress, *self._disk_ch):
-            seen.setdefault(id(channel), channel)
-        self.channels = list(seen.values())
+        self.channels = [*self._egress, *self._ingress, *self._disk_ch]
+        # plan_train refuses loopback and repeated hosts, so no channel
+        # serves two roles and each ledger is one pair of columns.
+        assert len(set(map(id, self.channels))) == 3 * self._n_hops
 
         #: Fires at the last packet's first-hop arrival (legacy "all
         #: packets sent" point — ``send_block`` resumes here).  The block
@@ -423,81 +412,116 @@ class PacketTrain(TrainBase):
             self.network.effective_rate(src, dst) for src, dst in self._links
         ]
 
-    def _take(self, k: int) -> None:
-        """Take packet ``k`` off the data queue, analytically.
+    def _ledger_columns(self) -> list:
+        """Egress ``(p, ee)``, ingress ``(p, ie)`` and disk ``(a, w)`` per
+        hop, in ``channels`` order."""
+        return [
+            *zip(self._p, self._ee),
+            *zip(self._p, self._ie),
+            *zip(self._a, self._w),
+        ]
 
-        The take is issued when packet ``k-1`` lands at the first hop
-        (packet 0's at the train's start) and resolves once production
-        has put the packet into the queue.
-        """
-        issue = self._t0 if k == 0 else self._a[0][k - 1]
-        ready = self._production.ready(self._first + k)
-        take = issue if issue > ready else ready
-        self._production.take_at(self._first + k, take)
-        self._g.append(take)
+    def _plan(self, k0: int, old: Optional[tuple] = None, T: float = 0.0) -> None:
+        """Plan rows ``k0..K-1`` from the recurrences, column by column.
 
-    def _extend(self, k: int) -> None:
-        """Compute packet ``k``'s full multi-hop row from the recurrences.
-
-        Mirrors, hop by hop, what the per-packet processes do: first-hop
-        issue gated by the take and hop-0 buffer tokens, transfer quotes
-        on egress+ingress, the analytic disk write at arrival,
+        Mirrors, hop by hop, what the per-packet processes do: the take
+        off the data queue (issued when packet ``k-1`` lands at the first
+        hop, resolved once production has put packet ``k`` into the
+        queue), first-hop issue gated by the take and hop-0 buffer tokens,
+        transfer quotes on egress+ingress, the disk write at arrival,
         store-and-forward into the next hop gated by its tokens, and the
         write-and-downstream-gated ACK relay walking back to the client.
+
+        The rows go in windows of the smallest buffer capacity: hop 0's
+        columns, then hop 1's, ..., then the ACK walk from the tail to
+        the head.  A hop's backpressure term ``rel[h][k - cap]`` lies in
+        an earlier window, so the order is exact, and each channel still
+        sees its quotes in row order.  In a replay ``old`` holds the
+        previous ``(p, ee, ie, a, w)`` columns: a quote issued before
+        ``T`` keeps its old end, and each channel's frozen rows are a
+        prefix of its issue column, found by one bisection.
         """
-        if k == len(self._g):
-            self._take(k)
-        size = self._sizes[k]
-        H = self._n_hops
-        old = self._old
-        frozen_T = self._freeze_before
+        K, H = self._K, self._n_hops
+        L, C = self._L, self._C
+        sizes, caps, busy = self._sizes, self._caps, self._busy
+        g, production, first = self._g, self._production, self._first
+        p, ee, ie, a, w = self._p, self._ee, self._ie, self._a, self._w
+        u, rel = self._u, self._rel
+        old_p, old_ee, old_ie, old_a, old_w = old or ([()] * H,) * 5
+        frozen = [
+            (bisect_left(old_p[h], T), bisect_left(old_a[h], T)) for h in range(H)
+        ]
+        step = min(caps)
+        for start in range(k0, K, step):
+            stop = min(start + step, K)
+            for h in range(H):
+                cap, rate, disk_rate = caps[h], self._rates[h], self._disk_rate[h]
+                ph, eeh, ieh, ah, wh, relh = p[h], ee[h], ie[h], a[h], w[h], rel[h]
+                upstream, freed = (a[h - 1], rel[h - 1]) if h else (None, None)
+                frozen_q, frozen_d = frozen[h]
+                kept_ee, kept_ie, kept_w = old_ee[h], old_ie[h], old_w[h]
+                eb, ib, db = busy[h], busy[H + h], busy[2 * H + h]
+                arrival = ah[start - 1] if start else self._t0
+                for k in range(start, stop):
+                    if not h:
+                        if k == len(g):
+                            ready = production.ready(first + k)
+                            take = arrival if arrival > ready else ready
+                            production.take_at(first + k, take)
+                            g.append(take)
+                        base = g[k]
+                    else:
+                        # Forwarder of hop h-1: ready after its previous
+                        # forward landed, and the packet must have
+                        # arrived at hop h-1.
+                        base = upstream[k]
+                        if k and arrival > base:
+                            base = arrival
+                    if k >= cap and relh[k - cap] > base:
+                        base = relh[k - cap]  # §IV-C buffer backpressure
+                    ph.append(base)
+                    size = sizes[k]
+                    if k < frozen_q:
+                        e, i = kept_ee[k], kept_ie[k]
+                        if e > eb:
+                            eb = e
+                        if i > ib:
+                            ib = i
+                    else:
+                        dt = size / rate
+                        e = eb = (eb if eb > base else base) + dt
+                        i = ib = (ib if ib > base else base) + dt
+                    eeh.append(e)
+                    ieh.append(i)
+                    arrival = (e if e > i else i) + L
+                    ah.append(arrival)
+                    if h:
+                        freed.append(arrival)  # token freed on forward
+                    if k < frozen_d:
+                        d = kept_w[k]
+                        if d > db:
+                            db = d
+                    else:
+                        d = db = (db if db > arrival else arrival) + size / disk_rate
+                    wh.append(d)
+                busy[h], busy[H + h], busy[2 * H + h] = eb, ib, db
 
-        for h in range(H):
-            if h == 0:
-                base = self._g[k]
-            else:
-                # Forwarder of hop h-1: ready after its previous forward
-                # landed, and the packet must have arrived at hop h-1.
-                base = self._a[h - 1][k]
-                if k > 0 and self._a[h][k - 1] > base:
-                    base = self._a[h][k - 1]
-            cap = self._caps[h]
-            if k >= cap and self._rel[h][k - cap] > base:
-                base = self._rel[h][k - cap]  # §IV-C buffer backpressure
-            self._p[h].append(base)
-            if old is not None and old[0][h][k] < frozen_T:
-                ee = self._keep(self._egress[h], old[0][h][k], old[1][h][k])
-                ie = self._keep(self._ingress[h], old[0][h][k], old[2][h][k])
-            else:
-                rate = self._rates[h]
-                ee = self._quote(self._egress[h], base, size, rate)
-                ie = self._quote(self._ingress[h], base, size, rate)
-            self._ee[h].append(ee)
-            self._ie[h].append(ie)
-            arrival = (ee if ee > ie else ie) + self._L
-            self._a[h].append(arrival)
-            if h > 0:
-                self._rel[h - 1].append(arrival)  # token freed on forward
-            if old is not None and old[3][h][k] < frozen_T:
-                w = self._keep(self._disk_ch[h], old[3][h][k], old[4][h][k])
-            else:
-                w = self._quote(
-                    self._disk_ch[h], arrival, size, self._disk_rate[h]
-                )
-            self._w[h].append(w)
-
-        for h in range(H - 1, -1, -1):
-            ready = self._u[h][k - 1] if k > 0 else 0.0
-            if self._a[h][k] > ready:
-                ready = self._a[h][k]
-            if self._w[h][k] > ready:
-                ready = self._w[h][k]
-            if h == H - 1:
-                self._rel[h].append(ready)  # tail frees its token pre-ACK
-            else:
-                if self._u[h + 1][k] > ready:
-                    ready = self._u[h + 1][k]
-            self._u[h].append(ready + self._C)
+            for h in range(H - 1, -1, -1):
+                uh, ah, wh = u[h], a[h], w[h]
+                downstream = u[h + 1] if h < H - 1 else None
+                acked = uh[start - 1] if start else 0.0
+                for k in range(start, stop):
+                    ready = acked
+                    if ah[k] > ready:
+                        ready = ah[k]
+                    if wh[k] > ready:
+                        ready = wh[k]
+                    if downstream is None:
+                        rel[h].append(ready)  # tail frees its token pre-ACK
+                    elif downstream[k] > ready:
+                        ready = downstream[k]
+                    acked = ready + C
+                    uh.append(acked)
 
     def _replay(self) -> None:
         """Frozen-prefix recompute at ``now`` with current rates/floors.
@@ -507,57 +531,28 @@ class PacketTrain(TrainBase):
         rows.  Later rows are taken again against the replayed plan, and
         production forgets their old takes first.  That happens only
         before ``sent``, so the next block's takes are never touched.
+
+        A row whose *last* quote issue -- the tail hop's disk issue
+        ``a[H-1][k]``, the maximum issue in the row -- is already frozen
+        keeps every quote, so its replayed values are verbatim copies.
+        That row prefix is found with one bisection over the monotone
+        arrival column and copied wholesale; planning resumes after it.
         """
         H = self._n_hops
         K = self._K
-        frozen_T = self._freeze_before = self.env.now
-        kept = bisect_left(self._a[0], frozen_T) + 1
+        T = self.env.now
+        kept = bisect_left(self._a[0], T) + 1
         if kept < K:
             del self._g[kept:]
             self._production.rewind(self._first + kept)
-        # _old layout: [0]=issues(p), [1]=egress ends, [2]=ingress ends,
-        # [3]=disk issues(a), [4]=disk ends(w) — see _extend's frozen path.
-        self._old = (self._p, self._ee, self._ie, self._a, self._w)
-        old_u, old_rel = self._u, self._rel
-        self._p = [[] for _ in range(H)]
-        self._ee = [[] for _ in range(H)]
-        self._ie = [[] for _ in range(H)]
-        self._a = [[] for _ in range(H)]
-        self._w = [[] for _ in range(H)]
-        self._u = [[] for _ in range(H)]
-        self._rel = [[] for _ in range(H)]
+        old = (self._p, self._ee, self._ie, self._a, self._w)
+        cutoff = bisect_left(self._a[H - 1], T)
+        self._p, self._ee, self._ie, self._a, self._w, self._u, self._rel = (
+            [column[:cutoff] for column in columns]
+            for columns in (*old, self._u, self._rel)
+        )
         self._reset_plan()
-
-        # A row whose *last* quote issue — the tail hop's disk issue
-        # ``a[H-1][k]``, the maximum issue in the row — is already frozen
-        # takes the ``_keep`` branch for every quote, so its replayed
-        # values are verbatim copies.  Find that fully-frozen row prefix
-        # with one bisection over the monotone arrival column and copy it
-        # wholesale (timeline rows, per-channel ledgers, busy floors)
-        # instead of re-walking it quote by quote.  Requires role-unique
-        # channels (guaranteed by the planner's host checks; verified
-        # cheaply here) so each ledger maps to exactly one column pair.
-        # Bit-identical by construction: copies of frozen values.
-        cutoff = 0
-        if len(self.channels) == 3 * H:
-            cutoff = bisect_left(self._old[3][H - 1], frozen_T)
-            if cutoff:
-                for h in range(H):
-                    self._p[h] = self._old[0][h][:cutoff]
-                    self._ee[h] = self._old[1][h][:cutoff]
-                    self._ie[h] = self._old[2][h][:cutoff]
-                    self._a[h] = self._old[3][h][:cutoff]
-                    self._w[h] = self._old[4][h][:cutoff]
-                    self._u[h] = old_u[h][:cutoff]
-                    self._rel[h] = old_rel[h][:cutoff]
-                for h in range(H):
-                    self._seed_ledger(self._egress[h], self._p[h], self._ee[h])
-                    self._seed_ledger(self._ingress[h], self._p[h], self._ie[h])
-                    self._seed_ledger(self._disk_ch[h], self._a[h], self._w[h])
-
-        for k in range(cutoff, K):
-            self._extend(k)
-        self._old = None
+        self._plan(cutoff, old, T)
         self._rebuild_milestones()
 
     # -- milestones --------------------------------------------------------
@@ -617,9 +612,9 @@ class PacketTrain(TrainBase):
         """Batch NIC/flow/disk counters for the given per-hop row counts.
 
         ``sent_rows[h]`` is the number of packets whose hop-``h`` transfer
-        completed (legacy applies bytes and the FlowSample at transfer
-        end); ``disk_rows[h]`` counts committed disk writes (legacy
-        commits ``bytes_written`` at issue).
+        completed (legacy applies bytes and the flow at transfer end);
+        ``disk_rows[h]`` counts committed disk writes (legacy commits
+        ``bytes_written`` at issue).
         """
         stats = self.network.stats
         for h, (src, dst) in enumerate(self._links):
@@ -629,18 +624,9 @@ class PacketTrain(TrainBase):
             moved = sum(self._sizes[:done])
             src.nic.bytes_sent += moved
             dst.nic.bytes_received += moved
-            src_name, dst_name = src.name, dst.name
-            p_row, a_row = self._p[h], self._a[h]
-            for k in range(done):
-                stats.record(
-                    FlowSample(
-                        src=src_name,
-                        dst=dst_name,
-                        size=self._sizes[k],
-                        start=p_row[k],
-                        end=a_row[k],
-                    )
-                )
+            stats.record_run(
+                src.name, dst.name, self._sizes, self._p[h], self._a[h], done
+            )
         for h, receiver in enumerate(self.receivers):
             if disk_rows[h]:
                 receiver.host.disk.bytes_written += sum(
@@ -780,7 +766,7 @@ class ReadTrain(TrainBase):
     * ``m_{k+1} = max(x_k, d_{k+1})``.
 
     The stream ends at ``x_{K-1}``; :attr:`done` fires there after the
-    settle batch-applies disk/NIC counters and FlowSamples.  A datanode
+    settle batch-applies disk/NIC counters and flows.  A datanode
     kill mid-train settles the strictly-delivered prefix and records
     :attr:`delivered_bytes` so the reader resumes from the next replica.
     """
@@ -811,10 +797,8 @@ class ReadTrain(TrainBase):
         self._disk_ch = self.disk._channel
         self._egress = source.node.nic.egress
         self._ingress = client_node.nic.ingress
-        seen: dict = {}
-        for channel in (self._disk_ch, self._egress, self._ingress):
-            seen.setdefault(id(channel), channel)
-        self.channels = list(seen.values())
+        self.channels = [self._disk_ch, self._egress, self._ingress]
+        assert len(set(map(id, self.channels))) == 3
 
         #: Fires when the stream ends: with the block on success, with
         #: ``None`` after a mid-train kill.
@@ -848,49 +832,66 @@ class ReadTrain(TrainBase):
             self.source.node, self.client_node
         )
 
-    def _extend(self, k: int) -> None:
-        """Compute chunk ``k``'s row from the three-channel recurrence."""
-        size = self._sizes[k]
-        old = self._old
-        frozen_T = self._freeze_before
+    def _ledger_columns(self) -> list:
+        """Disk ``(di, d)``, egress ``(m, e)`` and ingress ``(m, i)``."""
+        return [(self._di, self._d), (self._m, self._e), (self._m, self._i)]
 
+    def _plan(self, k0: int, old: Optional[tuple] = None, T: float = 0.0) -> None:
+        """Plan chunks ``k0..K-1`` row by row from the recurrence.
+
+        In a replay ``old`` holds the previous ``(di, d)`` columns: a disk
+        prefetch issued before ``T`` keeps its old end.  Rows from ``k0``
+        on have their transfers issued at or after ``T`` (see
+        :meth:`_replay`), so only the disk can still hold a frozen quote.
+        """
+        K, L, t0 = self._K, self._L, self._t0
+        sizes, rate, disk_rate = self._sizes, self._rate, self.disk.rate
+        di, d, m, e, i, x = self._di, self._d, self._m, self._e, self._i, self._x
+        old_di, old_d = old or ((), ())
+        frozen_d = bisect_left(old_di, T)
+        db, eb, ib = self._busy
         # Disk prefetch: chunk 0 is quoted at the stream start, chunk k at
         # the previous row's disk-wait resolution (the legacy loop quotes
         # the next read the instant the previous wait resolves).
-        di = self._t0 if k == 0 else self._m[k - 1]
-        self._di.append(di)
-        if old is not None and old[0][k] < frozen_T:
-            d = self._keep(self._disk_ch, old[0][k], old[1][k])
-        else:
-            d = self._quote(self._disk_ch, di, size, self.disk.rate)
-        self._d.append(d)
-
-        prev = self._t0 if k == 0 else self._x[k - 1]
-        m = prev if prev > d else d
-        self._m.append(m)
-
-        if old is not None and old[2][k] < frozen_T:
-            e = self._keep(self._egress, old[2][k], old[3][k])
-            i = self._keep(self._ingress, old[2][k], old[4][k])
-        else:
-            e = self._quote(self._egress, m, size, self._rate)
-            i = self._quote(self._ingress, m, size, self._rate)
-        self._e.append(e)
-        self._i.append(i)
-        self._x.append((e if e > i else i) + self._L)
+        issue = m[k0 - 1] if k0 else t0
+        done = x[k0 - 1] if k0 else t0
+        for k in range(k0, K):
+            size = sizes[k]
+            di.append(issue)
+            if k < frozen_d:
+                read = old_d[k]
+                if read > db:
+                    db = read
+            else:
+                read = db = (db if db > issue else issue) + size / disk_rate
+            d.append(read)
+            issue = done if done > read else read
+            m.append(issue)
+            dt = size / rate
+            egress = eb = (eb if eb > issue else issue) + dt
+            ingress = ib = (ib if ib > issue else issue) + dt
+            e.append(egress)
+            i.append(ingress)
+            done = (egress if egress > ingress else ingress) + L
+            x.append(done)
+        self._busy = [db, eb, ib]
 
     def _replay(self) -> None:
-        """Frozen-prefix recompute at ``now`` with current rates/floors."""
-        # _old layout: [0]=disk issues, [1]=disk ends, [2]=transfer
-        # issues, [3]=egress ends, [4]=ingress ends — see _extend.
-        self._old = (self._di, self._d, self._m, self._e, self._i)
-        self._freeze_before = self.env.now
-        self._di, self._d, self._m = [], [], []
-        self._e, self._i, self._x = [], [], []
+        """Frozen-prefix recompute at ``now`` with current rates/floors.
+
+        A chunk whose transfer issue ``m[k]`` -- the row's last issue --
+        lies before ``now`` keeps all three quotes, so that row prefix is
+        copied and planning resumes after it.
+        """
+        T = self.env.now
+        old = (self._di, self._d)
+        cutoff = bisect_left(self._m, T)
+        self._di, self._d, self._m, self._e, self._i, self._x = (
+            column[:cutoff]
+            for column in (self._di, self._d, self._m, self._e, self._i, self._x)
+        )
         self._reset_plan()
-        for k in range(self._K):
-            self._extend(k)
-        self._old = None
+        self._plan(cutoff, old, T)
         self._rebuild_milestones()
 
     # -- the milestone -----------------------------------------------------
@@ -906,19 +907,14 @@ class ReadTrain(TrainBase):
 
     # -- settles -----------------------------------------------------------
     def _record_flows(self, rows: int) -> None:
-        stats = self.network.stats
-        src_name = self.source.node.name
-        dst_name = self.client_node.name
-        for k in range(rows):
-            stats.record(
-                FlowSample(
-                    src=src_name,
-                    dst=dst_name,
-                    size=self._sizes[k],
-                    start=self._m[k],
-                    end=self._x[k],
-                )
-            )
+        self.network.stats.record_run(
+            self.source.node.name,
+            self.client_node.name,
+            self._sizes,
+            self._m,
+            self._x,
+            rows,
+        )
 
     def _settle_success(self) -> None:
         self._finished = True

@@ -1,12 +1,13 @@
 """Per-flow transfer accounting.
 
 The transport layer records one :class:`FlowSample` per completed
-transfer into :class:`FlowStats` (packet and read trains record theirs
-when they settle).  Nothing in the simulator reads them back — SMARTH's
-speed records come from FNFA timing (``SmarthClient._await_fnfa``).  The
-readers are the transport tests and the read-train equivalence test,
-which compares every retained flow of the train against the per-chunk
-loop's.
+transfer into :class:`FlowStats`.  Packet and read trains record theirs
+when they settle, a column at a time (:meth:`FlowStats.record_run`),
+without building a sample per transfer.  Nothing in the simulator reads
+the flows back — SMARTH's speed records come from FNFA timing
+(``SmarthClient._await_fnfa``).  The readers are the transport tests and
+the read-train equivalence test, which compares every retained flow of
+the train against the per-chunk loop's.
 
 By default :class:`FlowStats` *aggregates*: each (src, dst) pair keeps
 byte/time/count accumulators, so memory is O(node pairs) no matter how
@@ -18,6 +19,7 @@ can opt back into full retention with ``keep_samples=True``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 __all__ = ["FlowSample", "FlowStats"]
 
@@ -71,6 +73,41 @@ class FlowStats:
         self._count += 1
         if self.keep_samples:
             self._samples.append(sample)
+
+    def record_run(
+        self,
+        src: str,
+        dst: str,
+        sizes: Sequence[int],
+        starts: Sequence[float],
+        ends: Sequence[float],
+        n: int,
+    ) -> None:
+        """Record transfers ``0..n-1`` of a run from ``src`` to ``dst``.
+
+        Transfer ``k`` moved ``sizes[k]`` bytes from ``starts[k]`` to
+        ``ends[k]``.  Equal to ``n`` :meth:`record` calls in order: the
+        accumulators add the transfers one at a time, so every float
+        total is the same, but a :class:`FlowSample` is built only when
+        samples are kept.
+        """
+        if n <= 0:
+            return
+        acc = self._agg.get((src, dst))
+        if acc is None:
+            acc = self._agg[(src, dst)] = [0, 0.0, 0]
+        nbytes, seconds = acc[0], acc[1]
+        for k in range(n):
+            nbytes += sizes[k]
+            seconds += ends[k] - starts[k]
+        acc[0], acc[1] = nbytes, seconds
+        acc[2] += n
+        self._count += n
+        if self.keep_samples:
+            self._samples.extend(
+                FlowSample(src, dst, sizes[k], starts[k], ends[k])
+                for k in range(n)
+            )
 
     def total_bytes(self, src: str | None = None, dst: str | None = None) -> int:
         """Total bytes over flows matching the given endpoints (None = any)."""

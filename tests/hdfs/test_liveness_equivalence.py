@@ -61,6 +61,7 @@ class Case:
     colocated: bool = False
     policy: Optional[str] = None
     datanodes: int = 9
+    replication: int = 3
     #: The probe reads this long after each grid tick (0: at the tick).
     probe_phase: float = 0.0
 
@@ -172,6 +173,16 @@ CASES = [
         probe_phase=0.5,
     ),
     Case(
+        # One replica per block on two datanodes: dn1's death leaves its
+        # blocks no live holder, so the scan that sweeps them plans and
+        # draws nothing, and the monitor sleeps right after it.
+        "sweep_leaves_nothing_healable",
+        ((put(0.2, "/a"), Step(2.3, "kill", "dn1")),),
+        settle=10.0,
+        datanodes=2,
+        replication=1,
+    ),
+    Case(
         "hotspot_policy",
         ((put(0.2, "/a", 2 * MB), Step(3.0, "read", "/a"),
           Step(3.1, "read", "/a"), Step(3.2, "read", "/a"),
@@ -190,6 +201,9 @@ class Observations:
     removed: list = dataclasses.field(default_factory=list)
     journal: list = dataclasses.field(default_factory=list)
     outcomes: list = dataclasses.field(default_factory=list)
+    #: When the analytic replication monitor scanned (the polling loop
+    #: records none).
+    scans: list = dataclasses.field(default_factory=list)
 
 
 class Analytic:
@@ -235,6 +249,7 @@ def _build(case: Case, reference: bool):
             packet_size=64 * KB,
             heartbeat_interval=case.interval,
             dead_node_heartbeats=case.dead_node_heartbeats,
+            replication=case.replication,
         )
         .with_network(control_latency=case.control_latency)
     )
@@ -326,6 +341,14 @@ def _run(case: Case, reference: bool) -> Observations:
         return targets
 
     placement.choose_targets = recording
+    monitor = model.replication
+    scan = monitor._scan
+
+    def recording_scan():
+        obs.scans.append(env.now)
+        return scan()
+
+    monitor._scan = recording_scan
     probe = env.process(_probe(env, namenode, case.interval, case.probe_phase, obs))
     for index, steps in enumerate(case.segments):
         if index:
@@ -373,3 +396,16 @@ def test_liveness_matches_polling_loops(case):
     }
     assert deaths
     assert reference.allocations
+
+
+def test_sweep_alone_lets_the_monitor_sleep():
+    """dn1 dies at the tick at 6, and that tick's scan sweeps its
+    replicas: block 1002 is left with no holder, so the scan plans and
+    draws nothing.  The sweep is idempotent, so the monitor sleeps at once
+    instead of scanning again at 7 to find the same nothing."""
+    case = next(c for c in CASES if c.name == "sweep_leaves_nothing_healable")
+    analytic = _run(case, reference=False)
+    assert analytic.scans == [1.0, 6.0]
+    _, alive, locations = analytic.ticks[-1]
+    assert [a for _, a, _ in alive] == [True, False]
+    assert locations[-1] == (1002, ())
