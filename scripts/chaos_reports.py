@@ -12,8 +12,18 @@ the directories is a report-identity check for a refactor::
     diff -r parent head
 
 The ``repro`` package is whichever one ``PYTHONPATH`` names, so one copy
-of this script serves both checkouts.  Sub-seeds 0-199 at scale 1.0 take
-about 7 s on one core of a 2-vCPU AMD EPYC container (CPython 3.11.7).
+of this script serves both checkouts.  ``--per-packet`` runs every
+schedule with ``coalesce_packets=1`` and ``coalesce_reads=1``: no packet
+or read train, only the per-packet and per-chunk loops that are their
+oracle.  Diffing a default run against a ``--per-packet`` run of the same
+checkout checks that the trains give the loops' reports::
+
+    PYTHONPATH=src python scripts/chaos_reports.py trains
+    PYTHONPATH=src python scripts/chaos_reports.py --per-packet loops
+    diff -r trains loops
+
+Sub-seeds 0-199 at scale 1.0 take about 3.5 s with trains and 11 s per
+packet on one core of a 2-vCPU AMD EPYC container (CPython 3.11.7).
 """
 
 from __future__ import annotations
@@ -21,7 +31,12 @@ from __future__ import annotations
 import argparse
 import os
 
-from repro.faults.campaign import report_json, run_campaign, run_read_campaign
+from repro.faults.campaign import (
+    ChaosSchedule,
+    report_json,
+    run_campaign,
+    run_read_campaign,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -30,8 +45,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--first", type=int, default=0, help="first sub-seed")
     parser.add_argument("--last", type=int, default=199, help="last sub-seed")
     parser.add_argument("--scale", type=float, default=1.0, help="campaign scale")
+    parser.add_argument(
+        "--per-packet",
+        action="store_true",
+        help="run without packet and read trains (coalesce_packets=1, "
+        "coalesce_reads=1)",
+    )
     args = parser.parse_args(argv)
 
+    if args.per_packet:
+        config = ChaosSchedule.config
+        ChaosSchedule.config = lambda self: config(self).with_hdfs(
+            coalesce_packets=1, coalesce_reads=1
+        )
     os.makedirs(args.out_dir, exist_ok=True)
     for s in range(args.first, args.last + 1):
         for prefix, run in (("w", run_campaign), ("r", run_read_campaign)):

@@ -63,7 +63,7 @@ class BlockProgress:
     without re-charging production time.
     """
 
-    __slots__ = ("plan", "production", "taken", "acked", "sent")
+    __slots__ = ("plan", "production", "taken", "acked", "sent", "held")
 
     def __init__(self, plan: "BlockPlan", production: "Production"):
         self.plan = plan
@@ -71,6 +71,9 @@ class BlockProgress:
         self.taken = 0
         self.acked = 0
         self.sent = 0
+        #: The packet train paused mid-block by Algorithm 4 line 1, which
+        #: the next send on the same handle resumes; ``None`` otherwise.
+        self.held: Optional["PacketTrain"] = None
 
     @property
     def acked_bytes(self) -> int:
@@ -101,12 +104,16 @@ def send_block(
     the ACK walk, and settles the responder at the block-done time.
     Otherwise packets go one by one from ``progress.acked +
     progress.sent``, and a triggered ``pause`` stops the loop after the
-    packet that just landed.  A train cannot pause mid-block: ``pause``
-    is checked only after the whole block is sent, so another pipeline's
-    failure is serviced right after this block finishes streaming.  That
-    is protocol-legal (the block being streamed is healthy) but not
-    packet-for-packet identical, so it can only happen via a direct
-    unscheduled kill (scheduled kills decline the train up front).
+    packet that just landed.
+
+    A train pauses where that loop would (Algorithm 4 line 1): when
+    ``pause`` fires mid-block, :meth:`PacketTrain.hold` stops the block
+    after the row whose first-hop send is in flight, and this returns
+    :data:`PAUSED` at that row's landing, leaving the held train on
+    ``progress.held``.  The rows already sent keep flowing downstream
+    while the client services the other pipeline; the next send on this
+    handle passes the held train back as ``train`` and resumes it.  A
+    flag already up when the send begins still lets one row go.
     Packets not yet taken are taken from production on the way: the
     per-packet loop waits only for a packet not yet produced, and a
     train takes its block analytically.  ``span_args`` go on the
@@ -119,9 +126,19 @@ def send_block(
         env.now, parent=t_attempt, **span_args,
     )
     if train is not None:
-        train.start()
+        if progress.held is train:
+            progress.held = None
+            train.resume()
+        else:
+            train.start()
+        paused = False
+        if pause is not None:
+            if not pause.triggered:
+                yield race(env, train.sent, handle.error, pause)
+            if pause.triggered and not handle.error.triggered:
+                paused = train.hold(env.now)
         yield race(env, train.sent, handle.error)
-        progress.sent += train.sent_count
+        progress.sent = train.sent_count
         if not train.sent.triggered:
             # The error settle already ran (synchronously, inside the
             # error event's callbacks) and took what a per-packet sender
@@ -132,9 +149,12 @@ def send_block(
                 yield env.timeout_at(last_take)
             tracer.end(t_stream, env.now, aborted=True)
             return FAILED, handle.error.value
-        tracer.end(t_stream, env.now)
-        if pause is not None and pause.triggered:
+        if paused:
+            if train.held:
+                progress.held = train
+            tracer.end(t_stream, env.now, paused=True)
             return PAUSED, None
+        tracer.end(t_stream, env.now)
         return SENT, None
 
     plan = progress.plan

@@ -226,6 +226,8 @@ class BlockReceiver:
         self._aborted = True
         if failed_datanode is not None:
             trigger_pipeline_error(self.error, failed_datanode)
+        if self.train is not None:
+            self.train.retire_forward(self)
         tracer = self.datanode.tracer
         now = self.env.now
         tracer.end(self._trace_store, now, aborted=True)

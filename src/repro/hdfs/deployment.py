@@ -74,10 +74,10 @@ class HdfsDeployment:
         self.metrics = MetricsRegistry(enabled=observe)
         if observe:
             self.tracer.attach_journal(self.journal)
-        #: Simulated times at which a fault/throttle disturbance is
-        #: *scheduled* (FaultInjector registers them up front).  The
-        #: packet-train planner consults this to refuse coalescing any
-        #: window that contains a scheduled disturbance.
+        #: Simulated times at which a datanode kill is *scheduled*
+        #: (FaultInjector registers them up front).  The read-train
+        #: planner declines once any is registered; write trains run
+        #: under scheduled kills.
         self.scheduled_disturbances: list[float] = []
 
         self.namenode = Namenode(

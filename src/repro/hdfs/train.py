@@ -14,7 +14,8 @@ The conductor stays honest three ways:
 
 * **Analytic production.**  Packet ``k`` is taken off the data queue at
   ``g_k = max(issue_k, r_k)``: the legacy issue time (the completion of
-  packet ``k-1``'s first-hop send; the train's start for packet 0), or
+  packet ``k-1``'s first-hop send; the train's start for packet 0 and
+  the resume for the first packet after a hold), or
   the instant production puts the packet into the queue
   (:class:`~repro.hdfs.client.output_stream.Production`), whichever is
   later.  The takes feed back into production's queue bound, so the
@@ -46,14 +47,18 @@ receivers' and the responder's per-packet loops never start under a
 train: they start with the first packet sent one by one.
 
 The clients plan a train only for a block nothing was taken for, and
-:func:`repro.hdfs.client.send.send_block` runs it.  The planner only
-accepts *pristine* windows — no scheduled kills, no co-resident foreign
-receivers, no other train guarding a needed channel — and otherwise
-declines, falling back to the per-packet path.  A scheduled throttle is
-no disturbance: it reaches the train as a throttle-table change and
-replays it.  Datanode kills mid-train (only reachable through direct,
-unscheduled ``kill()`` calls) settle the committed prefix and
-reconstruct the client-visible recovery state per Algorithm 3.
+:func:`repro.hdfs.client.send.send_block` runs it.  The planner
+declines co-resident foreign receivers, loopback and another train
+guarding a needed channel, falling back to the per-packet path.
+Scheduled faults are no reason to decline.  A throttle reaches the
+train as a throttle-table change and replays it.  A datanode kill
+mid-train settles the committed prefix and reconstructs the
+client-visible recovery state per Algorithm 3.  A sibling pipeline's
+failure *holds* a SMARTH train mid-block (Algorithm 4 line 1): the
+train stops after the packet the per-packet loop would stop after,
+keeps conducting the packets already sent, and plans the rest of the
+block when the client resumes it (:meth:`PacketTrain.hold`,
+:meth:`PacketTrain.resume`).
 
 :class:`ReadTrain` applies the same machinery to the read path: the
 steady-state chunk cascade of one block read — disk prefetch of chunk
@@ -97,16 +102,14 @@ def plan_train(
     The clients ask only for a block nothing was taken for yet: a resend
     carries per-packet state the train does not reproduce.  The
     predicate is deliberately conservative: any condition that could
-    make the analytic timeline diverge from the per-packet one — a
-    scheduled kill, loopback, a foreign receiver sharing a hop datanode,
+    make the analytic timeline diverge from the per-packet one —
+    loopback, a foreign receiver sharing a hop datanode, a dead hop,
     another train already guarding a needed channel — falls back to the
-    legacy path.
+    legacy path.  A scheduled kill does not: the train settles it
+    through the pipeline error, and holds the block when it fails a
+    sibling pipeline (:meth:`PacketTrain.hold`).
     """
     if deployment.config.hdfs.coalesce_packets == 1:
-        return None
-    if deployment.scheduled_disturbances:
-        # A scheduled kill (or its aftermath: recovery and
-        # re-replication traffic) makes the window non-pristine.
         return None
     if handle.error.triggered:
         return None
@@ -173,6 +176,10 @@ class TrainBase:
         self._started = False
         self._dead = False
         self._finished = False
+        #: True while the timeline stops short of the block (a
+        #: :meth:`PacketTrain.hold`): the conductor then waits for
+        #: invalidations and the resume instead of finishing.
+        self._held = False
         #: Rows of the timeline (packets or chunks), set by subclasses.
         self._K = 0
         self._t0 = 0.0  # the train's start
@@ -200,10 +207,20 @@ class TrainBase:
             return  # settled before it could plan anything
         self._plan(0)
         self._rebuild_milestones()
-        while self._milestones:
+        while True:
             self._maybe_replay()
             if self._dead:
                 return
+            if not self._milestones:
+                if not self._held:
+                    break
+                # Held with every milestone fired: the rows in flight
+                # keep their guards until an invalidation replays them
+                # or the resume plans the rest of the block.
+                yield self._flag
+                if self._dead:
+                    return
+                continue
             when, _order, kind, h = self._milestones[0]
             if env.now < when:
                 timer = env.timeout_at(when)
@@ -334,7 +351,11 @@ class PacketTrain(TrainBase):
         self._production = progress.production
         self._first = plan.first  # file-wide number of packet 0
         self._sizes = plan.packet_sizes
+        #: Rows planned: the block's packets, fewer while held.
         self._K = plan.n_packets
+        #: Earliest take of a row not yet taken: the resume instant
+        #: after a hold (the client takes the next packet only then).
+        self._take_floor = float("-inf")
         self._total_bytes = plan.size
         self._n_hops = len(self.receivers)
         self._caps = [r.buffer_capacity for r in self.receivers]
@@ -353,13 +374,15 @@ class PacketTrain(TrainBase):
         # serves two roles and each ledger is one pair of columns.
         assert len(set(map(id, self.channels))) == 3 * self._n_hops
 
-        #: Fires at the last packet's first-hop arrival (legacy "all
-        #: packets sent" point — ``send_block`` resumes here).  The block
-        #: is done when the train settles the responder's ``block_done``.
+        #: Fires at the last planned packet's first-hop arrival (legacy
+        #: "all packets sent" point, or the row a hold stops after —
+        #: ``send_block`` resumes here).  The block is done when the
+        #: train settles the responder's ``block_done``.
         self.sent: Event = self.env.event()
-        #: Packets whose first-hop delivery completed (legacy's per-packet
-        #: send loop would have recorded these as sent) — the whole block
-        #: on success, the arrived prefix after an error settle.
+        #: Packets whose first-hop delivery completed on this pipeline
+        #: (legacy's per-packet send loop would have recorded these as
+        #: sent) — the planned rows once ``sent`` fires, the arrived
+        #: prefix after an error settle.
         self.sent_count = 0
 
         # Per-hop timeline arrays, index = packet seq.
@@ -392,6 +415,54 @@ class PacketTrain(TrainBase):
         for receiver in self.receivers:
             receiver.train = self
         self._arm(f"train:b{self.block.block_id}")
+
+    @property
+    def held(self) -> bool:
+        """True while the block is paused after a :meth:`hold`."""
+        return self._held
+
+    def hold(self, at: float) -> bool:
+        """Algorithm 4 line 1: the pause flag went up at ``at``.
+
+        The per-packet loop checks the flag each time a packet lands at
+        the first datanode, so it stops after row ``j``, the first row
+        landing after ``at``; a flag already up when a send begins stops
+        it after that send's first row.  A row landing at ``at`` itself
+        lands first: the loop checks it two events after its transfer
+        timer, while a kill reaches the flag three events after its own,
+        earlier timer.
+
+        Returns False when every planned row had landed by ``at`` (the
+        send is complete), else True: the send pauses after row ``j``.
+        If rows remain after it the train is held: the conductor's replay
+        at ``now`` drops them and rewinds their takes, ``sent`` fires at
+        row ``j``'s landing, and no ``fin`` or ``acks`` milestone is
+        armed until :meth:`resume`.  The rows in flight keep their
+        guards, replays and :meth:`buffered` answers.
+        """
+        row = bisect_right(self._a[0], at)
+        if row >= self._K:
+            return False
+        if row + 1 < self._K:
+            self._K = row + 1
+            self._held = True
+            if self._g:
+                self._bump()  # the conductor's replay drops the rest
+        return True
+
+    def resume(self) -> None:
+        """Plan the rest of a held block from now, the client's resume.
+
+        A replay at ``now`` keeps the rows in flight and plans the
+        remaining ones; the first of them is taken no earlier than now.
+        """
+        assert self._held and not self._dead
+        self._held = False
+        self._K = len(self._sizes)
+        self._take_floor = self.env.now
+        self._fired.discard("sent")
+        self.sent = self.env.event()
+        self._bump()
 
     def buffered(self, receiver: "BlockReceiver") -> int:
         """Buffer tokens ``receiver`` holds now: granted minus released.
@@ -426,8 +497,9 @@ class PacketTrain(TrainBase):
 
         Mirrors, hop by hop, what the per-packet processes do: the take
         off the data queue (issued when packet ``k-1`` lands at the first
-        hop, resolved once production has put packet ``k`` into the
-        queue), first-hop issue gated by the take and hop-0 buffer tokens,
+        hop or, for the first packet after a hold, at the resume;
+        resolved once production has put packet ``k`` into the queue),
+        first-hop issue gated by the take and hop-0 buffer tokens,
         transfer quotes on egress+ingress, the disk write at arrival,
         store-and-forward into the next hop gated by its tokens, and the
         write-and-downstream-gated ACK relay walking back to the client.
@@ -445,6 +517,7 @@ class PacketTrain(TrainBase):
         L, C = self._L, self._C
         sizes, caps, busy = self._sizes, self._caps, self._busy
         g, production, first = self._g, self._production, self._first
+        floor = self._take_floor
         p, ee, ie, a, w = self._p, self._ee, self._ie, self._a, self._w
         u, rel = self._u, self._rel
         old_p, old_ee, old_ie, old_a, old_w = old or ([()] * H,) * 5
@@ -466,7 +539,9 @@ class PacketTrain(TrainBase):
                     if not h:
                         if k == len(g):
                             ready = production.ready(first + k)
-                            take = arrival if arrival > ready else ready
+                            take = arrival if arrival > floor else floor
+                            if ready > take:
+                                take = ready
                             production.take_at(first + k, take)
                             g.append(take)
                         base = g[k]
@@ -531,6 +606,9 @@ class PacketTrain(TrainBase):
         rows.  Later rows are taken again against the replayed plan, and
         production forgets their old takes first.  That happens only
         before ``sent``, so the next block's takes are never touched.
+        The same replay serves :meth:`hold` (rows past the new ``K`` are
+        dropped with their takes) and :meth:`resume` (the rows after the
+        old ``K`` are new).
 
         A row whose *last* quote issue -- the tail hop's disk issue
         ``a[H-1][k]``, the maximum issue in the row -- is already frozen
@@ -539,10 +617,9 @@ class PacketTrain(TrainBase):
         arrival column and copied wholesale; planning resumes after it.
         """
         H = self._n_hops
-        K = self._K
         T = self.env.now
         kept = bisect_left(self._a[0], T) + 1
-        if kept < K:
+        if kept < len(self._g):
             del self._g[kept:]
             self._production.rewind(self._first + kept)
         old = (self._p, self._ee, self._ie, self._a, self._w)
@@ -561,17 +638,20 @@ class PacketTrain(TrainBase):
         milestones = []
         if "sent" not in self._fired:
             milestones.append((self._a[0][last], 0, "sent", 0))
-        for h in range(self._n_hops):
-            if ("fin", h) not in self._fired:
-                milestones.append((self._w[h][last], 1, "fin", h))
-            if ("acks", h) not in self._fired:
-                milestones.append((self._u[h][last], 2, "acks", h))
+        if not self._held:
+            for h in range(self._n_hops):
+                if ("fin", h) not in self._fired:
+                    milestones.append((self._w[h][last], 1, "fin", h))
+                if ("acks", h) not in self._fired:
+                    milestones.append((self._u[h][last], 2, "acks", h))
         milestones.sort()
         self._milestones = milestones
 
     def _fire(self, kind: str, h: int) -> None:
         self._fired.add(kind if kind == "sent" else (kind, h))
-        self._release_finished_channels()
+        if not self._held:
+            # A held ledger is incomplete: the resumed rows need guards.
+            self._release_finished_channels()
         receiver = self.receivers[h]
         if kind == "sent":
             self.sent_count = self._K
@@ -633,15 +713,40 @@ class PacketTrain(TrainBase):
                     self._sizes[: disk_rows[h]]
                 )
 
+    def retire_forward(self, receiver: "BlockReceiver") -> None:
+        """End ``receiver``'s forward span if its last packet already
+        landed downstream, at that landing, as the per-packet forwarder
+        did.  Called at a failure, before the abort ends the span; a
+        landing at the failure instant itself counts as cut off."""
+        if self._finished or self._dead or self._held:
+            return
+        h = self.receivers.index(receiver)
+        if h + 1 < self._n_hops and self._a[h + 1]:
+            landed = self._a[h + 1][-1]
+            if landed < self.env.now:
+                receiver.datanode.tracer.end(receiver._trace_fwd, landed)
+
     def _apply_max_buffered(self, upto_rows: Optional[list[int]] = None) -> None:
-        """Analytic §IV-C high-water mark: occupancy at each token grant."""
+        """Analytic §IV-C high-water mark: occupancy at each token grant.
+
+        Row ``k``'s grant finds ``k + 1`` tokens granted minus those
+        released strictly before it.  Grants ``p[h]`` and releases
+        ``rel[h]`` are both nondecreasing, so one merge walk per hop
+        counts the releases.
+        """
         for h, receiver in enumerate(self.receivers):
             cap = self._caps[h]
             rel = self._rel[h]
-            rows = len(self._p[h]) if upto_rows is None else upto_rows[h]
+            grants = self._p[h]
+            rows = len(grants) if upto_rows is None else upto_rows[h]
+            n_rel = len(rel)
+            released = 0
             high = receiver.max_buffered
             for k in range(rows):
-                occ = k + 1 - bisect_left(rel, self._p[h][k])
+                grant = grants[k]
+                while released < n_rel and rel[released] < grant:
+                    released += 1
+                occ = k + 1 - released
                 if occ > cap:
                     occ = cap
                 if occ > high:
@@ -673,10 +778,17 @@ class PacketTrain(TrainBase):
         Runs synchronously inside the error event's callback chain, before
         the client's race resumes, so every counter and the responder's
         recovery state are already consistent when Algorithm 3 starts.
+        A held train settles the same way (no take is in progress, so
+        ``taken`` is its planned rows) and is dropped: the next send goes
+        packet by packet.
         """
         if self._finished or self._dead:
             return
+        for receiver in self.receivers:
+            self.retire_forward(receiver)  # while the train is live
         self._dead = True
+        if self.progress.held is self:
+            self.progress.held = None
         now = self.env.now
         H = self._n_hops
         rows = len(self._g)  # 0 if the conductor has not planned yet
@@ -738,6 +850,8 @@ def plan_read_train(
     if offset:
         return None  # resumed (post-fault) streams stay per-chunk
     if deployment.scheduled_disturbances:
+        # ReadTrain._on_kill settles at the kill instant; the per-chunk
+        # loop notices a kill only after its in-flight chunk.
         return None
     if not source.node.alive:
         return None

@@ -87,7 +87,9 @@ class ThrottleTable:
 
     def __init__(self, rules: list[ThrottleRule] | None = None):
         self._rules: list[ThrottleRule] = list(rules or [])
-        self._listeners: list[Callable[["ThrottleTable"], None]] = []
+        #: Listeners in subscription order (a dict used as an ordered
+        #: set, so removing one is O(1)).
+        self._listeners: dict[Callable[["ThrottleTable"], None], None] = {}
 
     @property
     def rules(self) -> tuple[ThrottleRule, ...]:
@@ -95,7 +97,7 @@ class ThrottleTable:
 
     def subscribe(self, listener: Callable[["ThrottleTable"], None]) -> None:
         """Call ``listener(table)`` after every add/remove of a rule."""
-        self._listeners.append(listener)
+        self._listeners[listener] = None
 
     def unsubscribe(self, listener: Callable[["ThrottleTable"], None]) -> None:
         """Remove a previously subscribed listener (no-op if absent).
@@ -104,13 +106,11 @@ class ThrottleTable:
         removal every settled train would leak a dead listener into every
         later rule change.
         """
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
+        self._listeners.pop(listener, None)
 
     def _notify(self) -> None:
-        for listener in self._listeners:
+        # A snapshot: a listener may unsubscribe while being notified.
+        for listener in tuple(self._listeners):
             listener(self)
 
     def add(self, rule: ThrottleRule) -> "ThrottleTable":

@@ -323,11 +323,12 @@ class SmarthClient:
         ``pause`` is the error flag while the block streams (Algorithm 4
         line 1), and ``None`` when resending *inside* an error drain: the
         flag is already triggered for the failure being serviced and must
-        not pause the resend.
+        not pause the resend.  A packet train the pause held mid-block
+        (``progress.held``) goes back to ``send_block``, which resumes it.
         """
         progress = pipeline.progress
-        train = None
-        if not progress.taken:
+        train = progress.held
+        if train is None and not progress.taken:
             # Steady-state fast path: hand the whole block to one packet
             # train (see repro.hdfs.train).
             train = plan_train(

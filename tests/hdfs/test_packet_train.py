@@ -5,16 +5,18 @@ The fast path (``HdfsConfig.coalesce_packets == 0``, the default) must be
 journal, NIC/disk byte counters, buffer high-water marks, recovery counts
 — must be bit-identical to the per-packet loop (``coalesce_packets=1``).
 These tests drive both modes through steady-state uploads, mid-train
-throttle changes (the split/re-quote path) and unscheduled datanode kills
-(the error settle), comparing the full observable history.
+throttle changes (the split/re-quote path), datanode kills (the error
+settle) and Algorithm 4's pause of a SMARTH block (the hold), comparing
+the full observable history.
 """
 
 import pytest
 
 from repro.cluster import SMALL, build_homogeneous
 from repro.config import SimulationConfig
+from repro.faults import FaultInjector
 from repro.hdfs import HdfsClient, HdfsDeployment
-from repro.hdfs.train import plan_train
+from repro.hdfs.train import PacketTrain, plan_read_train, plan_train
 from repro.net.throttle import NodeThrottle
 from repro.sim import Environment
 from repro.smarth import SmarthClient
@@ -197,9 +199,8 @@ class TestMidTrainThrottle:
 
 
 class TestMidTrainKill:
-    """An *unscheduled* kill (no injector registration, so the train does
-    engage) hits a pipeline datanode mid-train: the error settle must
-    reconstruct the per-packet recovery state exactly."""
+    """A direct ``kill()`` hits a pipeline datanode mid-train: the error
+    settle must reconstruct the per-packet recovery state exactly."""
 
     @pytest.mark.parametrize("at", [0.3, 1.37, 2.6])
     def test_kill_settles_bit_identical(self, at):
@@ -241,6 +242,112 @@ class TestMidTrainKill:
         result, deployment = _run(0, chaos=chaos)
         assert result.recoveries >= 1
         assert deployment.namenode.file_fully_replicated("/data/f.bin")
+
+
+class TestPauseMidTrain:
+    """Algorithm 4 pauses the SMARTH block being streamed when a sibling
+    pipeline fails.  A train must stop after the packet the per-packet
+    loop stops after and resume at the same instant.  The kills go
+    through the fault injector, as in chaos runs, and the first lands
+    exactly on a first-hop landing of the streaming block: the loop
+    checks the landed packet before the flag goes up, so it sends one
+    more packet."""
+
+    #: The first block's tail, throttled so that block still replicates
+    #: while the second one streams.
+    SLOW = "dn7"
+    PACKETS = 256  # per 16 MB block
+
+    def _run(self, coalesce, kills=(), foreign_at=None):
+        env = Environment()
+        cluster = build_homogeneous(
+            env, SMALL, n_datanodes=9, config=_config(coalesce)
+        )
+        deployment = HdfsDeployment(cluster)
+        deployment.network.throttles.add(NodeThrottle(self.SLOW, mbps(40)))
+        deployment.network.stats.keep_samples = not kills
+        injector = FaultInjector(deployment)
+        for name, at in kills:
+            injector.kill_at(name, at)
+        if foreign_at is not None:
+
+            def foreign(env):
+                yield env.timeout_at(foreign_at)
+                cluster.client_host.nic.egress.quote(128 * KB, 20 * MB)
+
+            env.process(foreign(env))
+        client = SmarthClient(deployment)
+        result = env.run(until=env.process(client.put("/data/f.bin", UPLOAD)))
+        return result, deployment
+
+    def _kill_on_landing(self, k):
+        """Kill the first block's tail when packet ``k`` of block 1001
+        lands at its first datanode (per the undisturbed run)."""
+        result, deployment = self._run(1)
+        assert result.pipelines[0][-1] == self.SLOW
+        landings = sorted(
+            s.end for s in deployment.network.stats.samples if s.src == "client"
+        )
+        return self.SLOW, landings[self.PACKETS + k]
+
+    def _assert_equivalent(self, kills, foreign_at=None):
+        legacy = _observables(*self._run(1, kills, foreign_at))
+        train = _observables(*self._run(0, kills, foreign_at))
+        for key in legacy:
+            assert train[key] == legacy[key], f"{key} diverged from legacy"
+
+    def _record(self, monkeypatch, method, record):
+        """Wrap ``PacketTrain.<method>`` to call ``record(train)`` first."""
+        original = getattr(PacketTrain, method)
+
+        def recorded(train, *args):
+            record(train)
+            return original(train, *args)
+
+        monkeypatch.setattr(PacketTrain, method, recorded)
+
+    def _resume_instant(self, monkeypatch, kill):
+        resumed = []
+        self._record(monkeypatch, "resume", lambda t: resumed.append(t.env.now))
+        self._run(0, (kill,))
+        monkeypatch.undo()
+        assert len(resumed) == 1
+        return resumed[0]
+
+    @pytest.mark.parametrize("k", [0, 3, 40])
+    def test_kill_on_a_landing_pauses_after_the_next_packet(self, monkeypatch, k):
+        kill = self._kill_on_landing(k)
+        held = []
+        self._record(
+            monkeypatch, "_fire",
+            lambda t: t.held and held.append((t.block.block_id, t._K)),
+        )
+        self._assert_equivalent((kill,))
+        assert held == [(1001, k + 2)]
+
+    def test_foreign_quote_after_the_resume(self, monkeypatch):
+        """A held train keeps its channels' guards through the resume, so
+        a foreign transfer on the client's NIC right after it chains
+        behind the resumed packets as it does behind the loop's."""
+        kill = self._kill_on_landing(3)
+        resumed = self._resume_instant(monkeypatch, kill)
+        self._assert_equivalent((kill,), foreign_at=resumed + 0.01)
+
+    def test_held_pipeline_fails_before_the_resume(self, monkeypatch):
+        """The held block's own pipeline fails while the client services
+        the sibling: the train settles as held (nothing being taken) and
+        the resend after the drain goes packet by packet."""
+        kill = self._kill_on_landing(3)
+        resumed = self._resume_instant(monkeypatch, kill)
+        result, _ = self._run(0)
+        second = (result.pipelines[1][1], (kill[1] + resumed) / 2)
+        settled = []
+        self._record(
+            monkeypatch, "_on_error",
+            lambda t: settled.append((t.block.block_id, t.held)),
+        )
+        self._assert_equivalent((kill, second))
+        assert (1001, True) in settled
 
 
 class TestPredicateDeclines:
@@ -289,14 +396,31 @@ class TestPredicateDeclines:
         handle, responder, progress = self._open(deployment, client_node)
         return plan_train(deployment, client_node, handle, responder, progress)
 
+    def _plan_read(self, deployment, client_node):
+        """Ask the read planner for a block on a datanode no write uses."""
+        from repro.hdfs.protocol import Block
+
+        env = deployment.env
+        source = next(
+            dn for dn in deployment.datanodes.values() if not dn._active
+        )
+        proc = env.process(source.open_serve(1, "reader"))
+        env.run(until=proc)
+        block = Block(1, "/r.bin", 0, 16 * MB)
+        return plan_read_train(deployment, source, client_node, proc.value, block)
+
     def test_declines_when_coalescing_disabled(self):
         env, cluster, deployment = self._fresh_pipeline(coalesce=1)
         assert self._plan(deployment, cluster.client_host) is None
 
-    def test_declines_on_scheduled_disturbance(self):
+    def test_scheduled_disturbance_plans_write_train_only(self):
+        """A scheduled kill leaves write trains on the road (they pause,
+        settle and resume as the per-packet loop does); read trains still
+        decline it."""
         env, cluster, deployment = self._fresh_pipeline()
         deployment.scheduled_disturbances.append(1.0)
-        assert self._plan(deployment, cluster.client_host) is None
+        assert self._plan(deployment, cluster.client_host) is not None
+        assert self._plan_read(deployment, cluster.client_host) is None
 
     def test_plans_train_on_clean_pipeline(self):
         env, cluster, deployment = self._fresh_pipeline()
@@ -304,21 +428,20 @@ class TestPredicateDeclines:
         assert train is not None
         assert train.sent_count == 0
         assert len(train.channels) >= 3
+        assert self._plan_read(deployment, cluster.client_host) is not None
 
-    def test_injector_scheduled_faults_decline_trains(self):
-        """A scheduled kill keeps every train off the road, so fault
-        experiments replay the per-packet timeline verbatim."""
-        from repro.faults import FaultInjector
-
+    def test_injector_scheduled_kill_plans_write_train_only(self):
+        """An injector's scheduled kill registers a disturbance: the write
+        planner admits it, and the read planner declines it."""
         env, cluster, deployment = self._fresh_pipeline()
         FaultInjector(deployment).kill_at("dn1", at=5.0)
-        assert self._plan(deployment, cluster.client_host) is None
+        assert deployment.scheduled_disturbances == [5.0]
+        assert self._plan(deployment, cluster.client_host) is not None
+        assert self._plan_read(deployment, cluster.client_host) is None
 
     def test_injector_scheduled_throttles_plan_trains(self):
         """A throttle-only schedule is no disturbance: the train replays
         the throttle-table change when it lands."""
-        from repro.faults import FaultInjector
-
         env, cluster, deployment = self._fresh_pipeline()
         injector = FaultInjector(deployment)
         injector.throttle_at("dn1", 50.0, at=5.0)

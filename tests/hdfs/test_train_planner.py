@@ -465,3 +465,54 @@ def test_record_run_equals_records(keep, runs):
     assert len(bulk) == len(single)
     assert bulk.samples == single.samples
     assert bool(bulk.samples) == (keep and len(single) > 0)
+
+
+# -- the analytic buffer high-water mark --------------------------------------
+def _bisect_max_buffered(cap, grants, releases, rows, start):
+    """One bisection per grant: the occupancy formula the walk replaced."""
+    from bisect import bisect_left
+
+    high = start
+    for k in range(rows):
+        high = max(high, min(cap, k + 1 - bisect_left(releases, grants[k])))
+    return high
+
+
+nondecreasing = st.lists(st.integers(0, 40), max_size=60).map(
+    lambda steps: [sum(steps[: i + 1]) / 8 for i in range(len(steps))]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hops=st.lists(
+        st.tuples(
+            st.sampled_from(CAPS), nondecreasing, nondecreasing,
+            st.integers(0, 60), st.integers(0, 5),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    partial=st.booleans(),
+)
+def test_max_buffered_walk_equals_bisection(hops, partial):
+    """``_apply_max_buffered`` merges the nondecreasing grant and release
+    columns once per hop; it must give the per-grant bisection's high
+    water marks, for whole columns and for settled prefixes, including
+    releases that tie a grant (those do not count as freed)."""
+    receivers = [mock.Mock(max_buffered=start) for *_, start in hops]
+    stub = mock.Mock(
+        receivers=receivers,
+        _caps=[cap for cap, *_ in hops],
+        _p=[grants for _, grants, *_ in hops],
+        _rel=[releases for _, _, releases, *_ in hops],
+    )
+    upto = [min(rows, len(grants)) for _, grants, _, rows, _ in hops]
+    PacketTrain._apply_max_buffered(stub, upto if partial else None)
+    for receiver, (cap, grants, releases, rows, start), n in zip(
+        receivers, hops, upto
+    ):
+        rows = n if partial else len(grants)
+        assert receiver.max_buffered == _bisect_max_buffered(
+            cap, grants, releases, rows, start
+        )

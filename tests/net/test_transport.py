@@ -107,6 +107,31 @@ class TestThrottleTable:
         assert removed == 1
         assert len(table) == 1
 
+    def test_listeners_notified_in_subscription_order(self):
+        table = ThrottleTable()
+        calls = []
+        listeners = [lambda t, i=i: calls.append(i) for i in range(4)]
+        for listener in listeners:
+            table.subscribe(listener)
+        table.unsubscribe(listeners[1])
+        table.unsubscribe(listeners[1])  # absent: a no-op
+        table.add(NodeThrottle("x", mbps(10)))
+        assert calls == [0, 2, 3]
+
+    def test_listener_may_unsubscribe_while_notified(self):
+        table = ThrottleTable()
+        calls = []
+
+        def once(t):
+            calls.append("once")
+            t.unsubscribe(once)
+
+        table.subscribe(once)
+        table.subscribe(lambda t: calls.append("always"))
+        table.add(NodeThrottle("x", mbps(10)))
+        table.add(NodeThrottle("y", mbps(10)))
+        assert calls == ["once", "always", "always"]
+
 
 class TestTransfer:
     def test_duration_matches_rate(self, env):
