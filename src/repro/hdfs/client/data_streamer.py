@@ -108,9 +108,7 @@ class HdfsClient:
                     )
                 else:
                     metrics.gauge("pipelines_live", +1)
-                    yield self.env.process(
-                        self.network.connection_setup(len(targets))
-                    )
+                    yield from self.network.connection_setup(len(targets))
                     responder = PacketResponder(self.env, block, handle.ack_in)
 
                     failed = yield from self._stream_block(

@@ -180,7 +180,7 @@ class HdfsReader:
             return streamed
         if not datanode.node.alive:
             raise _SourceDied(source, 0)
-        yield self.env.process(self.network.connection_setup(1))
+        yield from self.network.connection_setup(1)
         try:
             serve = yield from datanode.open_serve(block.block_id, self.name)
         except DatanodeDead:

@@ -110,10 +110,13 @@ def send_block(
     ``pause`` fires mid-block, :meth:`PacketTrain.hold` stops the block
     after the row whose first-hop send is in flight, and this returns
     :data:`PAUSED` at that row's landing, leaving the held train on
-    ``progress.held``.  The rows already sent keep flowing downstream
-    while the client services the other pipeline; the next send on this
-    handle passes the held train back as ``train`` and resumes it.  A
-    flag already up when the send begins still lets one row go.
+    ``progress.held``.  A row landing at the instant the flag goes up
+    counts as landed: the loop checks the flag in that row's transfer
+    timer event, and a kill raises it only in the later pipeline-error
+    event.  The rows already sent keep flowing downstream while the
+    client services the other pipeline; the next send on this handle
+    passes the held train back as ``train`` and resumes it.  A flag
+    already up when the send begins still lets one row go.
     Packets not yet taken are taken from production on the way: the
     per-packet loop waits only for a packet not yet produced, and a
     train takes its block analytically.  ``span_args`` go on the

@@ -75,18 +75,22 @@ class BlockReceiver:
         self,
         datanode: "Datanode",
         block: Block,
-        ack_out: Store,
+        ack_out: Optional[Store],
         error: Event,
         buffer_bytes: int,
         fnfa_out: Optional[Store] = None,
         client_node: Optional[Node] = None,
         upstream_node: Optional[Node] = None,
         initial_bytes: int = 0,
+        upstream: Optional["BlockReceiver"] = None,
     ):
         self.datanode = datanode
         self.env: Environment = datanode.env
         self.block = block
-        self.ack_out = ack_out
+        #: Where the first hop's ACKs go (the client's ``ack_in``); a later
+        #: hop's go to its upstream receiver's ``downstream_acks``.
+        self._ack_out = ack_out
+        self._upstream = upstream
         self.error = error
         #: The next pipeline hop (None for the tail), set while wiring.
         self.downstream: Optional["BlockReceiver"] = None
@@ -104,23 +108,13 @@ class BlockReceiver:
         # would serialize receive/forward into stop-and-wait — an artifact
         # of granularity, not of the modelled protocol (real TCP windows
         # always cover several packets).
-        capacity = max(4, buffer_bytes // config.packet_size)
-        #: Buffer tokens: senders reserve space here before transmitting;
-        #: a full buffer blocks the upstream — backpressure (§IV-C).
-        self._buffer_tokens: Store = Store(self.env, capacity=capacity)
-        self.buffer_capacity = capacity
+        self.buffer_capacity = max(4, buffer_bytes // config.packet_size)
         #: High-water mark of buffer occupancy (verifies §IV-C's bound).
         self.max_buffered = 0
-        #: Received packets awaiting processing (space already accounted
-        #: for by the token the sender holds on our behalf).
-        self.inbox: Store = Store(self.env)
-        #: Packets stored locally, awaiting forwarding downstream.
-        self._forward_queue: Store = Store(self.env)
-        #: ACKs arriving from the downstream receiver (None for the tail).
-        self.downstream_acks: Store = Store(self.env)
-
+        # The per-packet stores (buffer tokens, inbox, forward queue,
+        # downstream ACKs, announced writes) are built by :meth:`start`:
+        # a block sent as a packet train never touches them.
         self._write_done: dict[int, Event] = {}
-        self._writes_announced: Store = Store(self.env)
         #: Bytes of this block already durable locally before this receiver
         #: opened (non-zero only when a pipeline is rebuilt by recovery).
         self._bytes_received = initial_bytes
@@ -140,7 +134,7 @@ class BlockReceiver:
         self._trace_fwd = 0  # opened by set_downstream on non-tail hops
 
         #: The receive, ACK-relay and forward loops (spawned by
-        #: :meth:`start`) and the finalizer.
+        #: :meth:`start`).
         self._procs: list[Process] = []
         self._started = False
         #: The packet train carrying this block, if any: it holds no
@@ -161,10 +155,21 @@ class BlockReceiver:
         return self._bytes_received
 
     @property
+    def ack_out(self) -> Store:
+        """Where this hop's ACKs go: the client's ``ack_in`` for the first
+        hop, the upstream receiver's ``downstream_acks`` otherwise (built
+        by the upstream's :meth:`start`, which precedes any send here)."""
+        if self._upstream is None:
+            return self._ack_out
+        return self._upstream.downstream_acks
+
+    @property
     def buffered_packets(self) -> int:
         """Packets currently occupying buffer space (for buffer tests)."""
         if self.train is not None:
             return self.train.buffered(self)
+        if not self._started:
+            return 0  # no per-packet send yet: no buffer tokens either
         return len(self._buffer_tokens)
 
     @property
@@ -184,25 +189,38 @@ class BlockReceiver:
         )
 
     def start(self) -> None:
-        """Spawn the receive, ACK-relay and forward loops (idempotent).
+        """Build the per-packet stores and spawn the receive, ACK-relay and
+        forward loops (idempotent).
 
         Called by the first send into this hop.  Each loop's first step
         is a blocking ``get`` and nothing reaches the receiver before that
         send, so starting them here moves no other event — and a block
-        sent as a packet train never starts them at all.  Does nothing
-        once the receiver is aborted.
+        sent as a packet train never builds or starts any of it.  An
+        aborted receiver gets its stores but no loops.
         """
-        if self._started or self._aborted:
+        if self._started:
             return
         self._started = True
+        env = self.env
+        #: Buffer tokens: senders reserve space here before transmitting;
+        #: a full buffer blocks the upstream — backpressure (§IV-C).
+        self._buffer_tokens: Store = Store(env, capacity=self.buffer_capacity)
+        #: Received packets awaiting processing (space already accounted
+        #: for by the token the sender holds on our behalf).
+        self.inbox: Store = Store(env)
+        #: Packets stored locally, awaiting forwarding downstream.
+        self._forward_queue: Store = Store(env)
+        #: ACKs arriving from the downstream receiver (unused on the tail).
+        self.downstream_acks: Store = Store(env)
+        self._writes_announced: Store = Store(env)
+        if self._aborted:
+            return
         label = f"{self.name}:b{self.block.block_id}"
-        self._procs.append(self.env.process(self._run(), name=f"recv:{label}"))
-        self._procs.append(
-            self.env.process(self._ack_loop(), name=f"ackr:{label}")
-        )
+        self._procs.append(env.process(self._run(), name=f"recv:{label}"))
+        self._procs.append(env.process(self._ack_loop(), name=f"ackr:{label}"))
         if self.downstream is not None:
             self._procs.append(
-                self.env.process(self._forward_loop(), name=f"fwd:{label}")
+                env.process(self._forward_loop(), name=f"fwd:{label}")
             )
 
     def send_in(self, src_node: Node, packet: Packet) -> ProcessGenerator:
@@ -259,14 +277,9 @@ class BlockReceiver:
                 yield self._forward_queue.put(packet)
 
                 if packet.is_last:
-                    # The disk channel is FIFO, so waiting for the last
-                    # packet's write means the whole block is stored.
-                    self._procs.append(
-                        self.env.process(
-                            self._local_finalize(write),
-                            name=f"fin:{self.name}:b{self.block.block_id}",
-                        )
-                    )
+                    # The disk channel is FIFO, so the last packet's
+                    # write landing means the whole block is stored.
+                    write.callbacks.append(self.finalize)
                     return
         except Interrupt:
             return
@@ -288,45 +301,77 @@ class BlockReceiver:
         except Interrupt:
             return
 
-    def _local_finalize(self, last_write: Event) -> ProcessGenerator:
-        """All packets received: store complete → FNFA + blockReceived.
+    def finalize(self, _event: Optional[Event] = None) -> None:
+        """The block's last write landed: store complete → FNFA +
+        blockReceived.
 
-        Runs as its own process so it does **not** wait for downstream
-        ACKs — the whole point of SMARTH's FNFA.
+        Both paths run this at the landing ``W`` of the last write: the
+        per-packet receive loop subscribes it to that write's event, and a
+        packet train calls it at its ``fin`` milestone.  It is a chain of
+        timed callbacks, not a process, and it does **not** wait for
+        downstream ACKs — the whole point of SMARTH's FNFA:
+
+        * at ``W``: the ``store`` span, the ``block_stored`` journal line;
+        * at ``W`` plus the control delay to the client (the first hop of
+          a pipeline that wants one): the FNFA;
+        * one control delay to the namenode later (after ``W`` on other
+          hops): ``blockReceived``, then the close.
+
+        An abort before ``W`` finalizes nothing; one before the FNFA lands
+        cancels the FNFA and the report.  A report already on its way
+        still reaches the namenode after an abort, but does not close.
         """
-        try:
-            if not last_write.processed:
-                yield last_write
-            self._finalized = True
-            self.datanode.tracer.end(
-                self._trace_store, self.env.now, bytes=self._bytes_received
-            )
-            if self.datanode.namenode is not None:
-                self.datanode.namenode.journal.emit(
-                    self.env.now,
-                    "block_stored",
-                    f"block:{self.block.block_id}",
-                    datanode=self.name,
-                    bytes=self._bytes_received,
-                    fnfa=self.fnfa_out is not None,
-                )
-            if self.fnfa_out is not None and self.client_node is not None:
-                yield from self.datanode.network.send_control(
-                    self.datanode.node, self.client_node
-                )
-                yield self.fnfa_out.put(
-                    FNFA(
-                        block_id=self.block.block_id,
-                        datanode=self.name,
-                        finished_at=self.env.now,
-                    )
-                )
-            yield self.env.process(
-                self.datanode.report_block_received(self.block, self._bytes_received)
-            )
-            self._maybe_close()
-        except Interrupt:
+        if self._aborted:
             return
+        self._finalized = True
+        datanode = self.datanode
+        now = self.env.now
+        datanode.tracer.end(self._trace_store, now, bytes=self._bytes_received)
+        if datanode.namenode is not None:
+            datanode.namenode.journal.emit(
+                now,
+                "block_stored",
+                f"block:{self.block.block_id}",
+                datanode=self.name,
+                bytes=self._bytes_received,
+                fnfa=self.fnfa_out is not None,
+            )
+        if self.fnfa_out is not None and self.client_node is not None:
+            delay = datanode.network.control_delay(datanode.node, self.client_node)
+            self.env.call_at(now + delay, self._fnfa_landed)
+        else:
+            self._report()
+
+    def _fnfa_landed(self, _event: Event) -> None:
+        if self._aborted:
+            return
+        assert self.fnfa_out is not None
+        self.fnfa_out.put(
+            FNFA(
+                block_id=self.block.block_id,
+                datanode=self.name,
+                finished_at=self.env.now,
+            )
+        )
+        self._report()
+
+    def _report(self) -> None:
+        """Send blockReceived to the namenode (a control message), then
+        close; a dead datanode or one without a namenode only closes."""
+        datanode = self.datanode
+        namenode = datanode.namenode
+        if namenode is None or not datanode.node.alive:
+            self._maybe_close()
+            return
+        block_id, size = self.block.block_id, self._bytes_received
+
+        def landed(_event: Event) -> None:
+            namenode.block_received(block_id, datanode.name, size)
+            if not self._aborted:
+                self._maybe_close()
+
+        delay = datanode.network.control_delay(datanode.node, namenode.node)
+        self.env.call_at(self.env.now + delay, landed)
 
     def _ack_loop(self) -> ProcessGenerator:
         """Relay ACKs client-ward in packet order."""
@@ -508,26 +553,24 @@ class Datanode:
         if self.namenode is not None:
             self._start_heartbeats()
 
-    def report_block_received(self, block: Block, size: int) -> ProcessGenerator:
-        """Send blockReceived to the namenode (control message)."""
-        if self.namenode is None or not self.node.alive:
-            return
-        yield from self.network.send_control(self.node, self.namenode.node)
-        self.namenode.block_received(block.block_id, self.name, size)
-
     # -- pipeline participation ------------------------------------------------
     def open_receiver(
         self,
         block: Block,
-        ack_out: Store,
+        ack_out: Optional[Store],
         error: Event,
         fnfa_out: Optional[Store] = None,
         client_node: Optional[Node] = None,
         upstream_node: Optional[Node] = None,
         buffer_bytes: Optional[int] = None,
         initial_bytes: int = 0,
+        upstream: Optional[BlockReceiver] = None,
     ) -> BlockReceiver:
-        """Start receiving one block; returns the receiver handle."""
+        """Start receiving one block; returns the receiver handle.
+
+        The first hop's ACKs go to ``ack_out``; a later hop passes its
+        ``upstream`` receiver instead, whose ``downstream_acks`` it feeds.
+        """
         if not self.node.alive:
             raise DatanodeDead(self.name)
         receiver = BlockReceiver(
@@ -540,6 +583,7 @@ class Datanode:
             client_node=client_node,
             upstream_node=upstream_node,
             initial_bytes=initial_bytes,
+            upstream=upstream,
         )
         self._active[receiver] = None
         if self.on_receiver_open is not None:

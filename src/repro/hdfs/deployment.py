@@ -191,13 +191,14 @@ class HdfsDeployment:
                 datanode = self.datanode(name)
                 receiver = datanode.open_receiver(
                     block=block,
-                    ack_out=ack_in if i == 0 else prev.downstream_acks,
+                    ack_out=ack_in if i == 0 else None,
                     error=error,
                     fnfa_out=fnfa_in if i == 0 else None,
                     client_node=client_node if i == 0 else None,
                     upstream_node=client_node if i == 0 else prev.host,
                     buffer_bytes=buffer_bytes,
                     initial_bytes=initial_bytes,
+                    upstream=prev,
                 )
                 if prev is not None:
                     prev.set_downstream(receiver)

@@ -4,11 +4,12 @@ In steady state the per-packet event cascade of a block write — buffer
 token, transfer, inbox hand-off, disk write, forward, ACK relay hop — is
 fully determined by the channel FIFO recurrences (every store interaction
 resolves synchronously and every wait is a :meth:`Channel.quote`).  A
-:class:`PacketTrain` exploits that: one *conductor* process per pipeline
-computes the whole block's timeline analytically from the same quote
-math, performs only the externally-observable actions in real time, and
-turns O(packets × hops) heap events into a handful of per-block
-milestones.
+:class:`PacketTrain` exploits that: one *conductor* per pipeline computes
+the whole block's timeline analytically from the same quote math,
+performs only the externally-observable actions in real time, and turns
+O(packets × hops) heap events into a handful of per-block milestones.
+The conductor is no process but timed callbacks: one timer per pending
+milestone, whose callback fires it.
 
 The conductor stays honest three ways:
 
@@ -38,13 +39,14 @@ The conductor stays honest three ways:
   every quote is frozen are copied rather than recomputed.
 
 Observable history is preserved bit-for-bit: the journal's
-``block_stored`` / FNFA / ``blockReceived`` activity is produced by
-spawning the *real* :meth:`BlockReceiver._local_finalize` at the
-analytically-computed last-write time, receiver closes and the responder's
-``block_done`` fire at the legacy timestamps, and NIC/disk/flow counters
-are batch-applied at settle (nothing observes them mid-block).  The
-receivers' and the responder's per-packet loops never start under a
-train: they start with the first packet sent one by one.
+``block_stored`` / FNFA / ``blockReceived`` activity comes from the
+receiver's own finalizer (:meth:`BlockReceiver.finalize`, the one the
+per-packet receive loop runs), called at the analytically-computed
+last-write time; receiver closes and the responder's ``block_done`` fire
+at the legacy timestamps, and NIC/disk/flow counters are batch-applied at
+settle (nothing observes them mid-block).  A train starts no process:
+the receivers' and the responder's per-packet loops start with the first
+packet sent one by one.
 
 The clients plan a train only for a block nothing was taken for, and
 :func:`repro.hdfs.client.send.send_block` runs it.  The planner
@@ -77,7 +79,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Optional
 
-from ..sim import Environment, Event, ProcessGenerator, race
+from ..sim import Environment, Event
+from ..sim.environment import URGENT
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.node import Node
@@ -141,8 +144,18 @@ class TrainBase:
     ledger.  No channel serves two roles in one train, so each ledger is
     a pair of the timeline's own columns (``_ledger_columns``), in FIFO
     order.  A foreign quote materialises exactly the ledger prefix legacy
-    would already have committed, then wakes the conductor (the
-    ``_flag``) to replay the remainder with frozen-prefix semantics.
+    would already have committed, then invalidates the plan (``_bump``)
+    so the conductor replays the remainder with frozen-prefix semantics.
+
+    The conductor is a chain of timed callbacks, not a process.  The
+    start is an urgent event at arming time; each step (``_conduct``)
+    replays if the plan is stale, fires every milestone due by now and
+    arms one timer for the next, whose callback is the next step.  An
+    invalidation schedules one wake, and the replay runs in its callback
+    (one hop later again while a milestone timer is armed, see
+    ``_on_bumped``), after the foreign quote has committed.  A death
+    cancels what is armed.
+
     Subclasses provide the rates (``_snapshot_rates``), the planner of
     rows ``k0..K-1`` (``_plan``), the replay (``_replay``) and their
     ``(when, order, kind, hop)`` milestones (``_rebuild_milestones``,
@@ -169,7 +182,6 @@ class TrainBase:
         #: Per channel, in ``channels`` order: its busy float while
         #: planning (the ``busy_until`` of :meth:`Channel.quote`).
         self._busy: list[float] = []
-        self._flag: Event = self.env.event()
         self._guarded: set = set()  # channel ids still holding our guard
         self._fired: set = set()
         self._milestones: list = []
@@ -180,14 +192,25 @@ class TrainBase:
         #: :meth:`PacketTrain.hold`): the conductor then waits for
         #: invalidations and the resume instead of finishing.
         self._held = False
+        #: True from an invalidation until the replay that serves it.
+        self._stale = False
+        #: The armed milestone timer, and the pending conductor step (the
+        #: start, or the wake an invalidation scheduled), if any.
+        self._timer: Optional[Event] = None
+        self._wake: Optional[Event] = None
         #: Rows of the timeline (packets or chunks), set by subclasses.
         self._K = 0
         self._t0 = 0.0  # the train's start
 
     # -- lifecycle ---------------------------------------------------------
-    def _arm(self, name: str) -> None:
+    def _arm(self) -> None:
         """Arm the guards, subscribe to throttle changes, snapshot the
-        rates and the busy floors, and spawn the conductor."""
+        rates and the busy floors, and schedule the start.
+
+        The start is an urgent event at ``now``, as a process's first
+        step is, so an interrupt issued at the same instant never
+        overtakes it.
+        """
         assert not self._started
         self._started = True
         self._t0 = self.env.now
@@ -197,43 +220,80 @@ class TrainBase:
         self.network.throttles.subscribe(self._on_throttle)
         self._reset_plan()
         self.deployment.metrics.count(self.conducted_metric)
-        self.env.process(self._conduct(), name=name)
+        self._wake = self.env.call_at(self.env.now, self._start, URGENT)
 
-    def _conduct(self) -> ProcessGenerator:
-        """Plan rows ``0..K-1``, then walk the milestones in time order,
-        replaying on invalidation."""
-        env = self.env
-        if self._dead:
-            return  # settled before it could plan anything
+    def _start(self, _event: Event) -> None:
+        """Plan rows ``0..K-1`` and conduct."""
+        self._wake = None
         self._plan(0)
         self._rebuild_milestones()
+        self._conduct()
+
+    def _conduct(self) -> None:
+        """One conductor step: replay if invalidated, fire every milestone
+        due by now, then arm one timer for the next milestone.
+
+        The conductor is no process: each timer's callback fires its
+        milestone in place.  With no milestone left the train is done,
+        unless it is held: then it waits for an invalidation or the
+        resume.
+        """
+        now = self.env.now
         while True:
-            self._maybe_replay()
-            if self._dead:
-                return
-            if not self._milestones:
-                if not self._held:
-                    break
-                # Held with every milestone fired: the rows in flight
-                # keep their guards until an invalidation replays them
-                # or the resume plans the rest of the block.
-                yield self._flag
-                if self._dead:
-                    return
-                continue
-            when, _order, kind, h = self._milestones[0]
-            if env.now < when:
-                timer = env.timeout_at(when)
-                yield race(env, timer, self._flag)
-                # Invalidation may have won the race; the superseded
-                # timer would otherwise sit in the heap until its time.
-                timer.cancel()
-                if self._dead:
-                    return
-                continue
-            self._milestones.pop(0)
+            if self._stale:
+                self._stale = False
+                if self._wake is not None:
+                    self._wake.cancel()  # this step serves the invalidation
+                    self._wake = None
+                self.deployment.metrics.count(self.invalidation_metric)
+                self._replay()
+            milestones = self._milestones
+            if not milestones or milestones[0][0] > now:
+                break
+            _when, _order, kind, h = milestones.pop(0)
             self._fire(kind, h)
-        self._finished = True
+        if self._timer is not None:
+            self._timer.cancel()  # armed for a plan the replay superseded
+            self._timer = None
+        if milestones:
+            self._timer = self.env.call_at(milestones[0][0], self._on_timer)
+        elif not self._held:
+            self._finished = True
+
+    def _on_timer(self, _event: Event) -> None:
+        self._timer = None
+        if not self._doomed():
+            self._conduct()
+
+    def _doomed(self) -> bool:
+        """True when a settle is already on its way (see PacketTrain)."""
+        return False
+
+    def _on_wake(self, _event: Event) -> None:
+        self._wake = None
+        self._conduct()
+
+    def _on_bumped(self, _event: Event) -> None:
+        """The invalidation's first hop; the replay runs one more hop
+        later while a milestone timer is armed, at once otherwise.
+
+        Bumps of this instant that come before the replay coalesce into
+        it, and two replays at one instant equal one only when no row is
+        issued exactly then.  These are the hops at which the conductor
+        process this replaced replayed (it waited on the race of its
+        timer and a flag, or on the flag alone while held), so the
+        replays, and the results the equivalence suite pins, are its."""
+        if self._timer is None:
+            self._on_wake(_event)
+        else:
+            self._wake = self.env.call_at(self.env.now, self._on_wake)
+
+    def _stop(self) -> None:
+        """Drop the armed timer and any pending step (settle or death)."""
+        for event in (self._timer, self._wake):
+            if event is not None:
+                event.cancel()
+        self._timer = self._wake = None
 
     # -- invalidation hooks ------------------------------------------------
     def _make_guard(self, channel):
@@ -247,8 +307,12 @@ class TrainBase:
         self._bump()
 
     def _bump(self) -> None:
-        if not self._flag.triggered:
-            self._flag.succeed()
+        """Invalidate the plan: schedule a wake unless a step is pending."""
+        if self._stale:
+            return
+        self._stale = True
+        if self._wake is None:
+            self._wake = self.env.call_at(self.env.now, self._on_bumped)
 
     def _materialize(self, channel) -> None:
         """Commit the ledger prefix with ``issue <= now`` to ``busy_until``.
@@ -322,11 +386,6 @@ class TrainBase:
                 floor = ends[-1]
             busy.append(floor)
 
-    def _maybe_replay(self) -> None:
-        if self._flag.triggered:
-            self._flag = self.env.event()
-            self.deployment.metrics.count(self.invalidation_metric)
-            self._replay()
 
 
 class PacketTrain(TrainBase):
@@ -400,13 +459,15 @@ class PacketTrain(TrainBase):
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Arm the train and spawn its conductor.
+        """Arm the train and schedule its conductor's start.
 
         The receivers' per-packet loops never start: only a send starts
         them (:meth:`BlockReceiver.start`), and the train performs their
         externally observable actions — finalize, FNFA, blockReceived,
         close — at the analytically identical times.  The receivers ask
-        the train for their buffer occupancy (:meth:`buffered`).
+        the train for their buffer occupancy (:meth:`buffered`).  The
+        train holds the receivers and the error event only until it
+        settles or dies, so a settled train dies by reference counting.
         """
         # Settle synchronously inside the error event's callback chain so
         # the client (subscribed after us) resumes against settled state.
@@ -414,7 +475,13 @@ class PacketTrain(TrainBase):
         self.handle.error.callbacks.append(self._on_error)
         for receiver in self.receivers:
             receiver.train = self
-        self._arm(f"train:b{self.block.block_id}")
+        self._arm()
+
+    def _doomed(self) -> bool:
+        """The pipeline error was raised at this very instant and its
+        settle is queued.  The settle keeps only what happened strictly
+        before the failure, so a milestone due now must not fire."""
+        return self.handle.error.triggered
 
     @property
     def held(self) -> bool:
@@ -428,9 +495,12 @@ class PacketTrain(TrainBase):
         the first datanode, so it stops after row ``j``, the first row
         landing after ``at``; a flag already up when a send begins stops
         it after that send's first row.  A row landing at ``at`` itself
-        lands first: the loop checks it two events after its transfer
-        timer, while a kill reaches the flag three events after its own,
-        earlier timer.
+        lands first.  The loop checks it inside its transfer timer's own
+        heap event (the race wakes the client in place).  A kill at
+        ``at`` raises the flag only inside the pipeline error's event
+        (the watcher's race wakes in place there), and the kill schedules
+        that event at ``at``, after the transfer timer was created, so
+        it comes later.
 
         Returns False when every planned row had landed by ``at`` (the
         send is complete), else True: the send pauses after row ``j``.
@@ -660,18 +730,10 @@ class PacketTrain(TrainBase):
                 self.sent.succeed()
         elif kind == "fin":
             # All packets arrived and the last disk write just landed:
-            # run the *real* finalizer (journal, FNFA, blockReceived) so
-            # its observable timeline and abort semantics are inherited.
+            # run the receiver's finalizer (journal, FNFA, blockReceived),
+            # the one the per-packet receive loop runs at this landing.
             receiver._bytes_received = self._total_bytes
-            done_write = Event(self.env)
-            done_write._ok = True
-            done_write._value = None
-            done_write.callbacks = None  # already processed
-            proc = self.env.process(
-                receiver._local_finalize(done_write),
-                name=f"fin:{receiver.name}:b{self.block.block_id}",
-            )
-            receiver._procs.append(proc)
+            receiver.finalize()
         elif kind == "acks":
             # Close the receiver's trace spans at the legacy instants:
             # the ACK relay retires right now (u[h][last]); the forwarder
@@ -764,6 +826,11 @@ class PacketTrain(TrainBase):
             if ends and ends[-1] > channel._busy_until:
                 channel._busy_until = ends[-1]
         self._detach()
+        # Break the reference cycles through the pipeline, so a settled
+        # train dies by reference counting: the receivers' back-references
+        # and the settle hook on an error that will not come now.
+        self._release_receivers()
+        self.handle.error.callbacks.remove(self._on_error)
         self.sent_count = self._K
         responder = self.responder
         responder.ack_queue.clear()
@@ -771,6 +838,11 @@ class PacketTrain(TrainBase):
         responder.acked_bytes += self._total_bytes
         if not responder.block_done.triggered:
             responder.block_done.succeed(self.block)
+
+    def _release_receivers(self) -> None:
+        for receiver in self.receivers:
+            if receiver.train is self:
+                receiver.train = None
 
     def _on_error(self, event: Event) -> None:
         """Pipeline error mid-train: settle the committed prefix.
@@ -787,6 +859,8 @@ class PacketTrain(TrainBase):
         for receiver in self.receivers:
             self.retire_forward(receiver)  # while the train is live
         self._dead = True
+        self._stop()
+        self._release_receivers()
         if self.progress.held is self:
             self.progress.held = None
         now = self.env.now
@@ -824,7 +898,6 @@ class PacketTrain(TrainBase):
         responder.ack_queue.extend(
             plan.packet(k) for k in range(acked, arrived[0])
         )
-        self._bump()  # wake the conductor so it can exit promptly
 
 
 def plan_read_train(
@@ -936,9 +1009,10 @@ class ReadTrain(TrainBase):
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Arm the train and spawn its conductor (call at the stream start)."""
+        """Arm the train and schedule its conductor's start (call at the
+        stream start)."""
         self.serve.on_kill = self._on_kill
-        self._arm(f"readtrain:b{self.block.block_id}")
+        self._arm()
 
     # -- timeline math -----------------------------------------------------
     def _snapshot_rates(self) -> None:
@@ -1061,6 +1135,8 @@ class ReadTrain(TrainBase):
         if self._finished or self._dead:
             return
         self._dead = True
+        self._stop()
+        self.serve.on_kill = None  # the serve is closed: drop the cycle
         now = self.env.now
         delivered = sum(1 for x in self._x if x < now)
         issued_reads = sum(1 for di in self._di if di < now)
@@ -1077,6 +1153,5 @@ class ReadTrain(TrainBase):
             if id(channel) in self._guarded:
                 self._materialize(channel)
         self._detach()
-        self._bump()  # wake the conductor so it can exit promptly
         if not self.done.triggered:
             self.done.succeed(None)

@@ -73,6 +73,11 @@ __all__ = [
     "generate_service_faults",
 ]
 
+#: ``json.dumps(obj, sort_keys=True)`` from one shared encoder: the
+#: report encodes every journal line, and ``json.dumps`` with any keyword
+#: builds a new encoder per call.
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
 _PROTOCOLS = ("hdfs", "smarth")
 
 
@@ -562,14 +567,13 @@ class IngestService:
         admission = self.admission
         spec = self.spec
         journal_lines = [
-            json.dumps(
+            _encode_sorted(
                 {
                     "time": event.time,
                     "kind": event.kind,
                     "subject": event.subject,
                     "details": event.details,
-                },
-                sort_keys=True,
+                }
             )
             for event in self.journal.events()
         ]

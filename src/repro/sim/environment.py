@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .errors import EmptySchedule, StopSimulation
 from .events import AllOf, AnyOf, Event, Timeout
@@ -159,6 +159,25 @@ class Environment:
         event._ok = True
         event._value = value
         self.schedule_at(event, when)
+        return event
+
+    def call_at(
+        self,
+        when: float,
+        callback: Callable[[Event], None],
+        priority: int = NORMAL,
+    ) -> Event:
+        """Run ``callback(event)`` at the absolute time ``when``.
+
+        A timed callback costs one heap entry and no process: no init, no
+        exit, no generator.  The returned event may be cancelled while it
+        is pending.
+        """
+        event = Event(self)
+        event._ok = True
+        event._value = None
+        event.callbacks.append(callback)
+        self.schedule_at(event, when, priority)
         return event
 
     def process(

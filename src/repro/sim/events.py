@@ -301,20 +301,34 @@ class AnyOf(Condition):
 
 
 class _Race(Event):
-    """Minimal first-of-N event: no constituent list, no value dict."""
+    """Minimal first-of-N event: no constituent list, no value dict.
+
+    A race is processed *in place*: the first constituent to be processed
+    triggers it and runs its callbacks inside its own callback list, so
+    the waiter wakes in the winner's heap event and the race takes no
+    heap entry of its own.  A failed winner fails the race; a failure no
+    callback defused crashes the run from inside the winner's processing.
+    """
 
     __slots__ = ()
 
     def _on(self, event: "Event") -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             if not event._ok:
                 event.defuse()
             return
         if event._ok:
-            self.succeed(event)
+            self._value = event
         else:
             event.defuse()
-            self.fail(event._value)
+            self._ok = False
+            self._value = event._value
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
+        if not self._ok and not self._defused:
+            exc = self._value
+            raise exc if isinstance(exc, BaseException) else RuntimeError(exc)
 
 
 def race(env: "Environment", *events: "Event") -> "Event":
@@ -327,7 +341,8 @@ def race(env: "Environment", *events: "Event") -> "Event":
     ``race`` fires with the first-fired *event* as its value, propagates a
     constituent failure the same way Condition does, and — when some event
     has already been processed — returns that event directly, allocating
-    nothing and subscribing to nothing.
+    nothing and subscribing to nothing.  Unlike a Condition it wakes its
+    waiter in place, inside the winner's processing (see :class:`_Race`).
     """
     for event in events:
         if event.processed:

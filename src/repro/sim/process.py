@@ -5,7 +5,9 @@ A :class:`Process` drives a Python generator: every value the generator
 suspends until that event fires and is resumed with the event's value (or
 the event's exception is thrown into it).  The process itself *is* an
 event — it fires with the generator's return value when the generator
-finishes — so processes can wait for each other.
+finishes — so processes can wait for each other.  An exit nobody waits
+for is processed in place and takes no heap entry; an exit that raises
+always goes through the heap.
 """
 
 from __future__ import annotations
@@ -154,8 +156,15 @@ class Process(Event):
         except StopIteration as stop:
             self._ok = True
             self._value = stop.value
-            env.schedule(self)
+            if self.callbacks:
+                env.schedule(self)
+            else:
+                # Nobody awaits the exit: process it in place, without a
+                # heap entry.  A later ``yield`` on it resumes at once.
+                self.callbacks = None
         except BaseException as error:
+            # A raising exit always goes through the heap, so an
+            # unhandled exception still crashes the run.
             self._ok = False
             self._value = error
             self._defused = False

@@ -288,9 +288,7 @@ class SmarthClient:
             tracer.end(pipeline.trace_attempt, self.env.now, aborted=True)
             pipeline.trace_attempt = 0
             raise
-        yield self.env.process(
-            self.network.connection_setup(len(pipeline.targets))
-        )
+        yield from self.network.connection_setup(len(pipeline.targets))
         responder = PacketResponder(self.env, pipeline.block, handle.ack_in)
         pipeline.bind(handle, responder)
 

@@ -18,8 +18,8 @@ from repro.workloads import campaign10k, run_pods_single_env
 #: Exact heap events of ``campaign10k(scale=0.02)``: with trains (the
 #: default) and on the per-packet loop.  Both counts are deterministic;
 #: a change that moves them moves them on purpose.
-TRAIN_EVENTS = 11_238
-PER_PACKET_EVENTS = 254_838
+TRAIN_EVENTS = 5_838
+PER_PACKET_EVENTS = 236_638
 
 
 def test_campaign_timeline_identical_and_fewer_events():

@@ -197,6 +197,82 @@ class TestKillSemantics:
         assert dep.datanode("dn1").active_receivers == 0
 
 
+class TestFinalizer:
+    """``BlockReceiver.finalize``: the timed-callback chain both paths run
+    at the last write's landing ``W`` (store, FNFA, blockReceived, close),
+    and what an abort at each stage leaves of it."""
+
+    def _finalize(self, monkeypatch, hop, abort_after=None):
+        """Land a last write on ``hop`` of a two-hop SMARTH-style pipeline
+        whose ACKs are already relayed, abort that receiver
+        ``abort_after`` control latencies past ``W`` (if given), and
+        return ``W``, the control latency and the instants of each
+        block_stored, FNFA, blockReceived and close of that receiver."""
+        env, dep = make()
+        block = dep.namenode.blocks.allocate("/f", 0, 64 * KB)
+        handle = dep.open_pipeline(
+            block, ("dn0", "dn1"), dep.cluster.client_host, want_fnfa=True
+        )
+        receiver = handle.receivers[hop]
+        receiver._acks_done = True
+        reports, closes = [], []
+        received = type(dep.namenode).block_received
+        closed = type(receiver.datanode)._receiver_closed
+
+        def report(namenode, block_id, datanode, size):
+            reports.append(env.now)
+            received(namenode, block_id, datanode, size)
+
+        def close(datanode, rec):
+            if rec is receiver:
+                closes.append(env.now)
+            closed(datanode, rec)
+
+        monkeypatch.setattr(type(dep.namenode), "block_received", report)
+        monkeypatch.setattr(type(receiver.datanode), "_receiver_closed", close)
+        C = dep.network.config.control_latency
+        write = receiver.host.disk.write_event(64 * KB)
+        W = receiver.host.disk._channel.busy_until
+        write.callbacks.append(receiver.finalize)
+        if abort_after is not None:
+            env.call_at(W + abort_after * C, lambda _: receiver.abort(None))
+        env.run()
+        stored = [
+            e.time for e in dep.journal.events() if e.kind == "block_stored"
+        ]
+        fnfas = [f.finished_at for f in handle.fnfa_in.items]
+        return W, C, (stored, fnfas, reports, closes)
+
+    def test_first_hop_chain(self, monkeypatch):
+        W, C, seen = self._finalize(monkeypatch, 0)
+        assert seen == ([W], [W + C], [W + C + C], [W + C + C])
+
+    def test_later_hop_reports_after_one_delay(self, monkeypatch):
+        W, C, seen = self._finalize(monkeypatch, 1)
+        assert seen == ([W], [], [W + C], [W + C])
+
+    @pytest.mark.parametrize("hop", [0, 1])
+    def test_abort_before_the_last_write_finalizes_nothing(
+        self, monkeypatch, hop
+    ):
+        W, C, seen = self._finalize(monkeypatch, hop, abort_after=-0.5)
+        assert seen == ([], [], [], [W - 0.5 * C])  # the abort's own close
+
+    def test_abort_before_the_fnfa_cancels_fnfa_and_report(self, monkeypatch):
+        W, C, seen = self._finalize(monkeypatch, 0, abort_after=0.5)
+        assert seen == ([W], [], [], [W + 0.5 * C])
+
+    @pytest.mark.parametrize("hop, after", [(0, 1.5), (1, 0.5)])
+    def test_abort_during_the_report_still_reports(
+        self, monkeypatch, hop, after
+    ):
+        """The report is on the wire: it lands, but the receiver is not
+        closed again."""
+        W, C, seen = self._finalize(monkeypatch, hop, abort_after=after)
+        fnfas, report = ([W + C], W + C + C) if hop == 0 else ([], W + C)
+        assert seen == ([W], fnfas, [report], [W + after * C])
+
+
 class TestReceiverOrder:
     def test_receivers_and_kill_follow_open_order(self):
         """Open receivers are walked and aborted in open order, never in

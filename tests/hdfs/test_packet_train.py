@@ -10,13 +10,20 @@ settle) and Algorithm 4's pause of a SMARTH block (the hold), comparing
 the full observable history.
 """
 
+import gc
+import weakref
+from collections import Counter
+
 import pytest
 
 from repro.cluster import SMALL, build_homogeneous
 from repro.config import SimulationConfig
 from repro.faults import FaultInjector
-from repro.hdfs import HdfsClient, HdfsDeployment
-from repro.hdfs.train import PacketTrain, plan_read_train, plan_train
+from repro.hdfs import HdfsClient, HdfsDeployment, HdfsReader
+from repro.hdfs import datanode as datanode_module
+from repro.hdfs.namenode import Namenode
+from repro.hdfs.protocol import FNFA
+from repro.hdfs.train import PacketTrain, ReadTrain, plan_read_train, plan_train
 from repro.net.throttle import NodeThrottle
 from repro.sim import Environment
 from repro.smarth import SmarthClient
@@ -94,7 +101,7 @@ class TestSteadyStateEquivalence:
             client = HdfsClient(deployment)
             env.run(until=env.process(client.put("/data/f.bin", UPLOAD)))
             env_events[coalesce] = env.events_processed
-        assert env_events == {1: 19_626, 0: 162}
+        assert env_events == {1: 18_506, 0: 66}
 
     def test_kernel_pipeline_counts(self):
         """``bench_kernel``'s pipeline shape (256 MB over 32 MB blocks):
@@ -115,7 +122,7 @@ class TestSteadyStateEquivalence:
             )
             env_events[coalesce] = env.events_processed
             durations.add(result.duration)
-        assert env_events == {1: 78_161, 0: 321}
+        assert env_events == {1: 73_873, 0: 129}
         assert len(durations) == 1
 
 
@@ -130,11 +137,12 @@ def _spawned_process_names(monkeypatch, coalesce, client_cls):
     spawn = Environment.process
 
     def recording(self, generator, name=None):
-        names.append(name or "")
+        names.append(name or getattr(generator, "__name__", ""))
         return spawn(self, generator, name=name)
 
     monkeypatch.setattr(Environment, "process", recording)
     _run(coalesce, client_cls=client_cls, size=16 * MB)
+    monkeypatch.undo()
     return names
 
 
@@ -143,18 +151,79 @@ def _spawned_process_names(monkeypatch, coalesce, client_cls):
 )
 class TestNoPerPacketLoopsUnderTrain:
     """The loops start with the first packet sent one by one, so a block
-    sent as a train never creates them; the train's real finalizers
-    (``fin:``) still run."""
+    sent as a train never creates them; the train itself is timed
+    callbacks, and so is the finalizer both paths share."""
 
     def test_train_starts_no_per_packet_loop(self, monkeypatch, client_cls):
-        names = _spawned_process_names(monkeypatch, 0, client_cls)
-        assert [n for n in names if n.startswith(PER_PACKET_LOOPS)] == []
-        assert any(n.startswith("fin:") for n in names)
+        """With a train the upload spawns exactly the per-packet run's
+        processes minus the per-packet loops: no conductor, finalizer or
+        report process."""
+        train = Counter(_spawned_process_names(monkeypatch, 0, client_cls))
+        legacy = Counter(
+            name
+            for name in _spawned_process_names(monkeypatch, 1, client_cls)
+            if not name.startswith(PER_PACKET_LOOPS)
+        )
+        assert train == legacy
 
     def test_per_packet_path_starts_every_loop(self, monkeypatch, client_cls):
         names = _spawned_process_names(monkeypatch, 1, client_cls)
-        for kind in PER_PACKET_LOOPS + ("fin:",):
+        for kind in PER_PACKET_LOOPS:
             assert any(n.startswith(kind) for n in names), kind
+
+    def test_finalizer_lands_on_the_timeline(self, monkeypatch, client_cls):
+        """On both paths each hop's ``block_stored`` lands at its last
+        write ``w[h][K-1]``.  A SMARTH first hop's FNFA lands one control
+        delay later and its ``blockReceived`` one more delay after it; on
+        every other hop ``blockReceived`` lands one delay after the
+        write."""
+        settled = []
+        settle = PacketTrain._settle_success
+
+        def recording(train):
+            settled.append(
+                (train.block.block_id, [r.name for r in train.receivers],
+                 [w[-1] for w in train._w])
+            )
+            return settle(train)
+
+        monkeypatch.setattr(PacketTrain, "_settle_success", recording)
+        _run(0, client_cls=client_cls, size=16 * MB)
+        monkeypatch.undo()
+        [(block_id, hops, last_writes)] = settled
+
+        for coalesce in (0, 1):
+            fnfas, reports = [], {}
+
+            def fnfa(**fields):
+                fnfas.append(fields["finished_at"])
+                return FNFA(**fields)
+
+            received = Namenode.block_received
+
+            def report(namenode, block, datanode, size):
+                reports[datanode] = namenode.env.now
+                return received(namenode, block, datanode, size)
+
+            monkeypatch.setattr(datanode_module, "FNFA", fnfa)
+            monkeypatch.setattr(Namenode, "block_received", report)
+            _, deployment = _run(coalesce, client_cls=client_cls, size=16 * MB)
+            monkeypatch.undo()
+            C = deployment.network.config.control_latency
+            stored = {
+                e.details["datanode"]: e.time
+                for e in deployment.journal.events()
+                if e.kind == "block_stored"
+            }
+            assert stored == dict(zip(hops, last_writes)), coalesce
+            expected = {name: w + C for name, w in zip(hops, last_writes)}
+            if client_cls is SmarthClient:
+                first = last_writes[0] + C
+                assert fnfas == [first]
+                expected[hops[0]] = first + C
+            else:
+                assert fnfas == []
+            assert reports == expected, coalesce
 
 
 class TestMidTrainThrottle:
@@ -348,6 +417,37 @@ class TestPauseMidTrain:
         )
         self._assert_equivalent((kill, second))
         assert (1001, True) in settled
+
+
+def test_settled_trains_die_by_reference_counting(monkeypatch):
+    """No reference cycle keeps a train alive: with the cyclic collector
+    off, the packet trains of a SMARTH upload and the read trains of
+    reading the file back are freed by the time each call returns."""
+    trains = {PacketTrain: [], ReadTrain: []}
+    for cls, refs in trains.items():
+
+        def recording(train, start=cls.start, refs=refs):
+            refs.append(weakref.ref(train))
+            return start(train)
+
+        monkeypatch.setattr(cls, "start", recording)
+    env = Environment()
+    cluster = build_homogeneous(env, SMALL, n_datanodes=9, config=_config(0))
+    deployment = HdfsDeployment(cluster)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        put = SmarthClient(deployment).put("/data/f.bin", UPLOAD)
+        env.run(until=env.process(put))
+        written = [ref() for ref in trains[PacketTrain]]
+        env.run(until=env.process(HdfsReader(deployment).get("/data/f.bin")))
+        read = [ref() for ref in trains[ReadTrain]]
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(written) == 4 and len(read) == 4
+    assert written == [None] * 4
+    assert read == [None] * 4
 
 
 class TestPredicateDeclines:

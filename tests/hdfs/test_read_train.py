@@ -167,5 +167,5 @@ def test_streaming_read_counts():
         result = env.run(until=env.process(HdfsReader(deployment).get("/f")))
         events[coalesce] = env.events_processed - before
         durations.add(result.duration)
-    assert events == {1: 2_076, 0: 68}
+    assert events == {1: 2_060, 0: 36}
     assert len(durations) == 1
