@@ -85,9 +85,9 @@ class HdfsConfig:
     #: slows co-resident pipeline traffic and vice versa.
     serve_streams: int = 4
     #: Read-train coalescing for the read hot loop, with the
-    #: ``coalesce_packets`` semantics: ``0`` (the default) collapses a
-    #: whole block's steady-state chunk cascade into one analytically
-    #: quoted :class:`~repro.hdfs.train.ReadTrain`; ``1`` disables
+    #: ``coalesce_packets`` semantics: ``0`` (the default) plans every
+    #: block stream into a reader host analytically on that host's
+    #: :class:`~repro.hdfs.train.ReadTrain`; ``1`` disables
     #: coalescing (legacy per-chunk events, the equivalence oracle).
     #: Timing is bit-identical either way (equivalence tested like
     #: ``coalesce_packets``).

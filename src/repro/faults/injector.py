@@ -52,16 +52,13 @@ class FaultInjector:
     def _register_disturbance(self, at: float) -> None:
         """Record a scheduled kill time on the deployment.
 
-        Only degraded reads decline on it: a read train settles a kill
-        at its instant, where the per-chunk loop notices it after the
-        chunk in flight, so registering up front keeps the read
-        timelines bit-identical.  Write trains run under scheduled
-        kills (they settle the pipeline error and hold mid-block for
-        Algorithm 4, see :mod:`repro.hdfs.train`).  Throttles are not
-        registered: a train replays a throttle-table change like any
+        No train declines on it: write trains settle the pipeline error
+        and hold mid-block for Algorithm 4, and read trains settle a
+        killed stream where the per-chunk loop notices the death, after
+        the chunk in flight (see :mod:`repro.hdfs.train`).  Throttles are
+        not registered: a train replays a throttle-table change like any
         other (:meth:`repro.hdfs.train.TrainBase._on_throttle`).  The
-        service snapshot and the ledger's decline probe read the list
-        too.
+        service snapshot and the ledger's decline probe read the list.
         """
         self.deployment.scheduled_disturbances.append(at)
 

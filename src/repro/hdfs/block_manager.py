@@ -45,6 +45,9 @@ class BlockManager:
     def __init__(self, start_id: int = 1000):
         self._ids = count(start_id)
         self._blocks: dict[int, BlockInfo] = {}
+        #: Finalized replica count -> the blocks with that many, so the
+        #: replication monitor's scan visits only the short ones.
+        self._by_count: dict[int, set[int]] = {}
         #: Called after every replica or commit change (the replication
         #: monitor's wake-up hook).
         self.on_change: Optional[Callable[[], None]] = None
@@ -58,6 +61,7 @@ class BlockManager:
         """Mint a new block for ``path``."""
         block = Block(block_id=next(self._ids), path=path, index=index, size=size)
         self._blocks[block.block_id] = BlockInfo(block=block)
+        self._by_count.setdefault(0, set()).add(block.block_id)
         return block
 
     def expect_replicas(self, block_id: int, datanodes: tuple[str, ...]) -> None:
@@ -79,13 +83,17 @@ class BlockManager:
         info = self._get(block_id)
         replica = info.replicas.setdefault(datanode, ReplicaInfo(datanode=datanode))
         replica.bytes_confirmed = size
-        replica.finalized = True
+        if not replica.finalized:
+            replica.finalized = True
+            self._recount(block_id, info, +1)
         self._changed()
 
     def drop_replica(self, block_id: int, datanode: str) -> None:
         """Forget one replica (failed datanode removed from a pipeline)."""
         info = self._get(block_id)
-        info.replicas.pop(datanode, None)
+        replica = info.replicas.pop(datanode, None)
+        if replica is not None and replica.finalized:
+            self._recount(block_id, info, -1)
         self._changed()
 
     def commit(self, block_id: int) -> None:
@@ -112,13 +120,12 @@ class BlockManager:
 
     def under_replicated(self, required: int) -> tuple[int, ...]:
         """Block IDs with fewer than ``required`` finalized replicas."""
-        return tuple(
-            sorted(
-                bid
-                for bid, info in self._blocks.items()
-                if info.finalized_replicas < required
-            )
-        )
+        short: list[int] = []
+        for n, blocks in self._by_count.items():
+            if n < required:
+                short.extend(blocks)
+        short.sort()
+        return tuple(short)
 
     def blocks_on(self, datanode: str) -> tuple[int, ...]:
         """All block IDs with a (possibly pending) replica on ``datanode``."""
@@ -148,7 +155,17 @@ class BlockManager:
     def restore_state(self, state: dict) -> None:
         self._blocks = dict(state["blocks"])
         self._ids = count(state["next_id"])
+        self._by_count = {}
+        for bid, info in self._blocks.items():
+            self._by_count.setdefault(info.finalized_replicas, set()).add(bid)
         self._changed()
+
+    def _recount(self, block_id: int, info: BlockInfo, delta: int) -> None:
+        """Move a block whose finalized replica count changed by
+        ``delta`` (the replica change is already applied)."""
+        n = info.finalized_replicas
+        self._by_count[n - delta].discard(block_id)
+        self._by_count.setdefault(n, set()).add(block_id)
 
     def _get(self, block_id: int) -> BlockInfo:
         try:

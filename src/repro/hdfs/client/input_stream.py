@@ -16,16 +16,19 @@ through either protocol are actually usable.  Semantics follow Hadoop:
 * within a block, reads are chunked at packet granularity with the disk
   read of chunk *i+1* overlapping the network transfer of chunk *i*
   (Hadoop's BlockSender does the same with its transfer buffer).  With
-  ``coalesce_reads`` enabled (the default) a pristine stream collapses
-  into a :class:`~repro.hdfs.train.ReadTrain` — identical timeline, O(1)
-  heap events per block;
+  ``coalesce_reads`` enabled (the default) every stream into a reader
+  host rides that host's :class:`~repro.hdfs.train.ReadTrain`, which
+  plans them all together — identical timeline, O(1) heap events per
+  block — including streams whose source is later killed and streams
+  resumed after a kill;
 * a replica co-located with the reader is always served by a
   short-circuit local read: a direct disk scan that bypasses connection
   setup, the serve queue and both NICs, like Hadoop's
   ``dfs.client.read.shortcircuit``;
-* a source dying mid-stream does not restart the block: the reader
-  re-ranks the surviving replicas and resumes from the next-best one at
-  the exact byte offset already delivered.
+* a source dying mid-stream does not restart the block: the per-chunk
+  loop notices the death between chunks, once the chunk in flight has
+  landed, and the reader re-ranks the surviving replicas and resumes
+  from the next-best one at the exact byte offset already delivered.
 """
 
 from __future__ import annotations
@@ -147,7 +150,9 @@ class HdfsReader:
             try:
                 streamed = yield from self._stream_from(source, block, offset)
             except _SourceDied as err:  # resume from the next-best replica
-                last_error = err
+                # Keep the cause, not its traceback: the traceback holds
+                # the finished stream's frame and so its train.
+                last_error = _SourceDied(err.source, err.streamed)
                 failed.add(source)
                 offset += err.streamed
                 continue
@@ -186,15 +191,15 @@ class HdfsReader:
         except DatanodeDead:
             raise _SourceDied(source, 0) from None
         try:
-            train = plan_read_train(
+            stream = plan_read_train(
                 self.deployment, datanode, self.node, serve, block, offset
             )
-            if train is not None:
-                train.start()
-                outcome = yield train.done
-                if outcome is None:  # source died mid-train
-                    raise _SourceDied(source, train.delivered_bytes)
-                return train.delivered_bytes
+            if stream is not None:
+                stream.start()
+                outcome = yield stream.done
+                if outcome is None:  # the source died under the stream
+                    raise _SourceDied(source, stream.delivered_bytes)
+                return stream.delivered_bytes
             streamed = yield from self._chunk_loop(datanode, serve, source, size)
             return streamed
         finally:

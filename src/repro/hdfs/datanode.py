@@ -419,10 +419,15 @@ class ReadServe:
     Created by :meth:`Datanode.open_serve` once a serve slot is granted;
     the holder must call :meth:`close` when the stream ends (successfully
     or not) to free the slot for queued readers.  :meth:`Datanode.kill`
-    aborts open serves, firing ``on_kill`` so analytically-conducted
-    streams (read trains) can unwind at the instant of death — the legacy
-    per-chunk loop instead notices the dead node on its next iteration,
-    exactly as it always has.
+    aborts every open serve, firing its ``on_kill``, and only then closes
+    them all, freeing their slots at the instant of death.  The per-chunk
+    loop notices the dead node between chunks, after the chunk in flight
+    lands; a read train (``on_kill``) records that landing and settles the
+    stream there.  When the landing is the kill's own instant, the train
+    settles in the replay it schedules from ``on_kill``, so telling every
+    stream first puts that replay, and the reader's wake, ahead of the
+    grants of the freed slots, as the loop's chunk timer, older than the
+    kill's grants, is.
     """
 
     __slots__ = ("datanode", "block_id", "client", "on_kill", "_request", "_closed")
@@ -454,11 +459,9 @@ class ReadServe:
         self.datanode._serve_closed(self)
 
     def abort(self) -> None:
-        """Datanode died: free the slot and notify the stream."""
-        if self._closed:
-            return
-        self.close()
-        if self.on_kill is not None:
+        """Datanode died: notify the stream; :meth:`Datanode.kill` frees
+        the slot once every open serve has been notified."""
+        if not self._closed and self.on_kill is not None:
             self.on_kill()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -643,10 +646,11 @@ class Datanode:
             )
         for receiver in list(self._active):
             receiver.abort(self.name)
-        for serve in sorted(
-            self._serving, key=lambda s: (s.block_id, s.client)
-        ):
+        serves = sorted(self._serving, key=lambda s: (s.block_id, s.client))
+        for serve in serves:
             serve.abort()
+        for serve in serves:
+            serve.close()
         self.stop_heartbeats()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

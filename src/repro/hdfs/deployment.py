@@ -75,10 +75,13 @@ class HdfsDeployment:
         if observe:
             self.tracer.attach_journal(self.journal)
         #: Simulated times at which a datanode kill is *scheduled*
-        #: (FaultInjector registers them up front).  The read-train
-        #: planner declines once any is registered; write trains run
-        #: under scheduled kills.
+        #: (FaultInjector registers them up front).  Both trains run
+        #: under scheduled kills; the service snapshot keeps the list.
         self.scheduled_disturbances: list[float] = []
+        #: The live read train of each reader host (see
+        #: :class:`~repro.hdfs.train.ReadTrain`); a train leaves once its
+        #: last stream settles.
+        self.read_trains: dict = {}
 
         self.namenode = Namenode(
             env=self.env,

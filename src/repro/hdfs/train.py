@@ -62,21 +62,29 @@ keeps conducting the packets already sent, and plans the rest of the
 block when the client resumes it (:meth:`PacketTrain.hold`,
 :meth:`PacketTrain.resume`).
 
-:class:`ReadTrain` applies the same machinery to the read path: the
-steady-state chunk cascade of one block read — disk prefetch of chunk
-``k+1`` overlapping the transfer of chunk ``k`` — is a three-channel FIFO
-recurrence (source disk, source egress, reader ingress), so a whole block
-collapses into one conductor with a single end milestone.  The guard /
-ledger / frozen-prefix-replay machinery and the conductor are shared
-through :class:`TrainBase`: both trains compute their full timeline up
-front and only replay on invalidation.  A mid-train datanode kill
-settles the strictly-delivered chunk prefix and reports the byte count
-so the reader can resume from the next-ranked replica.
+:class:`ReadTrain` applies the same machinery to the read path.  The
+chunk cascade of one block read — disk prefetch of chunk ``k+1``
+overlapping the transfer of chunk ``k`` — is a three-channel FIFO
+recurrence (source disk, source egress, reader ingress), and one train
+per reader host runs that recurrence for every stream into the host
+(:class:`ReadStream`), side by side as the per-chunk loops run: streams
+share the host's ingress, and those from one source its disk and
+egress.  A lone stream is planned to its end in one pass; streams beside
+each other are planned step by step off a heap, a bounded stretch at a
+time.  The guard / ledger / frozen-prefix-replay machinery and the
+conductor are shared through :class:`TrainBase`; a stream joining the
+train is one more replay.  A datanode kill is settled where the
+per-chunk loop notices it, after the chunk in flight lands, and the
+reader resumes from the delivered byte count on the next-ranked
+replica.  The read planner declines only what could make the cascade
+diverge from the loops (see :func:`plan_read_train`); scheduled kills and
+resumed streams ride trains.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Optional
 
 from ..sim import Environment, Event
@@ -90,7 +98,22 @@ if TYPE_CHECKING:  # pragma: no cover
     from .deployment import HdfsDeployment, PipelineHandle
     from .protocol import Block
 
-__all__ = ["TrainBase", "PacketTrain", "ReadTrain", "plan_train", "plan_read_train"]
+__all__ = [
+    "TrainBase",
+    "PacketTrain",
+    "ReadTrain",
+    "ReadStream",
+    "plan_train",
+    "plan_read_train",
+]
+
+INF = float("inf")
+#: Steps a read train plans beside other streams before it arms a
+#: ``plan`` milestone to go on, so a join re-plans at most these.  On
+#: the read campaigns of chaos sub-seeds 0-39, 16 plans a quarter of the
+#: steps in vain that planning straight to the next stream end does, for
+#: 9% more heap events.
+PLAN_STEPS = 16
 
 
 def plan_train(
@@ -157,9 +180,11 @@ class TrainBase:
     cancels what is armed.
 
     Subclasses provide the rates (``_snapshot_rates``), the planner of
-    rows ``k0..K-1`` (``_plan``), the replay (``_replay``) and their
-    ``(when, order, kind, hop)`` milestones (``_rebuild_milestones``,
-    ``_fire``); everything here is recurrence-agnostic.
+    rows ``k0..K-1`` (``_plan``, which ``_start`` runs), the replay
+    (``_replay``) and their ``(when, order, kind, hop)`` milestones
+    (``_rebuild_milestones``, ``_fire``); everything here is
+    recurrence-agnostic.  :class:`ReadTrain`, whose streams come and go,
+    brings its own ``_start``, ledgers and floors.
     """
 
     #: Metrics counter bumped once per conducted train.
@@ -907,59 +932,60 @@ def plan_read_train(
     serve: "ReadServe",
     block: "Block",
     offset: int = 0,
-) -> Optional["ReadTrain"]:
-    """Return a ready-to-start read train, or ``None`` to decline.
+) -> Optional["ReadStream"]:
+    """Return a ready-to-start stream on the reader host's read train, or
+    ``None`` to decline.
 
-    Mirrors :func:`plan_train`'s conservatism: any condition that could
-    make the analytic chunk cascade diverge from the per-chunk loop — a
-    scheduled disturbance, a resumed stream (non-zero ``offset``), a
-    foreign write receiver or another read serve sharing the source
-    datanode, another train guarding a needed channel — falls back to the
-    legacy path.  A reader on the source's own host never gets here: it
-    reads its local replica short-circuit.
+    Every coalesced stream into one reader host rides that host's
+    :class:`ReadTrain`, which plans them together; the stream joins it
+    (or starts it) on :meth:`ReadStream.start`.  A resumed stream (a
+    non-zero ``offset`` after its previous source died) is the same
+    recurrence over the rest of the block, and a scheduled kill is no
+    reason to decline: the train settles a kill where the per-chunk loop
+    notices it.  The planner still declines where the analytic cascade
+    could diverge from the per-chunk loops: a dead source, a foreign
+    write receiver on the source, a serve on the source that is not one
+    of this host's streams (a reader on another host, or a per-chunk
+    stream), and a needed channel another train guards (another host's
+    read train or a write train).  A reader on the source's own host
+    never gets here: it reads its local replica short-circuit.
     """
     if deployment.config.hdfs.coalesce_reads == 1:
-        return None
-    if offset:
-        return None  # resumed (post-fault) streams stay per-chunk
-    if deployment.scheduled_disturbances:
-        # ReadTrain._on_kill settles at the kill instant; the per-chunk
-        # loop notices a kill only after its in-flight chunk.
         return None
     if not source.node.alive:
         return None
     if source._active:
         return None  # foreign write stream on the source datanode
+    train = deployment.read_trains.get(client_node)
+    ours = () if train is None else [s.serve for s in train._streams]
     for other in source._serving:
-        if other is not serve:
-            return None  # another reader streaming from this source
-    train = ReadTrain(deployment, source, client_node, serve, block)
-    for channel in train.channels:
-        if channel._guard is not None:
+        if other is not serve and other not in ours:
+            return None  # a stream this host's train does not conduct
+    node = source.node
+    for channel in (node.disk._channel, node.nic.egress, client_node.nic.ingress):
+        if channel._guard is not None and (
+            train is None or id(channel) not in train._guarded
+        ):
             return None  # another train holds this channel's ledger
-    return train
+    return ReadStream(deployment, source, client_node, serve, block, offset)
 
 
-class ReadTrain(TrainBase):
-    """One coalesced block read: analytic chunk cascade, one milestone.
+class ReadStream:
+    """One block stream of a :class:`ReadTrain`: its handle and its rows.
 
-    The per-chunk read loop is a three-channel recurrence: with ``m_k``
-    the instant the reader's disk wait for chunk ``k`` resolves,
+    The reader starts the stream and waits on :attr:`done`, which fires
+    with the block once the last chunk has landed, or with ``None`` where
+    the per-chunk loop would notice that the source died; the reader then
+    resumes from :attr:`delivered_bytes` on the next-ranked replica.
 
-    * disk prefetch of chunk ``k+1`` is quoted at ``m_k`` (chunk 0 at the
-      stream start ``t0``),
-    * chunk ``k``'s transfer quotes source egress + reader ingress at
-      ``m_k`` and completes at ``x_k = max(e_k, i_k) + L``,
-    * ``m_{k+1} = max(x_k, d_{k+1})``.
-
-    The stream ends at ``x_{K-1}``; :attr:`done` fires there after the
-    settle batch-applies disk/NIC counters and flows.  A datanode
-    kill mid-train settles the strictly-delivered prefix and records
-    :attr:`delivered_bytes` so the reader resumes from the next replica.
+    Rows are the chunks the per-chunk loop would stream: ``block.size -
+    offset`` bytes cut into packets.  Step ``k`` of the stream runs at
+    ``m[k]``: it quotes the disk read of row ``k+1`` (issue ``di[k+1]``,
+    end ``d[k+1]``), then row ``k``'s egress and ingress (ends ``e[k]``,
+    ``i[k]``); the chunk lands at ``x[k] = max(e[k], i[k]) + L`` and the
+    next step runs at ``max(x[k], d[k+1])``.  Row 0's disk read is
+    quoted at the stream's start ``t0``.
     """
-
-    conducted_metric = "read_trains_conducted"
-    invalidation_metric = "read_train_invalidation_count"
 
     def __init__(
         self,
@@ -968,190 +994,504 @@ class ReadTrain(TrainBase):
         client_node: "Node",
         serve: "ReadServe",
         block: "Block",
+        offset: int = 0,
     ):
-        super().__init__(deployment, block)
+        self.deployment = deployment
         self.source = source
         self.client_node = client_node
         self.serve = serve
+        self.block = block
+        #: The train conducting this stream, from :meth:`start` until it
+        #: settles.
+        self.train: Optional["ReadTrain"] = None
 
         packet = deployment.config.hdfs.packet_size
-        full, tail = divmod(block.size, packet)
+        full, tail = divmod(block.size - offset, packet)
         self._sizes = [packet] * full + ([tail] if tail else [])
-        self._K = len(self._sizes)
-        self._total_bytes = block.size
-
-        self.disk = source.node.disk
-        self._disk_ch = self.disk._channel
-        self._egress = source.node.nic.egress
-        self._ingress = client_node.nic.ingress
-        self.channels = [self._disk_ch, self._egress, self._ingress]
-        assert len(set(map(id, self.channels))) == 3
+        #: Rows in the block, and rows to plan: fewer once a kill is
+        #: recorded (the loop stops after the row it notices it at).
+        self._K = self._Keff = len(self._sizes)
 
         #: Fires when the stream ends: with the block on success, with
-        #: ``None`` after a mid-train kill.
-        self.done: Event = self.env.event()
+        #: ``None`` where the per-chunk loop notices its source died.
+        self.done: Event = deployment.env.event()
         #: Bytes whose transfer had completed when the stream ended —
-        #: the whole block on success, the delivered prefix after a kill.
+        #: the whole remainder on success, the delivered prefix after a
+        #: kill.
         self.delivered_bytes = 0
-        #: The dead source's name after a mid-train kill, else ``None``.
+        #: The dead source's name after a kill, else ``None``.
         self.failed: Optional[str] = None
 
-        self._rate = 0.0
-        # Timeline arrays, index = chunk.  _di/_d: disk quote issue/end;
-        # _m: disk-wait resolution (= transfer issue); _e/_i: egress and
-        # ingress ends; _x: transfer completion (incl. link latency).
+        # Timeline columns, index = row (see the class docstring).
         self._di: list[float] = []
         self._d: list[float] = []
         self._m: list[float] = []
         self._e: list[float] = []
         self._i: list[float] = []
         self._x: list[float] = []
+        #: Plan serial of each step planned beside other streams; -1 for
+        #: a step planned alone (see :meth:`ReadTrain._pending`).
+        self._ser: list[int] = []
+        self._join_ser = -1
+        self._t0 = 0.0
+        self._rate = 0.0
+        self._disk_rate = source.node.disk.rate
+        #: The train's join number, and the channel slots of the
+        #: source's disk and egress (slot 0 is the reader's ingress).
+        self._sid = 0
+        self._ds = self._es = 0
 
-    # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Arm the train and schedule its conductor's start (call at the
-        stream start)."""
-        self.serve.on_kill = self._on_kill
-        self._arm()
+        """Join the reader host's train, starting one if none is live
+        (call at the stream start)."""
+        trains = self.deployment.read_trains
+        train = trains.get(self.client_node)
+        if train is None:
+            train = trains[self.client_node] = ReadTrain(
+                self.deployment, self.client_node
+            )
+        train._join(self)
+
+    def _killed(self) -> None:
+        self.train._on_kill(self)
+
+    def _cut(self, T: float) -> None:
+        """Drop the steps at or after ``T``: a step before ``T`` keeps
+        every quote it made, and it made all of its row's quotes."""
+        cut = bisect_left(self._m, T)
+        for column in (self._m, self._e, self._i, self._x, self._ser):
+            del column[cut:]
+        cut = bisect_left(self._di, T)
+        del self._di[cut:]
+        del self._d[cut:]
+
+
+class ReadTrain(TrainBase):
+    """The coalesced reads into one reader host: every live stream, one plan.
+
+    The per-chunk read loop is a three-channel recurrence per stream
+    (source disk, source egress, reader ingress; see
+    :class:`ReadStream`).  Streams into one host share its ingress, and
+    streams from one source share its disk and egress, so the train
+    plans every live stream as the per-chunk loops would run side by
+    side: one busy float per channel, steps in time order, and steps at
+    one instant in the order the loops' waking events were created —
+    the order of the steps that created them, which the planner numbers
+    as it goes.  A stream's first step, its join at ``t0``, quotes row
+    0's disk read after every other step of that instant: the joining
+    reader was woken by its connection-setup timer or its serve grant,
+    created one connection setup or less before ``t0``, and a live
+    stream's waking event was created a whole chunk earlier.
+
+    A lone stream is planned in one pass to its end, row by row.  Beside
+    others, the planner runs the steps off a heap until the next stream
+    end or for :data:`PLAN_STEPS` steps, whichever comes first, and a
+    ``plan`` milestone at the first step left goes on from there; so a
+    join or another invalidation re-plans only a bounded stretch, and
+    an ``end`` milestone settles its stream and goes on too.  A join at
+    ``T`` is a frozen-prefix replay at ``T`` with the newcomer's join
+    pending; so is a throttle change, a foreign quote and a kill.  A
+    channel's ledger is the columns of the streams that use it, so a
+    guard materialises, per stream, the quotes issued by now.
+
+    A kill of a stream's source at ``T`` is noticed where the per-chunk
+    loop notices it: at the landing ``x[k]`` of the first chunk still in
+    flight, ``k = bisect_left(x, T)`` (the loop checks ``alive`` only
+    between chunks, after delivering chunk ``k``, and an injector kill
+    at exactly ``x[k]`` is an older event than that chunk's timer).  By
+    then the loop has delivered rows ``0..k`` and issued the disk read of
+    row ``k+1``, so the train drops the stream's later rows and settles
+    it at ``x[k]``: counters for those rows, :attr:`ReadStream.done`
+    with ``None``.  A kill during the last chunk fails nothing: the loop
+    exits before it checks again.
+    """
+
+    conducted_metric = "read_trains_conducted"
+    invalidation_metric = "read_train_invalidation_count"
+
+    def __init__(self, deployment: "HdfsDeployment", client_node: "Node"):
+        super().__init__(deployment, None)
+        self.client_node = client_node
+        ingress = client_node.nic.ingress
+        self.channels = [ingress]
+        self._busy = [ingress._busy_until]
+        #: Channel id -> slot in ``channels`` and ``_busy``.
+        self._slot = {id(ingress): 0}
+        #: Live streams (joined, not yet settled), in join order.
+        self._streams: list[ReadStream] = []
+        self._joins = 0
+        #: The lone live stream, planned in one pass; ``None`` while
+        #: streams run beside each other off ``_heap``.
+        self._alone: Optional[ReadStream] = None
+        #: Pending steps ``(when, join, creator, sid, stream)``.
+        self._heap: list = []
+        self._serial = 0
+
+    # -- joining and leaving ------------------------------------------------
+    def _join(self, stream: ReadStream) -> None:
+        stream.train = self
+        stream._sid = self._joins
+        self._joins += 1
+        stream._t0 = self.env.now
+        node = stream.source.node
+        stream._ds = self._channel_slot(node.disk._channel)
+        stream._es = self._channel_slot(node.nic.egress)
+        stream._rate = self.network.effective_rate(node, self.client_node)
+        stream.serve.on_kill = stream._killed
+        self._streams.append(stream)
+        if self._started:
+            self._bump()  # the replay plans the join
+        else:
+            self._arm()
+
+    def _channel_slot(self, channel) -> int:
+        """The channel's slot, guarded by this train from now on."""
+        key = id(channel)
+        slot = self._slot.get(key)
+        if slot is None:
+            slot = self._slot[key] = len(self.channels)
+            self.channels.append(channel)
+            self._busy.append(channel._busy_until)
+        if self._started and key not in self._guarded:
+            channel._guard = self._make_guard(channel)
+            self._guarded.add(key)
+        return slot
+
+    def _settle(self, stream: ReadStream) -> None:
+        """The stream's last planned chunk landed: apply its counters,
+        commit its quotes and fire ``done``.
+
+        The per-chunk loop applies NIC bytes and the flow of each chunk
+        it delivered and commits ``bytes_read`` at each disk read it
+        issued; all of them are issued by now, so each channel's last
+        quote is committed, and the source's channels are released when
+        no other live stream uses them.
+        """
+        self._streams.remove(stream)
+        rows, reads = len(stream._x), len(stream._d)
+        sizes = stream._sizes
+        src, dst = stream.source.node, self.client_node
+        moved = sum(sizes[:rows])
+        src.nic.bytes_sent += moved
+        dst.nic.bytes_received += moved
+        self.network.stats.record_run(
+            src.name, dst.name, sizes, stream._m, stream._x, rows
+        )
+        src.disk.bytes_read += sum(sizes[:reads])
+        channels = self.channels
+        for slot, end in (
+            (stream._ds, stream._d[-1]),
+            (stream._es, stream._e[-1]),
+            (0, stream._i[-1]),
+        ):
+            channel = channels[slot]
+            if end > channel._busy_until:
+                channel._busy_until = end
+            if slot and all(
+                slot not in (other._ds, other._es) for other in self._streams
+            ):
+                key = id(channel)
+                if key in self._guarded:
+                    channel._guard = None
+                    self._guarded.discard(key)
+        stream.delivered_bytes = moved
+        stream.serve.on_kill = None
+        stream.train = None
+        if rows < stream._K:
+            stream.failed = stream.source.name
+        # The per-chunk loop wakes inside its last chunk's timer, which
+        # is older than any event created at this landing (such as the
+        # grant of a slot a kill at this instant frees); an urgent
+        # ``done`` wakes the reader right after this step, as there.
+        done = stream.done
+        done._ok = True
+        done._value = None if stream.failed else stream.block
+        self.env.schedule(done, priority=URGENT)
+
+    def _leave(self) -> None:
+        """The last stream settled: the train is done."""
+        self._finished = True
+        self._milestones = []
+        self._heap = []
+        self._alone = None
+        self._stop()
+        self._detach()
+        trains = self.deployment.read_trains
+        if trains.get(self.client_node) is self:
+            del trains[self.client_node]
+
+    def _on_kill(self, stream: ReadStream) -> None:
+        """The stream's source died at ``now``: record where the
+        per-chunk loop notices it.
+
+        Runs synchronously inside :meth:`Datanode.kill` (via
+        :meth:`ReadServe.abort`), before the kill frees any serve slot.
+        Every step at or before ``now`` is planned, so the first landing
+        at or after ``now`` is row ``k = bisect_left(x, now)``, planned
+        or the next one to be (a later replay may move ``x[k]`` but not
+        ``k``).  The stream keeps rows ``0..k`` and row ``k+1``'s disk
+        read, and the replay at ``now`` re-plans its neighbours without
+        the rest.
+
+        A kill at exactly a planned landing ``x[k]`` is noticed in this
+        very instant.  The loop's timer for that landing was created at
+        ``m[k]``: after the instant's older events, such as another kill,
+        and before anything the kill schedules, such as the grant of a
+        freed serve slot to a queued reader.  The replay runs in the
+        wake the bump schedules here, before the kill frees any slot, and
+        fires the stream's due milestone there.
+        """
+        stream.serve.on_kill = None  # the kill closes the serve: drop the cycle
+        now = self.env.now
+        self._ensure(now)
+        k = bisect_left(stream._x, now)
+        if k + 1 >= stream._Keff:
+            return  # the last chunk is in flight: the loop completes
+        stream._Keff = k + 1
+        for column in (stream._m, stream._e, stream._i, stream._x, stream._ser):
+            del column[k + 1 :]
+        del stream._di[k + 2 :]
+        del stream._d[k + 2 :]
+        self._bump()
+
+    # -- the conductor -----------------------------------------------------
+    def _start(self, _event: Event) -> None:
+        self._wake = None
+        self._schedule()
+        self._advance()
+        self._rebuild_milestones()
+        self._conduct()
+
+    def _on_bumped(self, event: Event) -> None:
+        """Replay in the bump's own wake, armed timer or not: that wake is
+        older than anything created later in the instant (see
+        :meth:`_on_kill`)."""
+        self._on_wake(event)
+
+    def _replay(self) -> None:
+        """Frozen-prefix recompute at ``now`` with current rates/floors:
+        every stream keeps its steps before ``now`` and re-plans the rest
+        beside the others."""
+        T = self.env.now
+        self._ensure(T)
+        for stream in self._streams:
+            stream._cut(T)
+        self._reset_plan()
+        self._schedule()
+        self._advance()
+        self._rebuild_milestones()
+
+    def _rebuild_milestones(self) -> None:
+        """One ``end`` milestone per stream whose last step is planned, at
+        its last landing, ordered among equal landings by the step that
+        armed the per-chunk loop's timer; and a ``plan`` milestone at the
+        first pending step, if any."""
+        milestones = []
+        for stream in self._streams:
+            m = stream._m
+            if len(m) == stream._Keff:
+                ser = stream._ser
+                last = ser[-1] if len(ser) == len(m) else -1
+                milestones.append((stream._x[-1], last, "end", stream._sid))
+        if self._heap:
+            milestones.append((self._heap[0][0], INF, "plan", -1))
+        milestones.sort()
+        self._milestones = milestones
+
+    def _fire(self, kind: str, sid: int) -> None:
+        if kind == "end":
+            self._settle(next(s for s in self._streams if s._sid == sid))
+            if not self._streams:
+                self._leave()
+                return
+            self._schedule()
+        self._advance()
+        self._rebuild_milestones()
 
     # -- timeline math -----------------------------------------------------
     def _snapshot_rates(self) -> None:
-        self._rate = self.network.effective_rate(
-            self.source.node, self.client_node
-        )
+        rate = self.network.effective_rate
+        client = self.client_node
+        for stream in self._streams:
+            stream._rate = rate(stream.source.node, client)
 
-    def _ledger_columns(self) -> list:
-        """Disk ``(di, d)``, egress ``(m, e)`` and ingress ``(m, i)``."""
-        return [(self._di, self._d), (self._m, self._e), (self._m, self._i)]
+    def _reset_plan(self) -> None:
+        """Re-read the rates and start each channel's busy float on its
+        ``busy_until`` floor, raised to the last kept quote of every
+        stream using it (ends are nondecreasing along a ledger)."""
+        self._snapshot_rates()
+        busy = self._busy = [channel._busy_until for channel in self.channels]
+        for stream in self._streams:
+            if stream._d and stream._d[-1] > busy[stream._ds]:
+                busy[stream._ds] = stream._d[-1]
+            if stream._m:
+                if stream._e[-1] > busy[stream._es]:
+                    busy[stream._es] = stream._e[-1]
+                if stream._i[-1] > busy[0]:
+                    busy[0] = stream._i[-1]
 
-    def _plan(self, k0: int, old: Optional[tuple] = None, T: float = 0.0) -> None:
-        """Plan chunks ``k0..K-1`` row by row from the recurrence.
-
-        In a replay ``old`` holds the previous ``(di, d)`` columns: a disk
-        prefetch issued before ``T`` keeps its old end.  Rows from ``k0``
-        on have their transfers issued at or after ``T`` (see
-        :meth:`_replay`), so only the disk can still hold a frozen quote.
-        """
-        K, L, t0 = self._K, self._L, self._t0
-        sizes, rate, disk_rate = self._sizes, self._rate, self.disk.rate
-        di, d, m, e, i, x = self._di, self._d, self._m, self._e, self._i, self._x
-        old_di, old_d = old or ((), ())
-        frozen_d = bisect_left(old_di, T)
-        db, eb, ib = self._busy
-        # Disk prefetch: chunk 0 is quoted at the stream start, chunk k at
-        # the previous row's disk-wait resolution (the legacy loop quotes
-        # the next read the instant the previous wait resolves).
-        issue = m[k0 - 1] if k0 else t0
-        done = x[k0 - 1] if k0 else t0
-        for k in range(k0, K):
-            size = sizes[k]
-            di.append(issue)
-            if k < frozen_d:
-                read = old_d[k]
-                if read > db:
-                    db = read
+    def _materialize(self, channel) -> None:
+        """Commit each stream's quotes on ``channel`` issued by now."""
+        now = self.env.now
+        self._ensure(now)
+        slot = self._slot[id(channel)]
+        end = channel._busy_until
+        for stream in self._streams:
+            if slot == 0:
+                issues, ends = stream._m, stream._i
+            elif slot == stream._ds:
+                issues, ends = stream._di, stream._d
+            elif slot == stream._es:
+                issues, ends = stream._m, stream._e
             else:
-                read = db = (db if db > issue else issue) + size / disk_rate
+                continue
+            idx = bisect_right(issues, now)
+            if idx and ends[idx - 1] > end:
+                end = ends[idx - 1]
+        channel._busy_until = end
+
+    def _schedule(self) -> None:
+        """Pick the planner for the live streams: a lone stream plans in
+        one pass, several share the heap of pending steps."""
+        streams = self._streams
+        if len(streams) == 1:
+            self._alone = streams[0]
+            self._heap = []
+            return
+        self._alone = None
+        heap = [entry for entry in map(self._pending, streams) if entry]
+        heapify(heap)
+        self._heap = heap
+
+    @staticmethod
+    def _pending(stream: ReadStream) -> Optional[tuple]:
+        """The stream's next unplanned step as a heap entry, if any.
+
+        Steps at one instant run in the order of their creators, the
+        steps that armed the per-chunk loop's waking event; a step
+        planned alone counts as older than any planned beside others
+        (its stream was the only one live then).  A join pending at its
+        own instant runs after every other step of that instant.
+        """
+        if not stream._d:
+            return (stream._t0, 1, stream._sid, stream._sid, stream)
+        k = len(stream._m)
+        if k >= stream._Keff:
+            return None
+        ser = stream._ser
+        if len(ser) < k:
+            ser.extend([-1] * (k - len(ser)))
+        if not k:
+            return (stream._d[0], 0, stream._join_ser, stream._sid, stream)
+        landed, read = stream._x[k - 1], stream._d[k]
+        when = landed if landed > read else read
+        return (when, 0, ser[k - 1], stream._sid, stream)
+
+    def _advance(self) -> None:
+        """Plan the lone stream to its end, or run the heap until the next
+        stream end is planned along with every step at or before it."""
+        if self._alone is not None:
+            self._plan_alone(self._alone)
+            return
+        heap, step = self._heap, self._step
+        horizon = INF
+        for stream in self._streams:
+            if len(stream._m) == stream._Keff and stream._x[-1] < horizon:
+                horizon = stream._x[-1]
+        budget = PLAN_STEPS
+        while heap and heap[0][0] <= horizon and budget:
+            budget -= 1
+            end = step(heappop(heap))
+            if end < horizon:
+                horizon = end
+
+    def _ensure(self, T: float) -> None:
+        """Plan every pending step at or before ``T``."""
+        heap, step = self._heap, self._step
+        while heap and heap[0][0] <= T:
+            step(heappop(heap))
+
+    def _step(self, entry: tuple) -> float:
+        """Run one pending step beside the other streams; return the
+        stream's end if this was its last step, else ``INF``."""
+        t, join, _creator, sid, stream = entry
+        serial = self._serial
+        self._serial = serial + 1
+        busy = self._busy
+        d = stream._d
+        if join:
+            stream._di.append(t)
+            slot = stream._ds
+            floor = busy[slot]
+            read = busy[slot] = (
+                (floor if floor > t else t) + stream._sizes[0] / stream._disk_rate
+            )
             d.append(read)
+            stream._join_ser = serial
+            heappush(self._heap, (read, 0, serial, sid, stream))
+            return INF
+        m, sizes = stream._m, stream._sizes
+        k = len(m)
+        m.append(t)
+        stream._ser.append(serial)
+        if k + 1 < stream._K:
+            stream._di.append(t)
+            slot = stream._ds
+            floor = busy[slot]
+            read = busy[slot] = (
+                (floor if floor > t else t) + sizes[k + 1] / stream._disk_rate
+            )
+            d.append(read)
+        dt = sizes[k] / stream._rate
+        slot = stream._es
+        floor = busy[slot]
+        egress = busy[slot] = (floor if floor > t else t) + dt
+        floor = busy[0]
+        ingress = busy[0] = (floor if floor > t else t) + dt
+        stream._e.append(egress)
+        stream._i.append(ingress)
+        landed = (egress if egress > ingress else ingress) + self._L
+        stream._x.append(landed)
+        if k + 1 < stream._Keff:
+            read = d[k + 1]
+            heappush(
+                self._heap,
+                (landed if landed > read else read, 0, serial, sid, stream),
+            )
+            return INF
+        return landed
+
+    def _plan_alone(self, stream: ReadStream) -> None:
+        """Plan a lone stream's remaining steps row by row, the per-chunk
+        recurrence on its three busy floats."""
+        K, L = stream._K, self._L
+        sizes, rate, disk_rate = stream._sizes, stream._rate, stream._disk_rate
+        di, d, m, e, i, x = (
+            stream._di, stream._d, stream._m, stream._e, stream._i, stream._x
+        )
+        busy = self._busy
+        ds, es = stream._ds, stream._es
+        db, eb, ib = busy[ds], busy[es], busy[0]
+        k0 = len(m)
+        if not d:  # the join: row 0's disk read at the stream start
+            t0 = stream._t0
+            di.append(t0)
+            db = (db if db > t0 else t0) + sizes[0] / disk_rate
+            d.append(db)
+        done = x[k0 - 1] if k0 else stream._t0
+        for k in range(k0, stream._Keff):
+            read = d[k]
             issue = done if done > read else read
             m.append(issue)
-            dt = size / rate
+            if k + 1 < K:
+                di.append(issue)
+                db = (db if db > issue else issue) + sizes[k + 1] / disk_rate
+                d.append(db)
+            dt = sizes[k] / rate
             egress = eb = (eb if eb > issue else issue) + dt
             ingress = ib = (ib if ib > issue else issue) + dt
             e.append(egress)
             i.append(ingress)
             done = (egress if egress > ingress else ingress) + L
             x.append(done)
-        self._busy = [db, eb, ib]
-
-    def _replay(self) -> None:
-        """Frozen-prefix recompute at ``now`` with current rates/floors.
-
-        A chunk whose transfer issue ``m[k]`` -- the row's last issue --
-        lies before ``now`` keeps all three quotes, so that row prefix is
-        copied and planning resumes after it.
-        """
-        T = self.env.now
-        old = (self._di, self._d)
-        cutoff = bisect_left(self._m, T)
-        self._di, self._d, self._m, self._e, self._i, self._x = (
-            column[:cutoff]
-            for column in (self._di, self._d, self._m, self._e, self._i, self._x)
-        )
-        self._reset_plan()
-        self._plan(cutoff, old, T)
-        self._rebuild_milestones()
-
-    # -- the milestone -----------------------------------------------------
-    def _rebuild_milestones(self) -> None:
-        if "end" in self._fired or not self._x:
-            self._milestones = []
-        else:
-            self._milestones = [(self._x[-1], 0, "end", 0)]
-
-    def _fire(self, kind: str, h: int) -> None:
-        self._fired.add(kind)
-        self._settle_success()
-
-    # -- settles -----------------------------------------------------------
-    def _record_flows(self, rows: int) -> None:
-        self.network.stats.record_run(
-            self.source.node.name,
-            self.client_node.name,
-            self._sizes,
-            self._m,
-            self._x,
-            rows,
-        )
-
-    def _settle_success(self) -> None:
-        self._finished = True
-        src, dst = self.source.node, self.client_node
-        src.nic.bytes_sent += self._total_bytes
-        dst.nic.bytes_received += self._total_bytes
-        self._record_flows(self._K)
-        # Legacy commits bytes_read at each read_event issue; on success
-        # every chunk was issued.
-        self.disk.bytes_read += self._total_bytes
-        self.delivered_bytes = self._total_bytes
-        for channel in self.channels:
-            issues, ends = self._ledger[id(channel)]
-            if ends and ends[-1] > channel._busy_until:
-                channel._busy_until = ends[-1]
-        self._detach()
-        self.serve.on_kill = None
-        if not self.done.triggered:
-            self.done.succeed(self.block)
-
-    def _on_kill(self) -> None:
-        """Source died mid-train: settle the strictly-delivered prefix.
-
-        Runs synchronously inside :meth:`Datanode.kill` (via
-        :meth:`ReadServe.abort`, which has already released the serve
-        slot).  Chunks whose transfer completed strictly before now were
-        delivered; the reader resumes from :attr:`delivered_bytes` on the
-        next-ranked replica.
-        """
-        if self._finished or self._dead:
-            return
-        self._dead = True
-        self._stop()
-        self.serve.on_kill = None  # the serve is closed: drop the cycle
-        now = self.env.now
-        delivered = sum(1 for x in self._x if x < now)
-        issued_reads = sum(1 for di in self._di if di < now)
-        moved = sum(self._sizes[:delivered])
-        if moved:
-            src, dst = self.source.node, self.client_node
-            src.nic.bytes_sent += moved
-            dst.nic.bytes_received += moved
-            self._record_flows(delivered)
-        self.disk.bytes_read += sum(self._sizes[:issued_reads])
-        self.delivered_bytes = moved
-        self.failed = self.source.name
-        for channel in self.channels:
-            if id(channel) in self._guarded:
-                self._materialize(channel)
-        self._detach()
-        if not self.done.triggered:
-            self.done.succeed(None)
+        busy[ds], busy[es], busy[0] = db, eb, ib

@@ -1,9 +1,10 @@
 """Per-flow transfer accounting.
 
-The transport layer records one :class:`FlowSample` per completed
-transfer into :class:`FlowStats`.  Packet and read trains record theirs
-when they settle, a column at a time (:meth:`FlowStats.record_run`),
-without building a sample per transfer.  Nothing in the simulator reads
+The transport layer records every completed transfer into
+:class:`FlowStats` (:meth:`FlowStats.add`), and packet and read trains
+record theirs when they settle, a column at a time
+(:meth:`FlowStats.record_run`); neither builds a :class:`FlowSample`
+unless samples are kept.  Nothing in the simulator reads
 the flows back — SMARTH's speed records come from FNFA timing
 (``SmarthClient._await_fnfa``).  The readers are the transport tests and
 the read-train equivalence test, which compares every retained flow of
@@ -64,15 +65,34 @@ class FlowStats:
         return self._samples
 
     def record(self, sample: FlowSample) -> None:
-        acc = self._agg.get((sample.src, sample.dst))
-        if acc is None:
-            acc = self._agg[(sample.src, sample.dst)] = [0, 0.0, 0]
-        acc[0] += sample.size
-        acc[1] += sample.end - sample.start
-        acc[2] += 1
-        self._count += 1
+        self._tally(sample.src, sample.dst, sample.size, sample.end - sample.start)
         if self.keep_samples:
             self._samples.append(sample)
+
+    def add(
+        self, src: str, dst: str, size: int, start: float, end: float
+    ) -> FlowSample | None:
+        """Record one transfer; build its :class:`FlowSample` only when
+        samples are kept, and return it (else ``None``).
+
+        The accumulators see the same additions as :meth:`record` of the
+        sample would make.
+        """
+        self._tally(src, dst, size, end - start)
+        if not self.keep_samples:
+            return None
+        sample = FlowSample(src, dst, size, start, end)
+        self._samples.append(sample)
+        return sample
+
+    def _tally(self, src: str, dst: str, size: int, seconds: float) -> None:
+        acc = self._agg.get((src, dst))
+        if acc is None:
+            acc = self._agg[(src, dst)] = [0, 0.0, 0]
+        acc[0] += size
+        acc[1] += seconds
+        acc[2] += 1
+        self._count += 1
 
     def record_run(
         self,

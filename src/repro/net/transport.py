@@ -55,8 +55,9 @@ class Network:
         """Move ``size`` bytes from ``src`` to ``dst`` (a process generator).
 
         Completes when the last byte has *arrived* at ``dst`` and returns
-        the flow's :class:`FlowSample`, which is also recorded in
-        :attr:`stats` (only the transport tests read either one).
+        the flow's :class:`FlowSample`; :attr:`stats` records the flow
+        and keeps the sample only with ``keep_samples`` (only the
+        transport tests read either one).
 
         It is :meth:`transfer_begin` plus one wait: both NIC channels are
         FIFO, so the occupancy is quoted analytically (``max(now,
@@ -67,20 +68,26 @@ class Network:
         transfers that start after it.  An interrupted transfer keeps its
         quotes but never applies its counters or sample.
         """
+        start = self.env.now
         done, finish = self.transfer_begin(src, dst, size)
         yield done
-        return finish()
+        sample = finish()
+        if sample is None:
+            sample = FlowSample(src.name, dst.name, size, start, self.env.now)
+        return sample
 
     def transfer_begin(
         self, src: "Node", dst: "Node", size: int
-    ) -> "tuple[object, Callable[[], FlowSample]]":
+    ) -> "tuple[object, Callable[[], FlowSample | None]]":
         """Quote a transfer without a generator: ``(done_event, finish)``.
 
         The caller yields ``done_event`` (an absolute-time timeout at
         arrival) and, if it did not abandon the transfer, calls
-        ``finish()`` to apply the byte counters and record the
-        :class:`FlowSample`.  The clients' per-packet send and the read
-        loop call it directly; :meth:`transfer` wraps it in a generator.
+        ``finish()`` to apply the byte counters and record the flow
+        (:meth:`FlowStats.add`: a :class:`FlowSample` is built, kept and
+        returned only with ``keep_samples``).  The clients' per-packet
+        send and the read loop call it directly; :meth:`transfer` wraps
+        it in a generator.
         """
         if size < 0:
             raise ValueError(f"transfer size must be non-negative, got {size}")
@@ -98,15 +105,11 @@ class Network:
             done_event = self.env.timeout_at(done)
             loopback = False
 
-        def finish() -> FlowSample:
+        def finish() -> FlowSample | None:
             if not loopback:
                 src.nic.bytes_sent += size
                 dst.nic.bytes_received += size
-            sample = FlowSample(
-                src=src.name, dst=dst.name, size=size, start=start, end=self.env.now
-            )
-            self.stats.record(sample)
-            return sample
+            return self.stats.add(src.name, dst.name, size, start, self.env.now)
 
         return done_event, finish
 

@@ -15,7 +15,12 @@ import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.figures import experiment_config
-from repro.faults.campaign import ChaosSchedule, report_json, run_campaign
+from repro.faults.campaign import (
+    ChaosSchedule,
+    report_json,
+    run_campaign,
+    run_read_campaign,
+)
 from repro.hdfs import train
 
 SCALE = 0.25
@@ -188,3 +193,32 @@ def test_golden_write_campaign_runs_on_trains(monkeypatch):
     report = run_campaign(7, 4, scale=0.25)
     assert report["fault_kinds"]["kill"] and report["all_green"]
     assert tally == {"planned": 16, "declined": 0}
+
+
+def test_golden_read_campaign_runs_on_trains(monkeypatch):
+    """The golden read campaign (``run_read_campaign(7, 4, scale=0.25)``,
+    both protocols, kills and a revive included) offers 48 block streams
+    to the read planner and puts every one on its reader host's train,
+    up to three beside each other."""
+    from repro.hdfs.client import input_stream
+
+    tally = {"planned": 0, "declined": 0}
+
+    def counted(*args, plan=input_stream.plan_read_train):
+        planned = plan(*args)
+        tally["declined" if planned is None else "planned"] += 1
+        return planned
+
+    monkeypatch.setattr(input_stream, "plan_read_train", counted)
+    beside = []
+    join = train.ReadTrain._join
+
+    def recording(read_train, stream):
+        join(read_train, stream)
+        beside.append(len(read_train._streams))
+
+    monkeypatch.setattr(train.ReadTrain, "_join", recording)
+    report = run_read_campaign(7, 4, scale=0.25)
+    assert report["fault_kinds"]["kill"] and report["all_green"]
+    assert tally == {"planned": 48, "declined": 0}
+    assert max(beside) == 3

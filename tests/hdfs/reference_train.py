@@ -1,28 +1,33 @@
-"""Reference oracle for the train planners: the row-wise recurrences.
+"""Reference oracles for the train planners.
 
-The packet and read trains once planned one row at a time.  ``_extend(k)``
-computed row ``k`` in full, posting every quote through ``_quote`` (the
+The packet train once planned one row at a time.  ``_extend(k)`` computed
+row ``k`` in full, posting every quote through ``_quote`` (the
 :meth:`~repro.sim.Channel.quote` recurrence on a per-channel busy dict)
 into per-channel ledger lists kept beside the timeline columns; a replay
 carried each frozen quote through ``_keep`` and installed a copied, fully
 frozen prefix with ``_seed_ledger``.  Those methods are kept here
-verbatim.  :class:`RowWisePacketTrain` and :class:`RowWiseReadTrain` plug
-them into the production trains' conductor, milestones and settles, so
-only the planner differs; ``test_train_planner.py`` drives both planners
-on the same inputs and requires equal columns, ledgers, busy floors and
-production takes.
+verbatim, and :class:`RowWisePacketTrain` plugs them into the production
+train's conductor, milestones and settles, so only the planner differs.
+:class:`RowWiseReadTrain` plans a lone read stream on the heap that
+streams beside each other run on, one row per step, instead of the
+one-pass path.  ``test_train_planner.py`` drives each pair on the same
+inputs and requires equal columns, ledgers, busy floors and production
+takes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from heapq import heapify
 from typing import Optional
+from unittest import mock
 
+from repro.hdfs import train as train_module
 from repro.hdfs.train import PacketTrain, ReadTrain
 
 
 class RowWise:
-    """The row-wise ledger math, shared by both reference trains."""
+    """The row-wise ledger math of the packet-train reference."""
 
     _old: Optional[tuple] = None  # previous arrays during replay
     _freeze_before = 0.0
@@ -214,50 +219,22 @@ class RowWisePacketTrain(RowWise, PacketTrain):
         self._rebuild_milestones()
 
 
-class RowWiseReadTrain(RowWise, ReadTrain):
-    """A read train planned row by row."""
+class RowWiseReadTrain(ReadTrain):
+    """A read train that plans even a lone stream one step at a time.
 
-    def _extend(self, k: int) -> None:
-        """Compute chunk ``k``'s row from the three-channel recurrence."""
-        size = self._sizes[k]
-        old = self._old
-        frozen_T = self._freeze_before
+    The production train plans a lone stream in one pass
+    (:meth:`ReadTrain._plan_alone`) and only streams beside others off
+    its heap of pending steps.  This reference puts every stream on the
+    heap, one row per step, and plans it to its end (no ``plan``
+    milestones), so on a one-stream read the two planners must agree on
+    every plan.
+    """
 
-        # Disk prefetch: chunk 0 is quoted at the stream start, chunk k at
-        # the previous row's disk-wait resolution (the legacy loop quotes
-        # the next read the instant the previous wait resolves).
-        di = self._t0 if k == 0 else self._m[k - 1]
-        self._di.append(di)
-        if old is not None and old[0][k] < frozen_T:
-            d = self._keep(self._disk_ch, old[0][k], old[1][k])
-        else:
-            d = self._quote(self._disk_ch, di, size, self.disk.rate)
-        self._d.append(d)
+    def _schedule(self) -> None:
+        self._alone = None
+        self._heap = [e for e in map(self._pending, self._streams) if e]
+        heapify(self._heap)
 
-        prev = self._t0 if k == 0 else self._x[k - 1]
-        m = prev if prev > d else d
-        self._m.append(m)
-
-        if old is not None and old[2][k] < frozen_T:
-            e = self._keep(self._egress, old[2][k], old[3][k])
-            i = self._keep(self._ingress, old[2][k], old[4][k])
-        else:
-            e = self._quote(self._egress, m, size, self._rate)
-            i = self._quote(self._ingress, m, size, self._rate)
-        self._e.append(e)
-        self._i.append(i)
-        self._x.append((e if e > i else i) + self._L)
-
-    def _replay(self) -> None:
-        """Frozen-prefix recompute at ``now`` with current rates/floors."""
-        # _old layout: [0]=disk issues, [1]=disk ends, [2]=transfer
-        # issues, [3]=egress ends, [4]=ingress ends — see _extend.
-        self._old = (self._di, self._d, self._m, self._e, self._i)
-        self._freeze_before = self.env.now
-        self._di, self._d, self._m = [], [], []
-        self._e, self._i, self._x = [], [], []
-        self._reset_plan()
-        for k in range(self._K):
-            self._extend(k)
-        self._old = None
-        self._rebuild_milestones()
+    def _advance(self) -> None:
+        with mock.patch.object(train_module, "PLAN_STEPS", 1 << 30):
+            super()._advance()

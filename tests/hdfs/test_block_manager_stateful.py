@@ -77,11 +77,32 @@ class BlockManagerMachine(RuleBasedStateMachine):
             assert set(self.manager.locations(block_id)) == expected
             assert self.manager.replication_of(block_id) == len(expected)
 
+    @rule()
+    def checkpoint_round_trip(self):
+        """A restored manager recounts its replicas from the block infos."""
+        restored = BlockManager()
+        restored.restore_state(self.manager.export_state())
+        self.manager = restored
+
     @invariant()
     def under_replicated_is_consistent(self):
         flagged = set(self.manager.under_replicated(3))
         for block_id, dns in self.finalized.items():
             assert (block_id in flagged) == (len(dns) < 3)
+
+    @invariant()
+    def under_replicated_matches_brute_force(self):
+        """The count index gives the sum over every block's replicas."""
+        infos = self.manager.all_blocks()
+        for required in range(6):
+            brute = tuple(
+                sorted(
+                    info.block.block_id
+                    for info in infos
+                    if sum(r.finalized for r in info.replicas.values()) < required
+                )
+            )
+            assert self.manager.under_replicated(required) == brute
 
     @invariant()
     def blocks_on_inverts_locations(self):

@@ -421,16 +421,25 @@ class TestPauseMidTrain:
 
 def test_settled_trains_die_by_reference_counting(monkeypatch):
     """No reference cycle keeps a train alive: with the cyclic collector
-    off, the packet trains of a SMARTH upload and the read trains of
-    reading the file back are freed by the time each call returns."""
-    trains = {PacketTrain: [], ReadTrain: []}
-    for cls, refs in trains.items():
+    off, the packet trains of a SMARTH upload, the read trains and their
+    streams of reading the file back, and those of a second read whose
+    source is killed mid-block are freed by the time each call returns."""
+    written, trains, streams = [], [], []
+    start = PacketTrain.start
+    monkeypatch.setattr(
+        PacketTrain,
+        "start",
+        lambda train: (written.append(weakref.ref(train)), start(train))[1],
+    )
+    join = ReadTrain._join
 
-        def recording(train, start=cls.start, refs=refs):
-            refs.append(weakref.ref(train))
-            return start(train)
+    def recording_join(train, stream):
+        if not any(ref() is train for ref in trains):
+            trains.append(weakref.ref(train))
+        streams.append(weakref.ref(stream))
+        return join(train, stream)
 
-        monkeypatch.setattr(cls, "start", recording)
+    monkeypatch.setattr(ReadTrain, "_join", recording_join)
     env = Environment()
     cluster = build_homogeneous(env, SMALL, n_datanodes=9, config=_config(0))
     deployment = HdfsDeployment(cluster)
@@ -439,15 +448,29 @@ def test_settled_trains_die_by_reference_counting(monkeypatch):
     try:
         put = SmarthClient(deployment).put("/data/f.bin", UPLOAD)
         env.run(until=env.process(put))
-        written = [ref() for ref in trains[PacketTrain]]
         env.run(until=env.process(HdfsReader(deployment).get("/data/f.bin")))
-        read = [ref() for ref in trains[ReadTrain]]
+        read = len(streams)
+        first = deployment.namenode.blocks.info(
+            deployment.namenode.namespace.get("/data/f.bin").blocks[0].block_id
+        )
+        source = deployment.ranked_replicas(
+            first.block,
+            client="killed",
+            node=cluster.client_host,
+            seed=deployment.config.seed ^ 0x8EAD,
+        )[0]
+        FaultInjector(deployment).kill_at(source, at=env.now + 0.05)
+        reader = HdfsReader(deployment, name="killed")
+        result = env.run(until=env.process(reader.get("/data/f.bin")))
+        alive = [ref() for ref in (*written, *trains, *streams)]
     finally:
         if enabled:
             gc.enable()
-    assert len(written) == 4 and len(read) == 4
-    assert written == [None] * 4
-    assert read == [None] * 4
+    assert len(written) == 4 and read == 4
+    assert result.sources[0][1] != source  # resumed on another replica
+    assert len(streams) == 9  # four blocks, one of them resumed
+    assert alive == [None] * len(alive)
+    assert deployment.read_trains == {}
 
 
 class TestPredicateDeclines:
@@ -513,14 +536,14 @@ class TestPredicateDeclines:
         env, cluster, deployment = self._fresh_pipeline(coalesce=1)
         assert self._plan(deployment, cluster.client_host) is None
 
-    def test_scheduled_disturbance_plans_write_train_only(self):
-        """A scheduled kill leaves write trains on the road (they pause,
-        settle and resume as the per-packet loop does); read trains still
-        decline it."""
+    def test_scheduled_disturbance_plans_both_trains(self):
+        """A scheduled kill leaves both trains on the road: write trains
+        pause, settle and resume as the per-packet loop does, and a read
+        train settles a kill where the per-chunk loop notices it."""
         env, cluster, deployment = self._fresh_pipeline()
         deployment.scheduled_disturbances.append(1.0)
         assert self._plan(deployment, cluster.client_host) is not None
-        assert self._plan_read(deployment, cluster.client_host) is None
+        assert self._plan_read(deployment, cluster.client_host) is not None
 
     def test_plans_train_on_clean_pipeline(self):
         env, cluster, deployment = self._fresh_pipeline()
@@ -530,14 +553,14 @@ class TestPredicateDeclines:
         assert len(train.channels) >= 3
         assert self._plan_read(deployment, cluster.client_host) is not None
 
-    def test_injector_scheduled_kill_plans_write_train_only(self):
-        """An injector's scheduled kill registers a disturbance: the write
-        planner admits it, and the read planner declines it."""
+    def test_injector_scheduled_kill_plans_both_trains(self):
+        """An injector's scheduled kill registers a disturbance, and both
+        the write and the read planner admit the block."""
         env, cluster, deployment = self._fresh_pipeline()
         FaultInjector(deployment).kill_at("dn1", at=5.0)
         assert deployment.scheduled_disturbances == [5.0]
         assert self._plan(deployment, cluster.client_host) is not None
-        assert self._plan_read(deployment, cluster.client_host) is None
+        assert self._plan_read(deployment, cluster.client_host) is not None
 
     def test_injector_scheduled_throttles_plan_trains(self):
         """A throttle-only schedule is no disturbance: the train replays

@@ -1,11 +1,13 @@
-"""The column-wise train planners against the row-wise ones they replaced.
+"""The train planners against their reference planners.
 
 ``PacketTrain`` plans a block write column by column, in windows of its
-smallest buffer capacity, and ``ReadTrain`` plans a block read with its
-quotes inlined; both keep each channel's ledger as a pair of timeline
-columns.  ``reference_train.py`` keeps the row-wise planners verbatim,
-plugged into the same conductor, milestones and settles.  Every case
-runs twice, once per planner, on identically built deployments, and
+smallest buffer capacity, and ``ReadTrain`` plans a lone block read in
+one pass with its quotes inlined; both keep each channel's ledger as
+timeline columns.  ``reference_train.py`` keeps the row-wise write
+planner verbatim, and a read train that plans a lone stream on the heap
+of pending steps that streams beside each other share, one row per step;
+each is plugged into the same conductor, milestones and settles.  Every
+case runs twice, once per planner, on identically built deployments, and
 requires, after every plan (the first and each replay):
 
 * every timeline column;
@@ -22,6 +24,7 @@ a timeline value.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from unittest import mock
 
@@ -63,8 +66,16 @@ def _snapshot(train) -> dict:
         columns["taken"] = list(production._taken)
         columns["ready"] = list(production._ready)
     else:
-        names = ("_di", "_d", "_m", "_e", "_i", "_x")
-        columns = {n: list(getattr(train, n)) for n in names}
+        # A read stream's columns are its channels' ledgers.
+        names = ("_di", "_d", "_m", "_e", "_i", "_x", "_Keff")
+        return {
+            "streams": [
+                {n: copy(getattr(stream, n)) for n in names}
+                for stream in train._streams
+            ],
+            "busy": list(train._busy),
+            "now": train.env.now,
+        }
     ledger = train._ledger
     columns["ledgers"] = [
         (list(ledger[id(ch)][0]), list(ledger[id(ch)][1])) for ch in train.channels
@@ -333,7 +344,7 @@ class ReadCase:
 
 def _read(case: ReadCase, train_cls) -> dict:
     """Write a file, then read it back with ``train_cls`` as the read
-    train, disturbing the newest live one."""
+    train, disturbing the newest live stream."""
     env = Environment()
     config = SimulationConfig(seed=case.seed).with_hdfs(
         block_size=16 * PACKET, packet_size=PACKET
@@ -342,7 +353,7 @@ def _read(case: ReadCase, train_cls) -> dict:
     deployment = HdfsDeployment(cluster, start_services=False)
     deployment.network.stats.keep_samples = True
     env.run(until=env.process(deployment.client().put("/f", case.chunks * PACKET)))
-    trains = []
+    trains, streams = [], []
     start = env.now
 
     class Tracked(train_cls):
@@ -350,15 +361,20 @@ def _read(case: ReadCase, train_cls) -> dict:
             super().__init__(*args, **kwargs)
             trains.append(self)
 
+        def _join(self, stream):
+            streams.append(stream)
+            super()._join(stream)
+
     def disturb(d: Disturbance):
         # One block streams at about 16 x 64 KB / 27 MB/s = 39 ms.
         yield env.timeout(d.at * 0.04 * (1 + case.chunks // 16))
-        live = [t for t in trains if not (t._finished or t._dead)]
+        live = [s for t in trains for s in t._streams]
         if not live:
             return
-        train = live[-1]
+        stream = live[-1]
+        source = stream.source.node
         if d.kind == "throttle":
-            host = (train.source.node, train.client_node)[d.pick % 2]
+            host = (source, stream.client_node)[d.pick % 2]
             deployment.network.throttles.add(
                 NodeThrottle(host.name, mbps(20 + 40 * (d.pick % 5)))
             )
@@ -367,10 +383,15 @@ def _read(case: ReadCase, train_cls) -> dict:
                 lambda rule: isinstance(rule, NodeThrottle)
             )
         elif d.kind == "foreign":
-            channel = train.channels[d.pick % 3]
+            channels = (
+                source.disk._channel,
+                source.nic.egress,
+                stream.client_node.nic.ingress,
+            )
+            channel = channels[d.pick % 3]
             channel.quote((1 + d.pick % 3) * 128 * KB, 20 * MB)
         else:
-            train.source.kill()
+            stream.source.kill()
 
     with mock.patch.object(train_module, "ReadTrain", Tracked):
         for d in case.disturbances:
@@ -383,7 +404,7 @@ def _read(case: ReadCase, train_cls) -> dict:
         start=start,
         plans=[t.plans for t in trains],
         result=(result.duration, [tuple(b) for b in result.sources]),
-        outcomes=[(t.delivered_bytes, t.failed) for t in trains],
+        outcomes=[(s.delivered_bytes, s.failed) for s in streams],
     )
     return observed
 

@@ -21,6 +21,21 @@ class TestFlowSample:
 
 
 class TestFlowStats:
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_add_equals_record(self, keep):
+        """``add`` makes ``record``'s additions and builds a sample only
+        when samples are kept."""
+        added, recorded = FlowStats(keep_samples=keep), FlowStats(keep_samples=keep)
+        flows = [("a", "b", 100, 0.1, 0.35), ("a", "b", 300, 0.2, 0.9),
+                 ("b", "a", 7, 1.0, 1.0)]
+        for src, dst, size, start, end in flows:
+            kept = added.add(src, dst, size, start, end)
+            recorded.record(FlowSample(src, dst, size, start, end))
+            assert (kept is not None) == keep
+        assert added._agg == recorded._agg
+        assert len(added) == len(recorded) == 3
+        assert added.samples == recorded.samples
+
     def test_total_bytes_filters(self):
         stats = FlowStats()
         stats.record(sample(src="a", dst="b", size=100))
