@@ -9,6 +9,7 @@ from repro.policy import HotspotPolicy, HotspotReplicationPolicy
 from repro.units import MB
 
 from .conformance import build_deployment
+from .regen_goldens import heat_cycle, hotspot_counters, summary
 
 BASE = 3  # configured replication factor in build_deployment's config
 
@@ -112,3 +113,15 @@ class TestEndToEnd:
         assert deployment.namenode.file_fully_replicated("/hot")
         # The file still reads back fine after the full heat cycle.
         self._read(env, deployment)
+
+
+class TestRebinding:
+    def test_rebound_instance_starts_with_empty_counters(self) -> None:
+        policy = HotspotPolicy()
+        first = heat_cycle(policy, cool=10.0)  # stop while both blocks are hot
+        assert hotspot_counters(first) == {"promotions": 2, "demotions": 0}
+        _, second = build_deployment(policy)
+        assert hotspot_counters(second) == {"promotions": 0, "demotions": 0}
+        # No read or hot mark of the first binding leaks into the next:
+        # a re-bound instance runs the cycle exactly as a fresh one does.
+        assert summary(heat_cycle(policy)) == summary(heat_cycle())

@@ -16,9 +16,15 @@ import pytest
 
 from tests.faults import regen_goldens as faults_regen
 from tests.obs import regen_goldens as obs_regen
+from tests.policy import regen_goldens as policy_regen
 from tests.service import regen_goldens as service_regen
 
-MODULES = {"faults": faults_regen, "obs": obs_regen, "service": service_regen}
+MODULES = {
+    "faults": faults_regen,
+    "obs": obs_regen,
+    "policy": policy_regen,
+    "service": service_regen,
+}
 
 
 @pytest.fixture(scope="module", params=sorted(MODULES), ids=sorted(MODULES))
