@@ -70,6 +70,9 @@ __all__ = [
     "READ_INVARIANT_NAMES",
 ]
 
+#: Simulated seconds between two checks of the buffer sampler's grid.
+SAMPLE_INTERVAL = 0.05
+
 #: Stable identifiers of every invariant the monitor checks by default
 #: (the historical write-path set).
 INVARIANT_NAMES: tuple[str, ...] = (
@@ -123,7 +126,6 @@ class InvariantMonitor:
     def __init__(
         self,
         deployment: HdfsDeployment,
-        sample_interval: float = 0.05,
         buffer_bound_bytes: Optional[int] = None,
         invariant_names: tuple[str, ...] = INVARIANT_NAMES,
     ):
@@ -156,7 +158,7 @@ class InvariantMonitor:
         for datanode in deployment.datanodes.values():
             datanode.on_receiver_open = self._on_receiver_open
         self._sampler = self.env.process(
-            self._sample_buffers(sample_interval), name="invariant:sampler"
+            self._sample_buffers(), name="invariant:sampler"
         )
 
     # -- live checks (journal stream + sampler) -------------------------
@@ -203,12 +205,13 @@ class InvariantMonitor:
         if wake is not None:
             wake.succeed()
 
-    def _sample_buffers(self, interval: float) -> ProcessGenerator:
+    def _sample_buffers(self) -> ProcessGenerator:
         """Check every open receiver's buffer on a fixed tick grid.
 
         The grid is the float sequence ``t_{k+1} = t_k + interval`` from
-        the monitor's start, exactly the times chained ``timeout(interval)``
-        calls would land on.  While any receiver is open the sampler
+        the monitor's start (``interval`` is :data:`SAMPLE_INTERVAL`),
+        exactly the times chained ``timeout(interval)`` calls would land
+        on.  While any receiver is open the sampler
         walks that grid tick by tick.  When a tick finds none it goes
         dormant and schedules nothing until a datanode opens a receiver;
         it then advances ``tick`` along the same float chain to the first
@@ -218,6 +221,7 @@ class InvariantMonitor:
         Tie rule: a receiver opened exactly on a grid tick while the
         sampler sleeps is counted at that tick.
         """
+        interval = SAMPLE_INTERVAL
         record = self.records["buffer_bound"]
         datanodes = self.deployment.datanodes.values()
         tick = self.env.now

@@ -22,8 +22,8 @@ from ..rng import substream
 from ..sim import Environment, Event, Store
 from .datanode import BlockReceiver, Datanode
 from .namenode import Namenode
-from .placement import PlacementPolicy
 from .protocol import Block
+from .replication import ReplicationMonitor
 
 __all__ = ["HdfsDeployment", "PipelineHandle"]
 
@@ -54,7 +54,6 @@ class HdfsDeployment:
     def __init__(
         self,
         cluster: Cluster,
-        placement: Optional[PlacementPolicy] = None,
         config: Optional[SimulationConfig] = None,
         enable_replication_monitor: bool = True,
         observe: bool = False,
@@ -88,7 +87,6 @@ class HdfsDeployment:
             node=cluster.namenode_host,
             network=self.network,
             config=self.config.hdfs,
-            placement=placement,
             seed=self.config.seed,
             journal=self.journal,
             tracer=self.tracer,
@@ -104,18 +102,10 @@ class HdfsDeployment:
             datanode.register_with(self.namenode, start_heartbeat=start_services)
             self.datanodes[host.name] = datanode
 
-        #: The deployment-wide strategy bundle (DESIGN.md §12): ``None``
+        #: The deployment's one strategy object (DESIGN.md §12): ``None``
         #: resolves the ambient spec (``"default"`` unless swapped via
-        #: :func:`repro.policy.use_policy`).  An explicit ``placement``
-        #: argument wins over the policy's placement hook.
+        #: :func:`repro.policy.use_policy`).
         self.policy = resolve_policy(policy, self)
-        if placement is None:
-            override = self.policy.placement()
-            if override is not None:
-                self.namenode.placement = override
-
-        from .replication import ReplicationMonitor
-
         self.replication_monitor: Optional[ReplicationMonitor] = (
             ReplicationMonitor(self, autostart=start_services)
             if enable_replication_monitor

@@ -7,11 +7,12 @@ calls (registration, blockReceived) arrive via control messages and
 execute synchronously at the namenode; datanode heartbeats are analytic
 beat chains in the :class:`~repro.hdfs.datanode_manager.DatanodeManager`.
 
-The placement policy is pluggable: baseline deployments use
-:class:`~repro.hdfs.placement.DefaultPlacementPolicy`; SMARTH deployments
-install :class:`~repro.smarth.global_opt.SmarthPlacementPolicy`
-(Algorithm 1), which reads the per-client speed registry populated by
-client heartbeats (§III-B).
+The namenode places new blocks with
+:class:`~repro.hdfs.placement.DefaultPlacementPolicy` on its own RNG;
+SMARTH deployments install
+:class:`~repro.smarth.global_opt.SmarthPlacementPolicy` (Algorithm 1),
+which reads the per-client speed registry populated by client heartbeats
+(§III-B).
 """
 
 from __future__ import annotations
@@ -182,7 +183,6 @@ class Namenode:
         node: Node,
         network: Network,
         config: HdfsConfig,
-        placement: Optional[PlacementPolicy] = None,
         seed: int = 0,
         journal: Optional[Journal] = None,
         tracer: Optional[Tracer] = None,
@@ -201,7 +201,10 @@ class Namenode:
         self.journal = journal if journal is not None else Journal(enabled=False)
         self.tracer = tracer if tracer is not None else DISABLED_TRACER
         self.metrics = metrics if metrics is not None else DISABLED_METRICS
-        self.placement: PlacementPolicy = placement or DefaultPlacementPolicy(
+        #: ``DefaultPlacementPolicy`` shares :attr:`rng` with
+        #: :meth:`get_additional_datanode`; a SMARTH deployment swaps in
+        #: Algorithm 1's placement after construction.
+        self.placement: PlacementPolicy = DefaultPlacementPolicy(
             network.topology, self.datanodes, self.rng
         )
         self._monitor = None

@@ -11,17 +11,31 @@ Algorithm 1 (in :mod:`repro.smarth.global_opt`) trades differently.
 from __future__ import annotations
 
 import random
+from abc import ABC, abstractmethod
 from typing import Iterable, Mapping, Sequence
 
 from ..net.topology import Topology
-from ..policy.base import PlacementPolicy
 from .datanode_manager import DatanodeManager
 from .protocol import NoDatanodesAvailable
 
-# The ABC moved to repro.policy.base (DESIGN.md §12); re-exported here
-# because this was its historical home and both protocols' placement
-# implementations import it from here.
 __all__ = ["PlacementPolicy", "DefaultPlacementPolicy", "place_replicas"]
+
+
+class PlacementPolicy(ABC):
+    """Strategy interface used by the namenode's addBlock()."""
+
+    @abstractmethod
+    def choose_targets(
+        self,
+        client: str,
+        replication: int,
+        excluded: Iterable[str] = (),
+    ) -> tuple[str, ...]:
+        """Pick ``replication`` distinct live datanodes for a new block."""
+
+    @staticmethod
+    def _pick(rng: random.Random, candidates: Sequence[str]) -> str:
+        return candidates[rng.randrange(len(candidates))]
 
 
 def place_replicas(

@@ -10,15 +10,15 @@ reproduction is only half told.
 
 Model:
 
-* every ``interval`` the monitor diffs the block manager against the
-  liveness map (dead nodes' replicas are dropped, mirroring HDFS
+* every heartbeat interval the monitor diffs the block manager against
+  the liveness map (dead nodes' replicas are dropped, mirroring HDFS
   processing a dead node's block list);
 * each under-replicated, COMPLETE block gets one replication task:
   a surviving holder streams the block to a new target (rack-aware:
   prefer a rack not yet holding a replica), which writes it to disk and
   reports ``blockReceived``;
-* per-source concurrency is capped (HDFS's
-  ``dfs.namenode.replication.max-streams`` analogue).
+* per-source concurrency is capped at :data:`MAX_STREAMS_PER_SOURCE`
+  (HDFS's ``dfs.namenode.replication.max-streams`` analogue).
 
 A tick that found nothing to do finds nothing again until the liveness
 map or the block map changes, so the monitor then sleeps: its next tick
@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Optional
 
-from ..policy.base import ReplicationPolicy
+from ..policy.base import Policy
 from ..sim import Event, Interrupt, ProcessGenerator
 from .protocol import BlockState
 
@@ -39,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .deployment import HdfsDeployment
 
 __all__ = ["ReplicationMonitor", "copy_block"]
+
+#: Concurrent copies one source datanode streams at most.
+MAX_STREAMS_PER_SOURCE = 2
 
 
 def copy_block(
@@ -71,28 +74,18 @@ def copy_block(
 class ReplicationMonitor:
     """Namenode-side healing of under-replicated complete blocks."""
 
-    def __init__(
-        self,
-        deployment: "HdfsDeployment",
-        interval: Optional[float] = None,
-        max_streams_per_source: int = 2,
-        autostart: bool = True,
-        policy: Optional["ReplicationPolicy"] = None,
-    ):
+    def __init__(self, deployment: "HdfsDeployment", autostart: bool = True):
         self.deployment = deployment
         self.env = deployment.env
         self.namenode = deployment.namenode
         config = deployment.config.hdfs
-        #: Scan period; defaults to one heartbeat interval.
-        self.interval = interval or config.heartbeat_interval
-        self.max_streams_per_source = max_streams_per_source
+        #: Scan period: one heartbeat interval.
+        self.interval = config.heartbeat_interval
         self.replication = config.replication
-        #: Replica-count/selection strategy (DESIGN.md §12); defaults to
-        #: the deployment policy's, whose stock implementation consumes
-        #: this monitor's RNG in exactly the historical order.
-        self.policy = policy if policy is not None else (
-            deployment.policy.replication()
-        )
+        #: Replica-count/selection strategy (DESIGN.md §12): the
+        #: deployment's policy, whose stock hooks consume this monitor's
+        #: RNG in exactly the historical order.
+        self.policy = deployment.policy
 
         #: Blocks with an in-flight replication task.
         self._in_flight: set[int] = set()
@@ -165,8 +158,7 @@ class ReplicationMonitor:
         """
         policy = self.policy
         return (
-            type(policy).target_replication
-            is ReplicationPolicy.target_replication
+            type(policy).target_replication is Policy.target_replication
             and not policy.manages_excess
         )
 
@@ -229,7 +221,7 @@ class ReplicationMonitor:
         """One (block, source, target) task per healable block.
 
         Per-block targets and the source/target picks come from the
-        replication policy; with the stock policy the scan bound equals
+        deployment's policy; with the stock policy the scan bound equals
         the configured factor and both picks consume ``self.rng`` in the
         historical order, so the plan is byte-identical to the
         pre-policy monitor.
@@ -258,7 +250,7 @@ class ReplicationMonitor:
             sources = [
                 s
                 for s in holders
-                if self._streams.get(s, 0) < self.max_streams_per_source
+                if self._streams.get(s, 0) < MAX_STREAMS_PER_SOURCE
             ]
             if not sources:
                 continue

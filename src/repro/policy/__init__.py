@@ -1,28 +1,24 @@
-"""Pluggable placement & replication policies (see DESIGN.md §12).
+"""Pluggable replication and tuning policies (see DESIGN.md §12).
 
 The policy layer turns the strategies the paper fixes at design time —
-replica placement, replication targets, the Algorithm 2 threshold, the
-pipeline cap — into one per-deployment :class:`Policy` object that the
-namenode, the replication monitor, the SMARTH client and the read path
-all route through.  ``DefaultPolicy`` is the pre-framework behavior
-(proven byte-identical by the golden suites); ``HotspotPolicy`` and
-``OnlineTunerPolicy`` are the first two adaptive strategies; new ones
-register with :func:`register_policy` and must pass the conformance
-harness in ``tests/policy/conformance.py``.
+replication targets, the Algorithm 2 threshold, the pipeline cap — into
+one per-deployment :class:`Policy` object that the replication monitor,
+the SMARTH client and the read path all call.  ``DefaultPolicy`` is the
+pre-framework behavior (proven byte-identical by the golden suites);
+``HotspotPolicy`` and ``OnlineTunerPolicy`` are the first two adaptive
+strategies; new ones register with :func:`register_policy` and must pass
+the conformance harness in ``tests/policy/conformance.py``.
 
 Select a policy explicitly (``HdfsDeployment(..., policy="hotspot")``,
 ``python -m repro chaos --policy hotspot``) or ambiently for a whole
 code path with :func:`use_policy`.
-
-The concrete policy classes are imported lazily (they construct
-protocol objects from :mod:`repro.hdfs`/:mod:`repro.smarth`, which
-import this package), so ``from repro.policy import HotspotPolicy``
-works but does not create an import cycle at package load.
 """
 
 from __future__ import annotations
 
-from .base import NO_TUNING, ClientTuning, PlacementPolicy, Policy, ReplicationPolicy
+from .base import NO_TUNING, ClientTuning, Policy
+from .default import DefaultPolicy
+from .hotspot import HotspotPolicy
 from .registry import (
     PolicySpec,
     active_policy_spec,
@@ -32,18 +28,15 @@ from .registry import (
     resolve_policy,
     use_policy,
 )
+from .tuner import OnlineTunerPolicy
 
 __all__ = [
     "Policy",
-    "PlacementPolicy",
-    "ReplicationPolicy",
     "ClientTuning",
     "NO_TUNING",
     "PolicySpec",
     "DefaultPolicy",
-    "DefaultReplicationPolicy",
     "HotspotPolicy",
-    "HotspotReplicationPolicy",
     "OnlineTunerPolicy",
     "register_policy",
     "policy_names",
@@ -52,24 +45,3 @@ __all__ = [
     "use_policy",
     "active_policy_spec",
 ]
-
-#: Lazily-resolved public classes → their defining submodule.
-_LAZY = {
-    "DefaultPolicy": "default",
-    "DefaultReplicationPolicy": "default",
-    "HotspotPolicy": "hotspot",
-    "HotspotReplicationPolicy": "hotspot",
-    "OnlineTunerPolicy": "tuner",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value

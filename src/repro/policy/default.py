@@ -2,25 +2,20 @@
 
 :class:`DefaultPolicy` adds nothing to :class:`~repro.policy.base.Policy`
 — the base class's stock implementations *are* Hadoop/SMARTH's fixed
-strategies (rack-aware random placement, Algorithm 1 under SMARTH, a
-uniform replication target with rack-aware healing, the configured 0.8
-threshold, no tuning feedback).  It exists so the registry, the
-conformance harness and the bench can treat "do what the paper does" as
-one more policy, and so its byte-identity to the pre-refactor code paths
-is a named, tested property (the fig5/faultrec goldens and the
-fixed-seed chaos reports pin it).
+strategies (a uniform replication target with rack-aware healing, the
+configured 0.8 threshold, no tuning feedback).  It exists so the
+registry, the conformance harness and the bench can treat "do what the
+paper does" as one more policy, and so its byte-identity to the
+pre-refactor code paths is a named, tested property (the fig5/faultrec
+goldens and the fixed-seed chaos reports pin it).
 """
 
 from __future__ import annotations
 
-from .base import Policy, ReplicationPolicy
+from .base import Policy
 from .registry import register_policy
 
-__all__ = ["DefaultPolicy", "DefaultReplicationPolicy"]
-
-
-class DefaultReplicationPolicy(ReplicationPolicy):
-    """Stock monitor strategy: uniform target, rack-aware healing."""
+__all__ = ["DefaultPolicy"]
 
 
 @register_policy
@@ -28,6 +23,3 @@ class DefaultPolicy(Policy):
     """The paper's fixed strategies, registered under ``"default"``."""
 
     name = "default"
-
-    def _make_replication(self) -> ReplicationPolicy:
-        return DefaultReplicationPolicy(self.deployment.config.hdfs.replication)

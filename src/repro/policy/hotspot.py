@@ -23,46 +23,51 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from .base import Policy, ReplicationPolicy
+from .base import Policy
 from .registry import register_policy
 
-__all__ = ["HotspotPolicy", "HotspotReplicationPolicy"]
+__all__ = ["HotspotPolicy"]
 
 
-class HotspotReplicationPolicy(ReplicationPolicy):
-    """Replica targets driven by per-block read-popularity counters."""
+@register_policy
+class HotspotPolicy(Policy):
+    """Popularity-driven replica management, registered as ``"hotspot"``.
 
+    The popularity counters belong to one binding: :meth:`bind` starts
+    them empty, so an instance re-bound to a new deployment carries no
+    heat over.
+    """
+
+    name = "hotspot"
     manages_excess = True
+    #: Extra replicas granted to a hot block.  The three knobs are
+    #: class-level; subclass (or set on an instance before binding) to
+    #: retune.
+    boost = 1
+    #: Reads within ``window`` that make a block hot.
+    hot_reads = 3
+    #: Sliding popularity window, simulated seconds.
+    window = 30.0
 
-    def __init__(
-        self,
-        replication: int,
-        boost: int = 1,
-        hot_reads: int = 3,
-        window: float = 30.0,
-    ):
-        super().__init__(replication)
-        if boost < 1:
+    def bind(self, deployment) -> "HotspotPolicy":
+        if self.boost < 1:
             raise ValueError("boost must be >= 1")
-        if hot_reads < 1:
+        if self.hot_reads < 1:
             raise ValueError("hot_reads must be >= 1")
-        if window <= 0:
+        if self.window <= 0:
             raise ValueError("window must be positive")
-        #: Extra replicas granted to a hot block.
-        self.boost = boost
-        #: Reads within ``window`` that make a block hot.
-        self.hot_reads = hot_reads
-        #: Sliding popularity window, simulated seconds.
-        self.window = window
+        super().bind(deployment)
         self._reads: dict[int, deque] = {}
         self._hot: set[int] = set()
         #: Transition counters (for tests/reports).
         self.promotions = 0
         self.demotions = 0
+        return self
 
     # -- popularity ----------------------------------------------------
-    def note_read(self, block_id: int, at: float) -> None:
-        self._reads.setdefault(block_id, deque()).append(at)
+    def note_read(self, block_id: int, datanode: str) -> None:
+        now = self.deployment.env.now
+        self._reads.setdefault(block_id, deque()).append(now)
 
     def heat(self, block_id: int, now: float) -> int:
         """Reads of ``block_id`` within the window ending at ``now``."""
@@ -100,26 +105,6 @@ class HotspotReplicationPolicy(ReplicationPolicy):
         # later-sorted fresh-rack nodes more often than not, so trimming
         # from the top tends to return to the original layout.
         return tuple(sorted(holders, reverse=True)[:extra])
-
-
-@register_policy
-class HotspotPolicy(Policy):
-    """Popularity-driven replica management, registered as ``"hotspot"``."""
-
-    name = "hotspot"
-    #: Class-level defaults; subclass (or set on an instance before
-    #: binding) to retune.
-    boost = 1
-    hot_reads = 3
-    window = 30.0
-
-    def _make_replication(self) -> ReplicationPolicy:
-        return HotspotReplicationPolicy(
-            self.deployment.config.hdfs.replication,
-            boost=self.boost,
-            hot_reads=self.hot_reads,
-            window=self.window,
-        )
 
     def describe(self) -> dict:
         return {

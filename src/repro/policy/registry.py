@@ -14,7 +14,7 @@ Two composable ways to select a policy:
   drivers (experiments, workloads, the chaos campaign) run under a
   policy without threading a parameter through every call site.
 
-Built-in policies self-register on first use via their module import;
+The built-in policies register when :mod:`repro.policy` is imported;
 :func:`register_policy` adds new ones (see DESIGN.md §12).
 """
 
@@ -57,26 +57,13 @@ def register_policy(cls: Type[Policy]) -> Type[Policy]:
     return cls
 
 
-def _load_builtin() -> None:
-    """Import the shipped policy modules so they self-register.
-
-    Deferred (not done at package import) because the built-ins construct
-    protocol objects from :mod:`repro.hdfs` / :mod:`repro.smarth`, which
-    themselves import :mod:`repro.policy` — resolving at first *use*
-    breaks the cycle.
-    """
-    from . import default, hotspot, tuner  # noqa: F401
-
-
 def policy_names() -> tuple[str, ...]:
     """Registered policy names, sorted (``default`` always present)."""
-    _load_builtin()
     return tuple(sorted(_POLICIES))
 
 
 def policy_class(name: str) -> Type[Policy]:
     """Look up a registered policy class by name."""
-    _load_builtin()
     try:
         return _POLICIES[name]
     except KeyError:

@@ -19,7 +19,7 @@ try each candidate :class:`~repro.policy.base.ClientTuning` in turn;
 after that every upload uses the arm with the best mean observed
 throughput (ties break toward the later, less-exploratory arm).  The
 grid defaults to threshold candidates but can carry any tuning —
-pipeline caps and packet-train bounds included.
+pipeline caps included.
 
 The tuner's state lives on the *policy instance*, so passing one
 instance across deployments (``resolve_policy`` re-binds rather than
@@ -63,8 +63,8 @@ class OnlineTunerPolicy(Policy):
     def __init__(self, deployment=None):
         super().__init__(deployment)
         #: Arm-indexed upload-throughput histograms (bytes/sec), one per
-        #: (client, arm) — the `repro.obs` observation store the ISSUE's
-        #: tuner learns from.
+        #: (client, arm) — the `repro.obs` observation store the tuner
+        #: learns from.
         self.metrics = MetricsRegistry(enabled=True)
         self._uploads: dict[str, int] = {}
 

@@ -199,17 +199,22 @@ class ServiceReport:
         ) + "\n"
 
 
+#: Fault events per simulated day in a generated service chaos plan.
+FAULT_EVENTS_PER_DAY = 4.0
+
+
 def generate_service_faults(
-    seed: int, n_datanodes: int, horizon: float, events_per_day: float = 4.0
+    seed: int, n_datanodes: int, horizon: float
 ) -> tuple[FaultSpec, ...]:
     """A reproducible chaos plan for a service run.
 
     Alternates throttle windows and kill/revive pairs over the middle 90%
-    of the horizon; everything derives from a dedicated substream so the
-    plan is stable under unrelated seed consumers.
+    of the horizon, :data:`FAULT_EVENTS_PER_DAY` of them a day (at least
+    one); everything derives from a dedicated substream so the plan is
+    stable under unrelated seed consumers.
     """
     rng = substream(seed, "service-faults")
-    n_events = max(1, int(events_per_day * horizon / 86400.0))
+    n_events = max(1, int(FAULT_EVENTS_PER_DAY * horizon / 86400.0))
     faults: list[FaultSpec] = []
     for _ in range(n_events):
         at = rng.uniform(0.05, 0.90) * horizon

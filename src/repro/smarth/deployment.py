@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from typing import Optional
 
 from ..cluster.builder import Cluster
@@ -9,6 +10,7 @@ from ..cluster.node import Node
 from ..config import SimulationConfig
 from ..hdfs.deployment import HdfsDeployment
 from ..policy.registry import PolicySpec
+from .global_opt import SmarthPlacementPolicy
 from .multi_writer import SmarthClient
 
 __all__ = ["SmarthDeployment"]
@@ -19,11 +21,9 @@ class SmarthDeployment(HdfsDeployment):
 
     Datanode and namenode services are unchanged (SMARTH is a protocol
     change, not a storage change); the namenode's placement policy is
-    swapped for the deployment policy's
-    :meth:`~repro.policy.base.Policy.smarth_placement` — the stock
-    :class:`~repro.smarth.global_opt.SmarthPlacementPolicy` under the
-    default policy — and clients are
-    :class:`~repro.smarth.multi_writer.SmarthClient` instances.
+    swapped for Algorithm 1's
+    :class:`~repro.smarth.global_opt.SmarthPlacementPolicy`, and clients
+    are :class:`~repro.smarth.multi_writer.SmarthClient` instances.
     """
 
     def __init__(
@@ -43,9 +43,15 @@ class SmarthDeployment(HdfsDeployment):
             start_services=start_services,
             policy=policy,
         )
-        placement = self.policy.smarth_placement()
-        if placement is not None:
-            self.namenode.placement = placement
+        cfg = self.config
+        self.namenode.placement = SmarthPlacementPolicy(
+            topology=self.network.topology,
+            datanodes=self.namenode.datanodes,
+            speeds=self.namenode.speeds,
+            rng=random.Random(cfg.seed ^ 0xC0FFEE),
+            replication=cfg.hdfs.replication,
+            enabled=cfg.smarth.enable_global_opt,
+        )
 
     def client(
         self, host: Optional[Node] = None, name: Optional[str] = None

@@ -481,10 +481,7 @@ class SmarthClient:
                 # failure: resend the un-ACKed tail now (Algorithm 4 line
                 # 7, "start transferring the interrupted block").
                 yield from self._resend_background(pipeline)
-                if (
-                    pipeline.state is PipelineState.BACKGROUND
-                    and pipeline.state is not PipelineState.DONE
-                ):
+                if pipeline.state is PipelineState.BACKGROUND:
                     self._arm_watcher(pipeline)
             # Not-yet-fully-streamed pipelines are resent by their
             # _stream_pipeline loop after this drain returns.

@@ -55,14 +55,11 @@ def run_concurrent_uploads(
     sizes: Sequence[int | str],
     config: Optional[SimulationConfig] = None,
     stagger: float = 0.0,
-    n_extra_hosts: Optional[int] = None,
 ) -> MultiUploadOutcome:
     """Upload ``len(sizes)`` files concurrently, one client per file.
 
     The first client uses the cluster's client host; additional ones need
-    extra client hosts, which the scenario's builder must have provisioned
-    (``two_rack``/``contention`` do when built via this function's
-    ``n_extra_hosts`` rebuild path; custom scenarios must provide them).
+    extra client hosts, which the scenario's builder must have provisioned.
     """
     if system not in ("hdfs", "smarth"):
         raise ValueError(f"unknown system {system!r}; expected hdfs|smarth")

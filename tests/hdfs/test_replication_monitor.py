@@ -1,15 +1,18 @@
 """Integration tests for the background re-replication monitor."""
 
+import math
+
 import pytest
 
 from repro.cluster import SMALL, build_homogeneous
 from repro.config import SimulationConfig
 from repro.hdfs import HdfsDeployment
+from repro.policy import Policy
 from repro.sim import Environment
 from repro.units import KB, MB
 
 
-def build(n_datanodes=9, monitor=True):
+def build(n_datanodes=9, monitor=True, policy=None):
     env = Environment()
     cfg = SimulationConfig().with_hdfs(
         block_size=2 * MB,
@@ -18,7 +21,9 @@ def build(n_datanodes=9, monitor=True):
         dead_node_heartbeats=3,
     )
     cluster = build_homogeneous(env, SMALL, n_datanodes=n_datanodes, config=cfg)
-    deployment = HdfsDeployment(cluster, enable_replication_monitor=monitor)
+    deployment = HdfsDeployment(
+        cluster, enable_replication_monitor=monitor, policy=policy
+    )
     return env, deployment
 
 
@@ -144,3 +149,69 @@ class TestDormancy:
         env.process(poke(env))
         env.run(until=12)
         assert scans == [1.0, 3.0, 6.0, 8.0, ("inline", 8.0)]
+
+
+class RaiseOneTarget(Policy):
+    """Wants one more copy of block ``block_id`` from instant ``at`` on.
+
+    It overrides only the two target hooks, so it neither trims excess
+    nor draws differently: only its moving target keeps the monitor
+    awake.
+    """
+
+    block_id = -1
+    at = math.inf
+
+    def scan_replication(self) -> int:
+        return self.replication + 1
+
+    def target_replication(self, block_id: int, now: float) -> int:
+        if block_id == self.block_id and now >= self.at:
+            return self.replication + 1
+        return self.replication
+
+
+class TestMovingTarget:
+    """A policy whose target moves with time keeps the monitor scanning
+    every tick; the stock policy's fixed target lets it sleep."""
+
+    def _run(self, policy):
+        env, deployment = build(policy=policy)
+        monitor = deployment.replication_monitor
+        scans, plans = [], []
+        scan, plan = monitor._scan, monitor._plan
+
+        def recording_scan():
+            scans.append(env.now)
+            return scan()
+
+        def recording_plan():
+            tasks = plan()
+            plans.extend((env.now, block_id) for block_id, _, _ in tasks)
+            return tasks
+
+        monitor._scan, monitor._plan = recording_scan, recording_plan
+        upload(env, deployment)
+        block_id = deployment.namenode.namespace.get("/f").blocks[0].block_id
+        # Off the grid: the first tick after it is half a second later.
+        at = math.ceil(env.now) + 5.5
+        if isinstance(policy, RaiseOneTarget):
+            policy.block_id, policy.at = block_id, at
+        env.run(until=at + 10)
+        return deployment, block_id, at, scans, plans
+
+    def test_moving_target_keeps_the_monitor_awake(self):
+        deployment, block_id, at, scans, plans = self._run(RaiseOneTarget())
+        assert scans == [float(t) for t in range(1, math.floor(at + 10) + 1)]
+        assert plans == [(math.ceil(at), block_id)]
+        completed = deployment.replication_monitor.completed
+        assert [task[0] for task in completed] == [block_id]
+        replicas = deployment.namenode.blocks.locations(block_id)
+        assert len(replicas) == deployment.config.hdfs.replication + 1
+
+    def test_stock_policy_sleeps(self):
+        deployment, block_id, at, scans, plans = self._run(Policy())
+        assert scans and max(scans) < at
+        assert plans == []
+        replicas = deployment.namenode.blocks.locations(block_id)
+        assert len(replicas) == deployment.config.hdfs.replication

@@ -5,9 +5,9 @@ pass the checks in this module — ``tests/policy/test_conformance.py``
 drives them over ``policy_names()``, so registering a new policy
 automatically enrolls it.  The contract:
 
-* **Interface** — the registry can build it, it yields a usable
-  replication policy, and its tuning/describe hooks return the
-  documented types.
+* **Interface** — the registry can build it, its replication hooks
+  never target fewer replicas than the configured factor, and its
+  tuning/describe hooks return the documented types.
 * **Determinism** — the same (seed, workload, policy name) produces the
   same upload fingerprint, run to run.  Policies may keep *learned*
   state but must not read wall clocks or unseeded RNGs.
@@ -29,7 +29,7 @@ from repro.cluster import SMALL, build_homogeneous
 from repro.config import SimulationConfig
 from repro.faults import report_json, run_campaign
 from repro.hdfs import HdfsDeployment
-from repro.policy import ClientTuning, Policy, ReplicationPolicy, policy_class
+from repro.policy import ClientTuning, Policy, policy_class
 from repro.sim import Environment
 from repro.units import KB, MB
 from repro.workloads import heterogeneous, run_upload
@@ -92,12 +92,10 @@ def check_interface(name: str) -> None:
     assert isinstance(policy, cls)
     assert policy.deployment is deployment
 
-    replication = policy.replication()
-    assert isinstance(replication, ReplicationPolicy)
-    assert replication is policy.replication()  # memoized per binding
     base = deployment.config.hdfs.replication
-    assert replication.scan_replication() >= base
-    assert replication.target_replication(0, 0.0) >= base
+    assert policy.replication == base
+    assert policy.scan_replication() >= base
+    assert policy.target_replication(0, 0.0) >= base
 
     tuning = policy.tuning_for("client")
     assert isinstance(tuning, ClientTuning)

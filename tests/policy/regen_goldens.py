@@ -39,7 +39,7 @@ COOL = 70.0
 
 def hotspot_counters(deployment) -> dict:
     """The hotspot policy's promotion and demotion counts."""
-    policy = deployment.policy.replication()
+    policy = deployment.policy
     return {"promotions": policy.promotions, "demotions": policy.demotions}
 
 

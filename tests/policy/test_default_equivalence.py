@@ -32,15 +32,14 @@ def test_explicit_default_matches_ambient(system: str) -> None:
 
 
 def test_default_policy_keeps_namenode_placement() -> None:
-    """placement() returning None leaves the namenode's own policy
-    object in place — the RNG-sharing invariant the equivalence rests
-    on (DefaultPlacementPolicy draws from ``namenode.rng``, the same
-    stream ``get_additional_datanode`` uses)."""
+    """The namenode keeps the placement object it built itself — the
+    RNG-sharing invariant the equivalence rests on
+    (DefaultPlacementPolicy draws from ``namenode.rng``, the same stream
+    ``get_additional_datanode`` uses)."""
     from repro.hdfs.placement import DefaultPlacementPolicy
 
     _, with_policy = build_deployment("default")
     _, without = build_deployment(None)
-    assert with_policy.policy.placement() is None
     assert type(with_policy.namenode.placement) is DefaultPlacementPolicy
     assert type(without.namenode.placement) is DefaultPlacementPolicy
 

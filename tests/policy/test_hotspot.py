@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.hdfs import HdfsReader
-from repro.policy import HotspotPolicy, HotspotReplicationPolicy
+from repro.policy import HotspotPolicy
 from repro.units import MB
 
 from .conformance import build_deployment
@@ -14,43 +14,54 @@ from .regen_goldens import heat_cycle, hotspot_counters, summary
 BASE = 3  # configured replication factor in build_deployment's config
 
 
-class TestReplicationPolicyUnit:
+def bound(**knobs):
+    """A ``HotspotPolicy`` with ``knobs`` set, bound by build_deployment."""
+    policy = HotspotPolicy()
+    for knob, value in knobs.items():
+        setattr(policy, knob, value)
+    env, _ = build_deployment(policy)
+    return env, policy
+
+
+class TestPolicyUnit:
     def test_heat_counts_only_window_reads(self) -> None:
-        policy = HotspotReplicationPolicy(BASE, window=30.0)
+        env, policy = bound(window=30.0)
         for at in (0.0, 5.0, 40.0):
-            policy.note_read(7, at)
+            env.run(until=at)
+            policy.note_read(7, "dn0")
         assert policy.heat(7, 41.0) == 1  # 0.0 and 5.0 aged out
         assert policy.heat(8, 41.0) == 0  # never-read block
 
     def test_target_tracks_promotion_and_demotion(self) -> None:
-        policy = HotspotReplicationPolicy(BASE, boost=2, hot_reads=2)
-        policy.note_read(1, 0.0)
+        env, policy = bound(boost=2, hot_reads=2)
+        policy.note_read(1, "dn0")
         assert policy.target_replication(1, 1.0) == BASE
-        policy.note_read(1, 1.0)
+        env.run(until=1.0)
+        policy.note_read(1, "dn0")
         assert policy.target_replication(1, 2.0) == BASE + 2
         assert (policy.promotions, policy.demotions) == (1, 0)
         assert policy.target_replication(1, 100.0) == BASE  # cooled
         assert (policy.promotions, policy.demotions) == (1, 1)
 
     def test_excess_replicas_trims_to_target_deterministically(self) -> None:
-        policy = HotspotReplicationPolicy(BASE)
+        _, policy = bound()
         holders = ["dn0", "dn5", "dn2", "dn7"]
         victims = policy.excess_replicas(9, holders, now=0.0)
         assert victims == ("dn7",)  # reverse-name order, one extra copy
         assert policy.excess_replicas(9, holders[:3], now=0.0) == ()
 
     def test_scan_bound_covers_the_boost(self) -> None:
-        policy = HotspotReplicationPolicy(BASE, boost=2)
+        _, policy = bound(boost=2)
         assert policy.scan_replication() == BASE + 2
         assert policy.manages_excess
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "knobs",
         [{"boost": 0}, {"hot_reads": 0}, {"window": 0.0}, {"window": -1.0}],
     )
-    def test_invalid_parameters_rejected(self, kwargs: dict) -> None:
+    def test_invalid_parameters_rejected(self, knobs: dict) -> None:
         with pytest.raises(ValueError):
-            HotspotReplicationPolicy(BASE, **kwargs)
+            bound(**knobs)
 
 
 class TestEndToEnd:
@@ -93,9 +104,8 @@ class TestEndToEnd:
         env.run(until=env.now + 60)
         assert self._replication_counts(deployment) == [BASE, BASE]
         assert monitor.removed
-        replication = deployment.policy.replication()
-        assert replication.promotions >= 2
-        assert replication.demotions >= 2
+        assert deployment.policy.promotions >= 2
+        assert deployment.policy.demotions >= 2
 
     def test_trim_is_journaled(self) -> None:
         env, deployment = self._deploy()
