@@ -211,12 +211,12 @@ class InvariantMonitor:
         The grid is the float sequence ``t_{k+1} = t_k + interval`` from
         the monitor's start (``interval`` is :data:`SAMPLE_INTERVAL`),
         exactly the times chained ``timeout(interval)`` calls would land
-        on.  While any receiver is open the sampler
-        walks that grid tick by tick.  When a tick finds none it goes
-        dormant and schedules nothing until a datanode opens a receiver;
-        it then advances ``tick`` along the same float chain to the first
-        grid time at or after the wake-up and resumes there, so the
-        checks it records are those of a sampler that never slept.
+        on.  While any receiver is open the sampler walks that grid tick
+        by tick.  When a tick finds none it goes dormant and schedules
+        nothing until a datanode opens a receiver; it then advances
+        ``tick`` along the same float chain to the first grid time at or
+        after the wake-up and resumes there, so the checks it records are
+        those of a sampler that never slept.
 
         Tie rule: a receiver opened exactly on a grid tick while the
         sampler sleeps is counted at that tick.

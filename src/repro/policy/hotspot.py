@@ -33,6 +33,8 @@ __all__ = ["HotspotPolicy"]
 class HotspotPolicy(Policy):
     """Popularity-driven replica management, registered as ``"hotspot"``.
 
+    The three knobs are class attributes; subclass (or set them on an
+    instance before binding) to retune, and :meth:`bind` validates them.
     The popularity counters belong to one binding: :meth:`bind` starts
     them empty, so an instance re-bound to a new deployment carries no
     heat over.
@@ -40,9 +42,7 @@ class HotspotPolicy(Policy):
 
     name = "hotspot"
     manages_excess = True
-    #: Extra replicas granted to a hot block.  The three knobs are
-    #: class-level; subclass (or set on an instance before binding) to
-    #: retune.
+    #: Extra replicas granted to a hot block.
     boost = 1
     #: Reads within ``window`` that make a block hot.
     hot_reads = 3

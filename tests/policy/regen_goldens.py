@@ -2,9 +2,10 @@
 
 Usage:  PYTHONPATH=src python tests/policy/regen_goldens.py
 
-The chaos goldens cannot see what the hotspot policy does: its boosts
-land after the campaign's reads, so its reports equal the default
-policy's byte for byte.  This golden pins one full heat cycle instead
+The chaos goldens cannot see what the hotspot policy does: on their
+campaign shape (seed 7, 4 runs, scale 0.25) its boosts land after the
+reads, so its reports equal the default policy's but for the ``policy``
+tag.  This golden pins one full heat cycle instead
 (``test_hotspot.py``'s: a 4 MB write, three reads, then 70 s): the
 sha256 of the deployment's journal, the monitor's copies and trims,
 and the policy's promotion and demotion counts.

@@ -23,7 +23,7 @@ def bound(**knobs):
     return env, policy
 
 
-class TestPolicyUnit:
+class TestReplicationPolicyUnit:
     def test_heat_counts_only_window_reads(self) -> None:
         env, policy = bound(window=30.0)
         for at in (0.0, 5.0, 40.0):
@@ -56,12 +56,12 @@ class TestPolicyUnit:
         assert policy.manages_excess
 
     @pytest.mark.parametrize(
-        "knobs",
+        "kwargs",
         [{"boost": 0}, {"hot_reads": 0}, {"window": 0.0}, {"window": -1.0}],
     )
-    def test_invalid_parameters_rejected(self, knobs: dict) -> None:
+    def test_invalid_parameters_rejected(self, kwargs: dict) -> None:
         with pytest.raises(ValueError):
-            bound(**knobs)
+            bound(**kwargs)  # raises at bind
 
 
 class TestEndToEnd:
