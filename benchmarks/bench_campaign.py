@@ -5,12 +5,12 @@ shape (:func:`repro.workloads.campaign10k`: 100 pods x 100 clients x 10
 datanodes at full scale, 4 MB files) against their oracle, the
 per-packet write loop (``coalesce_packets=1``), as
 ``test_batch_equivalence.py`` does.  Timelines must be bit-identical;
-the trains' win shows up twice: the machine-independent *event
-reduction* (a train plans its whole block at start, production included,
-and costs a handful of milestones) and the wall-clock *speedup*.  Both
-runs are timed best-of-N because the ratio of two ~second walls is noisy
-on shared runners; the event reduction is deterministic and carries the
-hard floor.
+the trains' win is the wall-clock *speedup*.  Both runs are timed
+best-of-N because the ratio of two ~second walls is noisy on shared
+runners.  The *event reduction* (a train plans its whole block at start,
+production included, and costs a handful of milestones) is recorded for
+information: it is deterministic, and ``test_batch_equivalence.py`` pins
+both counts on ``campaign10k(0.02)`` and floors their ratio.
 
 Writes ``benchmarks/results/BENCH_campaign.json``; the CI perf-smoke
 job checks it against the ``campaign`` group in ``perf_floor.json``.
@@ -130,11 +130,4 @@ def test_campaign_trains(benchmark, results_dir, scale):
     benchmark.extra_info["events_per_sec"] = eps
     benchmark.extra_info["speedup"] = round(speedup, 2)
     benchmark.extra_info["event_reduction"] = round(event_reduction, 2)
-
-    # The machine-independent claim is enforced everywhere; the wall
-    # ratio only where a second-long measurement can be trusted at all.
-    assert event_reduction >= 20, (
-        f"trains removed only {event_reduction:.2f}x of the per-packet "
-        "event traffic"
-    )
 

@@ -122,14 +122,17 @@ def _run_pipeline_workload(coalesce_packets: int):
 
 
 def test_pipeline_train_throughput(benchmark, results_dir):
-    """Packet-train coalescing: same simulated timeline, ≥3x fewer events.
+    """Packet-train coalescing: same simulated timeline, less wall time.
 
     The section's ``events_per_sec`` is the per-packet run's: that run
     drives the kernel through this pipeline shape event by event, so its
     rate is the kernel throughput the floor gates.  A train retires most
     of its work without events, so its own rate is recorded
     (``train_events_per_sec``) but not gated; the train's win is gated
-    as ``speedup``, the per-packet wall over the train wall.
+    as ``speedup``, the per-packet wall over the train wall.  The event
+    reduction is recorded for information: it is deterministic, and
+    ``tests/hdfs/test_packet_train.py::test_kernel_pipeline_counts`` pins
+    both counts and floors their ratio.
     """
     legacy_duration, legacy_events, legacy_wall = _run_pipeline_workload(1)
     duration, events, wall = benchmark.pedantic(
@@ -175,7 +178,5 @@ def test_pipeline_train_throughput(benchmark, results_dir):
     benchmark.extra_info["events_per_sec"] = legacy_eps
     benchmark.extra_info["speedup"] = round(speedup, 2)
 
-    # The fast path must preserve the simulated timeline bit-for-bit...
+    # The fast path must preserve the simulated timeline bit-for-bit.
     assert duration == legacy_duration
-    # ...while coalescing at least 3x of the per-packet event traffic.
-    assert event_ratio >= 3.0

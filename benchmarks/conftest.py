@@ -34,10 +34,10 @@ def write_bench_json(
 ) -> pathlib.Path:
     """Merge ``payload`` into ``BENCH_<name>.json`` under ``section``.
 
-    Machine-readable companion to the ``.txt`` results: CI jobs (the
-    perf-smoke floor check) and the README's performance table read
-    these instead of scraping text.  Every section records the
-    ``REPRO_BENCH_SCALE`` it ran at as ``bench_scale``.
+    Machine-readable companion to the ``.txt`` results: the perf-smoke
+    floor check (``check_perf_floor.py``) reads these instead of
+    scraping text.  Every section records the ``REPRO_BENCH_SCALE`` it
+    ran at as ``bench_scale``.
     """
     path = results_dir / f"BENCH_{name}.json"
     data = json.loads(path.read_text()) if path.exists() else {}

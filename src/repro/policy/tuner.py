@@ -24,7 +24,9 @@ pipeline caps included.
 The tuner's state lives on the *policy instance*, so passing one
 instance across deployments (``resolve_policy`` re-binds rather than
 copies) lets a client's learning persist across uploads that each build
-a fresh cluster — the shape of ``bench_policy.py``'s head-to-head.
+a fresh cluster — the shape of the fig5 guard in
+``tests/experiments/test_sim_time_floors.py``, which runs the whole
+fig5 sweep under one tuner.
 Everything is deterministic: no RNG, no wall clock, just simulated-time
 throughput arithmetic.
 """

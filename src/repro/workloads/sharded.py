@@ -14,7 +14,7 @@ on the result:
 
 The per-client ``(start, end)`` timeline is keyed ``(pod, client)`` and
 must be identical across both executors and any group count — the
-property ``benchmarks/bench_shard.py`` and the workloads test suite
+property ``benchmarks/bench_pods.py`` and the workloads test suite
 assert, never assume.
 """
 

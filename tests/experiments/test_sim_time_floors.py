@@ -1,12 +1,13 @@
-"""Exact simulated-time totals behind the perf floors that are ratios.
+"""The floors that are ratios of simulated seconds, and their exact totals.
 
-``perf_floor.json`` floors three ratios of *simulated* seconds:
-``policy.fig5_guard`` (the online tuner against the default policy on the
-fig5 sweep), ``policy.heterogeneous`` (the tuner against the fixed 0.8
-threshold on repeated uploads) and ``read.ranking`` (speed-aware against
-locality-only replica ranking).  Simulated time is deterministic, so each
-pin here restates its benchmark's shape and requires both totals
-exactly, which is stricter than the floor and runs on every commit.
+Three ratios of *simulated* seconds carry a floor: ``policy.fig5_guard``
+(the online tuner against the default policy on the fig5 sweep, at least
+0.95), ``policy.heterogeneous`` (the tuner strictly ahead of the fixed
+0.8 threshold on repeated uploads) and ``read.ranking`` (speed-aware
+against locality-only replica ranking, at least 1.1).  Simulated time is
+deterministic, so this module is each floor's home: every test pins both
+totals exactly and asserts the floor's bound on their ratio beside the
+pin, so a deliberate re-pin can never slip under the floor.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from repro.workloads import heterogeneous
 
 
 def _upload_series(policy) -> float:
-    """``bench_policy._upload_series``: 12 sequential 64 MB uploads in
-    8 MB blocks on one heterogeneous SMARTH deployment."""
+    """Total simulated seconds of 12 sequential 64 MB uploads in 8 MB
+    blocks on one long-lived heterogeneous SMARTH deployment."""
     config = SimulationConfig().with_hdfs(block_size=8 * MB)
     env, cluster = heterogeneous().make(config)
     client = SmarthDeployment(cluster, policy=policy).client()
@@ -34,7 +35,7 @@ def _upload_series(policy) -> float:
 
 
 class LocalityOnly(Policy):
-    """``bench_read.LocalityOnlyPolicy``: topology order, nothing else."""
+    """The pre-speed-ranking reference: topology order, nothing else."""
 
     name = "pin-locality-only"
 
@@ -50,9 +51,9 @@ class LocalityOnly(Policy):
 
 
 def _read_series(policy) -> float:
-    """``bench_read._read_series``: 32 SMARTH uploads of 32 MB in 8 MB
-    blocks warm the registry (0.25 s heartbeats), then 8 whole-file
-    reads."""
+    """32 SMARTH uploads of 32 MB in 8 MB blocks warm the registry
+    (0.25 s heartbeats, so reports land during the uploads), then the
+    total simulated seconds of 8 whole-file reads."""
     config = SimulationConfig().with_hdfs(
         block_size=8 * MB, heartbeat_interval=0.25
     )
@@ -70,22 +71,32 @@ def _read_series(policy) -> float:
 
 
 def test_policy_heterogeneous_totals():
-    """``bench_policy.test_policy_heterogeneous_head_to_head``."""
-    assert _upload_series(None) == 23.29813779669002
-    assert _upload_series(OnlineTunerPolicy()) == 22.374746401891223
+    """``policy.heterogeneous``: on the workload it was built for, the
+    tuner beats the paper's fixed 0.8, probing cost included (1.0413x)."""
+    fixed = _upload_series(None)
+    tuned = _upload_series(OnlineTunerPolicy())
+    assert fixed == 23.29813779669002
+    assert tuned == 22.374746401891223
+    assert tuned < fixed
 
 
 def test_read_ranking_totals():
-    """``bench_read.test_read_ranking``."""
-    assert _read_series(LocalityOnly()) == 8.838131467290111
-    assert _read_series(None) == 7.119425336483289
+    """``read.ranking``: speed-aware ranking at least 1.1x ahead of
+    locality-only on a warm registry (1.2414x)."""
+    locality = _read_series(LocalityOnly())
+    ranked = _read_series(None)
+    assert locality == 8.838131467290111
+    assert ranked == 7.119425336483289
+    assert locality / ranked >= 1.1
 
 
 def test_policy_fig5_guard_totals():
-    """``bench_policy.test_policy_fig5_guard`` at the smoke scale 0.25:
-    the SMARTH seconds of every fig5 point, summed."""
+    """``policy.fig5_guard`` at scale 0.25: the SMARTH seconds of every
+    fig5 point, summed, under the default policy and under one shared
+    tuner; the tuner may trail the default by at most 5% (1.1063x)."""
     default = sum(row["smarth_s"] for row in fig5(scale=0.25).rows)
     with use_policy(OnlineTunerPolicy()):
         tuned = sum(row["smarth_s"] for row in fig5(scale=0.25).rows)
     assert default == 1035.1999999999998
     assert tuned == 935.7
+    assert default / tuned >= 0.95

@@ -150,22 +150,28 @@ def test_train_mode_uses_fewer_events():
 
 
 def test_streaming_read_counts():
-    """``bench_read``'s streaming shape (8 MB blocks) at 64 MB: the exact
-    heap events of the read in both modes, whose ratio the
-    ``read.streaming`` event-reduction floor gates, and one duration."""
-    events, durations = {}, set()
-    for coalesce in (1, 0):
-        env = Environment()
-        cfg = SimulationConfig().with_hdfs(
-            block_size=8 * MB, packet_size=PACKET, coalesce_reads=coalesce
-        )
-        cluster = build_homogeneous(env, SMALL, n_datanodes=9, config=cfg)
-        deployment = HdfsDeployment(cluster)
-        client = deployment.client()
-        env.run(until=env.process(client.put("/f", 64 * MB)))
-        before = env.events_processed
-        result = env.run(until=env.process(HdfsReader(deployment).get("/f")))
-        events[coalesce] = env.events_processed - before
-        durations.add(result.duration)
-    assert events == {1: 2_060, 0: 36}
-    assert len(durations) == 1
+    """The ``read.streaming`` floor's home: a whole-file read in 8 MB
+    blocks, at 64 MB and at 16 MB.  Per size, the exact heap events of
+    the read on the per-chunk loop (1) and on read trains (0), one
+    duration for both modes, and trains at least 1.5x fewer events
+    (57.2x and 47.0x)."""
+    pins = {64 * MB: {1: 2_060, 0: 36}, 16 * MB: {1: 517, 0: 11}}
+    for size, pinned in pins.items():
+        events, durations = {}, set()
+        for coalesce in (1, 0):
+            env = Environment()
+            cfg = SimulationConfig().with_hdfs(
+                block_size=8 * MB, packet_size=PACKET, coalesce_reads=coalesce
+            )
+            cluster = build_homogeneous(env, SMALL, n_datanodes=9, config=cfg)
+            deployment = HdfsDeployment(cluster)
+            client = deployment.client()
+            env.run(until=env.process(client.put("/f", size)))
+            before = env.events_processed
+            reader = HdfsReader(deployment)
+            result = env.run(until=env.process(reader.get("/f")))
+            events[coalesce] = env.events_processed - before
+            durations.add(result.duration)
+        assert events == pinned, size
+        assert len(durations) == 1, size
+        assert events[1] >= 1.5 * events[0], size

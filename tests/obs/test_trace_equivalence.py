@@ -3,10 +3,12 @@
 The packet-train fast path (``coalesce_packets=0``) must emit exactly the
 spans the legacy per-packet loop (``coalesce_packets=1``) emits — same
 names, times, args — under randomized throttle/kill schedules.  Faults go
-through :class:`FaultInjector`, which registers every disturbance time up
-front; the train planner declines any window containing one, so both
-modes replay the same per-packet timeline around faults while the
-explicit empty-schedule example exercises true train-vs-loop parity.
+through :class:`FaultInjector`.  Trains do not decline a scheduled
+disturbance: a throttle makes the train in flight replay its plan, a
+kill settles it through the pipeline error, and a SMARTH train holds
+mid-block for Algorithm 4's pause.  So every example compares trains
+against the per-packet loop under the same faults, and the explicit
+empty-schedule example covers the undisturbed upload.
 """
 
 from __future__ import annotations
