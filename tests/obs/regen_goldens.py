@@ -1,4 +1,4 @@
-"""Regenerate the pinned fig5 trace goldens.
+"""Regenerate the pinned trace goldens (fig5 trace and metrics, faultrec trace).
 
 Usage:  PYTHONPATH=src python tests/obs/regen_goldens.py
 
@@ -20,9 +20,13 @@ HERE = Path(__file__).parent
 def generate() -> dict[str, str]:
     """Golden file name -> contents, freshly computed."""
     run = run_traced("fig5", seed=0, scale=0.25)
+    faultrec = run_traced("faultrec", seed=0, scale=0.25)
     return {
         "golden_fig5_trace.json": chrome_trace_json(run.tracer, label="fig5"),
         "golden_fig5_metrics.txt": run.summary,
+        "golden_faultrec_trace.json": chrome_trace_json(
+            faultrec.tracer, label="faultrec"
+        ),
     }
 
 
