@@ -1,19 +1,22 @@
-"""Event journal: a structured trace of protocol-level events.
+"""Event journal: the one record of a deployment's protocol events.
 
 Production distributed systems live and die by their observability; the
 simulator mirrors that with a lightweight journal every deployment owns.
 Components emit one :class:`TraceEvent` per protocol milestone — block
 allocation, pipeline open/close, FNFA, recovery, datanode death — and
-tests, examples and debugging sessions read the same stream.
+every consumer reads that same list in place: tests, examples, the
+Chrome trace exporter (a :class:`~repro.obs.Tracer` keeps a reference to
+its deployment's journal and exports the events as instants) and the
+chaos :class:`~repro.faults.invariants.InvariantMonitor` (which checks
+the events of its run when it stops).
 
-The journal is append-only and cheap (a list append per event); disable
-it for maximum-speed sweeps with ``journal.disable()``.
+The journal is append-only, and :meth:`Journal.emit` is one list append.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 __all__ = ["TraceEvent", "Journal"]
 
@@ -33,26 +36,10 @@ class TraceEvent:
 
 
 class Journal:
-    """Append-only trace of a deployment's protocol events."""
+    """Append-only record of a deployment's protocol events."""
 
-    def __init__(self, enabled: bool = True):
+    def __init__(self) -> None:
         self._events: list[TraceEvent] = []
-        self._enabled = enabled
-        self._listeners: list[Callable[[TraceEvent], None]] = []
-
-    # -- control -----------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
-    def enable(self) -> None:
-        self._enabled = True
-
-    def disable(self) -> None:
-        self._enabled = False
-
-    def clear(self) -> None:
-        self._events.clear()
 
     def restore_events(self, events: "list[TraceEvent] | tuple[TraceEvent, ...]") -> None:
         """Replace the whole event list (checkpoint restore path)."""
@@ -60,26 +47,7 @@ class Journal:
 
     # -- writing ------------------------------------------------------------
     def emit(self, time: float, kind: str, subject: str, **details: object) -> None:
-        if self._enabled:
-            event = TraceEvent(time, kind, subject, details)
-            self._events.append(event)
-            for listener in self._listeners:
-                listener(event)
-
-    def subscribe(self, listener: Callable[[TraceEvent], None]) -> None:
-        """Call ``listener(event)`` on every emitted event.
-
-        Listeners observe the protocol stream live — the hook the chaos
-        engine's :class:`~repro.faults.invariants.InvariantMonitor` uses
-        to check invariants *during* a run, not just after it.  Listeners
-        must not mutate simulation state.
-        """
-        self._listeners.append(listener)
-
-    def unsubscribe(self, listener: Callable[[TraceEvent], None]) -> None:
-        """Remove a previously subscribed listener (missing is a no-op)."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
+        self._events.append(TraceEvent(time, kind, subject, details))
 
     # -- reading ------------------------------------------------------------
     def events(
@@ -93,19 +61,8 @@ class Journal:
             and (subject is None or e.subject == subject)
         )
 
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(sorted({e.kind for e in self._events}))
-
     def count(self, kind: str) -> int:
         return sum(1 for e in self._events if e.kind == kind)
-
-    def between(self, start: float, end: float) -> tuple[TraceEvent, ...]:
-        return tuple(e for e in self._events if start <= e.time <= end)
-
-    def timeline(self, limit: Optional[int] = None) -> str:
-        """Human-readable rendering, newest last."""
-        events = self._events if limit is None else self._events[-limit:]
-        return "\n".join(str(e) for e in events)
 
     def __len__(self) -> int:
         return len(self._events)

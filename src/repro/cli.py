@@ -23,9 +23,9 @@ from typing import Optional, Sequence
 
 from .experiments import ALL_EXPERIMENTS, experiment_config, run_all
 from .faults import report_json, run_campaign
-from .hdfs import HdfsDeployment, HdfsReader
+from .hdfs import HdfsReader
 from .policy import policy_names
-from .smarth import SmarthDeployment
+from .smarth.deployment import deploy
 from .units import fmt_rate, fmt_size, fmt_time, parse_duration, parse_size
 from .workloads import compare, contention, heterogeneous, run_upload, two_rack
 from .workloads.scenarios import Scenario
@@ -329,11 +329,7 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
     size = parse_size(args.size)
     config = experiment_config()
     env, cluster = scenario.make(config)
-    deployment = (
-        SmarthDeployment(cluster)
-        if args.system == "smarth"
-        else HdfsDeployment(cluster)
-    )
+    deployment = deploy(args.system, cluster)
     client = deployment.client()
     write = env.run(until=env.process(client.put("/data/file.bin", size)))
     env.run(until=env.now + 1)

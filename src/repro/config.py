@@ -64,10 +64,6 @@ class HdfsConfig:
     #: (Real HDFS waits 10.5 minutes; kept proportionally shorter so fault
     #: experiments run in reasonable simulated time.)
     dead_node_heartbeats: int = 10
-    #: Effective per-stream buffering at a datanode in the *baseline*
-    #: write path (OS socket buffers + BlockReceiver staging) — a few MB,
-    #: unlike SMARTH's one-block first-datanode buffer (§IV-C).
-    socket_buffer: int = 4 * MB
     #: Packet-train coalescing for the pipeline hot loop.  ``0`` (the
     #: default) coalesces a whole block's steady-state packet stream into
     #: one analytically-quoted :class:`~repro.hdfs.train.PacketTrain` per
@@ -104,8 +100,6 @@ class HdfsConfig:
             raise ValueError("namenode_rpc_latency must be non-negative")
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
-        if self.socket_buffer <= 0:
-            raise ValueError("socket_buffer must be positive")
         if self.coalesce_packets not in (0, 1):
             raise ValueError("coalesce_packets must be 0 or 1")
         if self.serve_streams < 1:

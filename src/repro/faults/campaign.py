@@ -32,7 +32,7 @@ from ..hdfs.client.input_stream import BlockUnavailable, HdfsReader
 from ..hdfs.client.recovery import RecoveryFailed
 from ..hdfs.deployment import HdfsDeployment
 from ..sim import Event
-from ..smarth.deployment import SmarthDeployment
+from ..smarth.deployment import deploy
 from ..units import KB, MB
 from ..workloads.scenarios import Scenario, two_rack
 from .injector import FaultInjector
@@ -341,14 +341,12 @@ def run_schedule(
     without it.  ``policy`` selects a registered deployment policy by
     name (``None`` keeps the ambient default).
     """
-    if protocol not in _PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}; expected hdfs|smarth")
-
     workload = schedule.workload
     config = schedule.config()
     env, cluster = schedule.scenario().make(config)
-    deploy = SmarthDeployment if protocol == "smarth" else HdfsDeployment
-    deployment = deploy(cluster, observe=trace_path is not None, policy=policy)
+    deployment = deploy(
+        protocol, cluster, observe=trace_path is not None, policy=policy
+    )
     monitor = InvariantMonitor(
         deployment, invariant_names=workload.invariant_names
     )

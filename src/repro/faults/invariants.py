@@ -4,13 +4,14 @@ The chaos campaign (:mod:`repro.faults.campaign`) does not compare
 uploads against golden outputs — under randomized fault schedules there
 is no single right answer.  Instead it checks *invariants*: properties
 the write path must preserve under any legal schedule of datanode kills,
-throttles and revives.  :class:`InvariantMonitor` hooks into a
-deployment's :class:`~repro.analysis.trace.Journal` (checking stream
-properties live, as events are emitted) and runs a periodic sampler
-process (checking state properties such as datanode buffer bounds, and
-sleeping while no datanode has a receiver open), then
-performs block-level durability checks in :meth:`InvariantMonitor.finalize`
-once the run has settled.
+throttles and revives.  :class:`InvariantMonitor` runs a periodic
+sampler process during the run (checking state properties such as
+datanode buffer bounds, and sleeping while no datanode has a receiver
+open).  When the run stops it checks the stream properties over the
+events the run added to the deployment's
+:class:`~repro.analysis.trace.Journal`, in emission order, and once the
+run has settled :meth:`InvariantMonitor.finalize` performs the
+block-level durability checks.
 
 The invariant suite (names are stable identifiers used in reports):
 
@@ -56,9 +57,11 @@ READ_INVARIANT_NAMES`` to monitor a workload that reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 from ..analysis.trace import TraceEvent
+from ..hdfs.client.data_streamer import SOCKET_BUFFER
 from ..hdfs.deployment import HdfsDeployment
 from ..hdfs.protocol import BlockState, WriteResult
 from ..sim import Event, Interrupt, ProcessGenerator
@@ -117,10 +120,10 @@ class InvariantRecord:
 class InvariantMonitor:
     """Watches one deployment during a chaos run.
 
-    Construction subscribes to the deployment's journal and starts the
-    buffer sampler; call :meth:`stop` when the workload is over and
-    :meth:`finalize` after the post-run settle period to run the
-    block-level durability checks.
+    Construction notes where the deployment's journal ends and starts the
+    buffer sampler; call :meth:`stop` when the workload is over (it
+    checks the journal events emitted since) and :meth:`finalize` after
+    the post-run settle period to run the block-level durability checks.
     """
 
     def __init__(
@@ -134,11 +137,11 @@ class InvariantMonitor:
         hdfs_cfg = deployment.config.hdfs
         self._packet_size = hdfs_cfg.packet_size
         self._replication = hdfs_cfg.replication
-        # §IV-C: one full block per client; the baseline client may also
-        # be configured with a socket buffer larger than a chaos block.
+        # §IV-C: one full block per client; the baseline client's socket
+        # buffer may also be larger than a chaos block.
         self.buffer_bound_bytes = buffer_bound_bytes or max(
             hdfs_cfg.block_size,
-            hdfs_cfg.socket_buffer,
+            SOCKET_BUFFER,
             4 * hdfs_cfg.packet_size,
         )
         self.pipeline_cap = max(
@@ -152,7 +155,8 @@ class InvariantMonitor:
         self._live_pipelines: dict[str, set[str]] = {}
         self._finalized = False
 
-        deployment.journal.subscribe(self._on_event)
+        #: Index of the first journal event :meth:`stop` has yet to check.
+        self._unchecked = len(deployment.journal)
         #: The dormant sampler's wake event; ``None`` while it is active.
         self._wake: Optional[Event] = None
         for datanode in deployment.datanodes.values():
@@ -161,8 +165,8 @@ class InvariantMonitor:
             self._sample_buffers(), name="invariant:sampler"
         )
 
-    # -- live checks (journal stream + sampler) -------------------------
-    def _on_event(self, event: TraceEvent) -> None:
+    # -- checks (journal events + sampler) ------------------------------
+    def _check_event(self, event: TraceEvent) -> None:
         generation = event.details.get("generation")
         if generation is not None:
             high = self._generation_high.get(event.subject)
@@ -254,8 +258,15 @@ class InvariantMonitor:
 
     # -- lifecycle ------------------------------------------------------
     def stop(self) -> None:
-        """Detach from the journal and datanodes and stop the sampler."""
-        self.deployment.journal.unsubscribe(self._on_event)
+        """Check the journal events emitted since construction, in
+        emission order, detach from the datanodes and stop the sampler.
+
+        A second call checks only the events emitted after the first.
+        """
+        journal = self.deployment.journal
+        for event in islice(journal, self._unchecked, None):
+            self._check_event(event)
+        self._unchecked = len(journal)
         for datanode in self.deployment.datanodes.values():
             if datanode.on_receiver_open == self._on_receiver_open:
                 datanode.on_receiver_open = None

@@ -14,6 +14,7 @@ from typing import Optional
 
 from ...cluster.node import Node
 from ...sim import ProcessGenerator, race
+from ...units import MB
 from ..deployment import HdfsDeployment, PipelineHandle
 from ..protocol import DatanodeDead, WriteResult
 from ..train import plan_train
@@ -22,7 +23,12 @@ from .recovery import recover_pipeline
 from .responder import PacketResponder
 from .send import FAILED, BlockProgress, send_block
 
-__all__ = ["HdfsClient"]
+__all__ = ["HdfsClient", "SOCKET_BUFFER"]
+
+#: Effective per-stream buffering at a datanode in the *baseline* write
+#: path (OS socket buffers + BlockReceiver staging) — a few MB, unlike
+#: SMARTH's one-block first-datanode buffer (§IV-C).
+SOCKET_BUFFER = 4 * MB
 
 
 class HdfsClient:
@@ -94,7 +100,7 @@ class HdfsClient:
                         block,
                         targets,
                         self.node,
-                        buffer_bytes=hdfs_cfg.socket_buffer,
+                        buffer_bytes=SOCKET_BUFFER,
                         initial_bytes=progress.acked_bytes,
                     )
                 except DatanodeDead as dead:

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Optional
 from ..cluster.node import Node
 from ..config import HdfsConfig
 from ..net.transport import Network
-from ..obs import DISABLED_METRICS, DISABLED_TRACER, MetricsRegistry, Tracer
+from ..obs import MetricsRegistry, Tracer
 from ..sim import (
     Environment,
     Event,
@@ -374,15 +374,19 @@ class BlockReceiver:
         self.env.call_at(self.env.now + delay, landed)
 
     def _ack_loop(self) -> ProcessGenerator:
-        """Relay ACKs client-ward in packet order."""
+        """Relay ACKs client-ward in packet order.
+
+        Downstream ACKs arrive in packet order too: the next hop relays
+        in its own ``_writes_announced`` order, which is its inbox order,
+        which is this hop's forward order.
+        """
         network: Network = self.datanode.network
         try:
             while True:
                 packet: Packet = yield self._writes_announced.get()
                 if self.downstream is not None:
-                    yield self.downstream_acks.get(
-                        filter=lambda a, s=packet.seq: a.seq == s
-                    )
+                    ack = yield self.downstream_acks.get()
+                    assert ack.seq == packet.seq, (ack.seq, packet.seq)
                 write = self._write_done[packet.seq]
                 if not write.processed:
                     yield write
@@ -481,15 +485,15 @@ class Datanode:
         node: Node,
         network: Network,
         config: HdfsConfig,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        tracer: Tracer,
+        metrics: MetricsRegistry,
     ):
         self.env = env
         self.node = node
         self.network = network
         self.config = config
-        self.tracer = tracer if tracer is not None else DISABLED_TRACER
-        self.metrics = metrics if metrics is not None else DISABLED_METRICS
+        self.tracer = tracer
+        self.metrics = metrics
         self.namenode: Optional["Namenode"] = None
         #: Open receivers in open order (a dict as an ordered set), so
         #: :meth:`kill` aborts them and monitors walk them deterministically.

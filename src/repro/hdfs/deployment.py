@@ -15,7 +15,6 @@ from typing import Optional
 from ..analysis.trace import Journal
 from ..cluster.builder import Cluster
 from ..cluster.node import Node
-from ..config import SimulationConfig
 from ..obs import MetricsRegistry, Tracer
 from ..policy.registry import PolicySpec, resolve_policy
 from ..rng import substream
@@ -54,14 +53,13 @@ class HdfsDeployment:
     def __init__(
         self,
         cluster: Cluster,
-        config: Optional[SimulationConfig] = None,
         enable_replication_monitor: bool = True,
         observe: bool = False,
         start_services: bool = True,
         policy: PolicySpec = None,
     ):
         self.cluster = cluster
-        self.config = config or cluster.config
+        self.config = cluster.config
         self.env: Environment = cluster.env
         self.network = cluster.network
         #: Structured protocol trace shared by every service on this

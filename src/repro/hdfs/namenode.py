@@ -18,13 +18,13 @@ which reads the per-client speed registry populated by client heartbeats
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..analysis.trace import Journal
 from ..cluster.node import Node
 from ..config import HdfsConfig
 from ..net.transport import Network
-from ..obs import DISABLED_METRICS, DISABLED_TRACER, MetricsRegistry, Tracer
+from ..obs import MetricsRegistry, Tracer
 from ..sim import Environment, ProcessGenerator
 from .block_manager import BlockManager
 from .datanode_manager import DatanodeManager
@@ -183,10 +183,10 @@ class Namenode:
         node: Node,
         network: Network,
         config: HdfsConfig,
+        journal: Journal,
+        tracer: Tracer,
+        metrics: MetricsRegistry,
         seed: int = 0,
-        journal: Optional[Journal] = None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
         start_monitor: bool = True,
     ):
         self.env = env
@@ -198,9 +198,9 @@ class Namenode:
         self.datanodes = DatanodeManager(env, config)
         self.speeds = self.speed_registry_factory()
         self.rng = random.Random(seed)
-        self.journal = journal if journal is not None else Journal(enabled=False)
-        self.tracer = tracer if tracer is not None else DISABLED_TRACER
-        self.metrics = metrics if metrics is not None else DISABLED_METRICS
+        self.journal = journal
+        self.tracer = tracer
+        self.metrics = metrics
         #: ``DefaultPlacementPolicy`` shares :attr:`rng` with
         #: :meth:`get_additional_datanode`; a SMARTH deployment swaps in
         #: Algorithm 1's placement after construction.

@@ -2,17 +2,17 @@
 
 A cross-cutting observability layer: :class:`Tracer` records nested spans
 over simulated time (upload → block → pipeline → stream/store/forward/
-ack/recovery, plus namenode allocate/rank/heartbeat),
-:class:`MetricsRegistry` aggregates counters/gauges/histograms alongside,
-and the exporters render Chrome ``trace_event`` JSON (Perfetto-loadable),
-a text Gantt, and a metrics summary table.  Enable per deployment with
-``HdfsDeployment(cluster, observe=True)`` or from the CLI via
-``python -m repro trace <experiment>``.
+ack/recovery, plus namenode allocate/rank/heartbeat) and refers to the
+deployment's protocol journal, :class:`MetricsRegistry` aggregates
+counters/gauges/histograms alongside, and the exporters render Chrome
+``trace_event`` JSON (Perfetto-loadable, with the journal's events as
+instants), a text Gantt, and a metrics summary table.  Enable per
+deployment with ``HdfsDeployment(cluster, observe=True)`` or from the
+CLI via ``python -m repro trace <experiment>``.
 """
 
 from .export import chrome_trace_json, metrics_summary, render_gantt
 from .metrics import (
-    DISABLED_METRICS,
     Counter,
     Gauge,
     Histogram,
@@ -21,19 +21,16 @@ from .metrics import (
     publish_env_health,
     window_bucket,
 )
-from .spans import DISABLED_TRACER, Instant, Span, Tracer
+from .spans import Span, Tracer
 from .wellformed import WellformednessError, check_wellformed
 
 __all__ = [
     "Tracer",
     "Span",
-    "Instant",
-    "DISABLED_TRACER",
     "MetricsRegistry",
     "Counter",
     "Gauge",
     "Histogram",
-    "DISABLED_METRICS",
     "publish_env_health",
     "labelled",
     "window_bucket",

@@ -33,19 +33,25 @@ def _ts(t: float) -> float:
 def chrome_trace_json(tracer: Tracer, label: str = "repro") -> str:
     """Render the trace as Chrome ``trace_event`` JSON (Perfetto-loadable).
 
-    Spans become "X" (complete) events, instants become "i" events, and
-    actor/track names are published through "M" metadata events.
+    Spans become "X" (complete) events, the events of each attached
+    journal become "i" events on the journal's actor (one track per
+    event kind), and actor/track names are published through "M"
+    metadata events.
     """
     spans = tracer.spans()
-    instants = tracer.instants()
+    instants = [
+        (actor, event)
+        for actor, journal in tracer.journals()
+        for event in journal
+    ]
 
     actors = sorted(
-        {s.actor for s in spans} | {i.actor for i in instants}
+        {s.actor for s in spans} | {actor for actor, _ in instants}
     )
     pid_of = {actor: pid for pid, actor in enumerate(actors, start=1)}
     tracks = sorted(
         {(s.actor, s.track) for s in spans}
-        | {(i.actor, i.track) for i in instants}
+        | {(actor, event.kind) for actor, event in instants}
     )
     tid_of = {key: tid for tid, key in enumerate(tracks, start=1)}
 
@@ -90,20 +96,21 @@ def chrome_trace_json(tracer: Tracer, label: str = "repro") -> str:
         if span.end is None:
             record["args"]["unclosed"] = True
         timed.append((pid, tid, ts, -dur, span.name, record))
-    for inst in instants:
-        pid = pid_of[inst.actor]
-        tid = tid_of[(inst.actor, inst.track)]
-        ts = _ts(inst.time)
+    for actor, event in instants:
+        pid = pid_of[actor]
+        tid = tid_of[(actor, event.kind)]
+        ts = _ts(event.time)
         record = {
             "ph": "i",
             "pid": pid,
             "tid": tid,
             "ts": ts,
             "s": "t",
-            "name": inst.name,
-            "args": _clean_args(inst.args),
+            "name": event.kind,
+            "args": _clean_args(event.details),
         }
-        timed.append((pid, tid, ts, 0, inst.name, record))
+        timed.append((pid, tid, ts, 0, event.kind, record))
+    # A stable sort: instants that tie keep journal order.
     timed.sort(key=lambda item: item[:5])
     events.extend(record for *_, record in timed)
 

@@ -23,7 +23,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "DISABLED_METRICS",
     "publish_env_health",
     "labelled",
     "window_bucket",
@@ -212,10 +211,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
-
-
-#: Shared no-op registry, mirroring ``DISABLED_TRACER``.
-DISABLED_METRICS = MetricsRegistry(enabled=False)
 
 
 #: Scalar counters published verbatim from ``Environment.health()``.

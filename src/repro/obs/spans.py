@@ -3,11 +3,12 @@
 A :class:`Tracer` records nested :class:`Span` intervals over *simulated*
 time — upload → block → pipeline → {stream, store, forward, ack,
 recovery} on the data path, {allocate, rank, heartbeat} on the namenode —
-plus instant markers mirrored from the protocol
-:class:`~repro.analysis.trace.Journal`.  Spans are addressed by
+and refers to the protocol :class:`~repro.analysis.trace.Journal` it is
+attached to, whose events the exporters read in place as instant markers
+(the journal is their only record).  Spans and instants are addressed by
 
 * an **actor** (the Chrome-trace *process*): ``client:<name>``,
-  ``datanode:<name>``, ``namenode``, or ``journal`` for mirrored events;
+  ``datanode:<name>``, ``namenode``, or ``journal`` for journal events;
 * a **track** (the Chrome-trace *thread*): one lane of strictly nested
   intervals, e.g. ``b7`` for a block's client-side lifecycle or
   ``b7:store`` for one receiver's store machinery.
@@ -35,9 +36,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..analysis.trace import Journal, TraceEvent
+    from ..analysis.trace import Journal
 
-__all__ = ["Span", "Instant", "Tracer", "DISABLED_TRACER"]
+__all__ = ["Span", "Tracer"]
 
 
 @dataclass
@@ -62,31 +63,20 @@ class Span:
         return (self.end if self.end is not None else self.start) - self.start
 
 
-@dataclass(frozen=True)
-class Instant:
-    """A zero-duration marker (mirrored journal milestones)."""
-
-    name: str
-    actor: str
-    track: str
-    time: float
-    args: dict = field(default_factory=dict)
-
-
 class Tracer:
-    """Records spans and instants over simulated time.
+    """Records spans over simulated time and refers to attached journals.
 
     ``begin`` returns a span id (``0`` when disabled — a valid no-op
     handle for ``end``).  ``end`` on an already-closed span is a no-op,
     which lets teardown paths close spans defensively.
     """
 
-    __slots__ = ("_enabled", "_spans", "_instants", "_next_id")
+    __slots__ = ("_enabled", "_spans", "_journals", "_next_id")
 
     def __init__(self, enabled: bool = False):
         self._enabled = enabled
         self._spans: dict[int, Span] = {}
-        self._instants: list[Instant] = []
+        self._journals: list[tuple[str, "Journal"]] = []
         self._next_id = 1
 
     # -- control -----------------------------------------------------------
@@ -126,39 +116,26 @@ class Tracer:
         if args:
             span.args.update(args)
 
-    def instant(
-        self, name: str, actor: str, track: str, t: float, **args: object
-    ) -> None:
-        if not self._enabled:
-            return
-        self._instants.append(Instant(name, actor, track, t, dict(args)))
+    # -- journal ----------------------------------------------------------
+    def attach_journal(self, journal: "Journal", actor: str = "journal") -> None:
+        """Export every event of ``journal`` as an instant on ``actor``.
 
-    # -- journal mirroring -------------------------------------------------
-    def attach_journal(self, journal: "Journal") -> None:
-        """Mirror every journal event as an instant on the ``journal`` actor.
-
-        The existing protocol journal (pipeline_open, block_stored, FNFA
-        flags, recoveries, kills…) is the event backbone the paper's
-        timelines hang off; mirroring keys the trace to it without
-        re-instrumenting the emit sites.
+        The protocol journal (pipeline_open, block_stored, FNFA flags,
+        recoveries, kills…) is the event backbone the paper's timelines
+        hang off.  The tracer keeps a reference, not a copy: exporters
+        read the journal's events in place, each as an instant named
+        after its kind on a track of that kind.
         """
-        journal.subscribe(self._on_journal_event)
-
-    def _on_journal_event(self, event: "TraceEvent") -> None:
-        if not self._enabled:
-            return
-        self._instants.append(
-            Instant(event.kind, "journal", event.kind, event.time,
-                    dict(event.details))
-        )
+        self._journals.append((actor, journal))
 
     # -- reading -----------------------------------------------------------
     def spans(self) -> tuple[Span, ...]:
         """All spans in begin order."""
         return tuple(self._spans.values())
 
-    def instants(self) -> tuple[Instant, ...]:
-        return tuple(self._instants)
+    def journals(self) -> tuple[tuple[str, "Journal"], ...]:
+        """Attached ``(actor, journal)`` pairs in attach order."""
+        return tuple(self._journals)
 
     def open_spans(self) -> tuple[Span, ...]:
         return tuple(s for s in self._spans.values() if s.end is None)
@@ -166,6 +143,3 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._spans)
 
-
-#: Shared no-op tracer for components wired before a deployment exists.
-DISABLED_TRACER = Tracer(enabled=False)

@@ -45,7 +45,9 @@ def combine(parts: list[tuple[str, Tracer]]) -> Tracer:
 
     Span ids are remapped (parents always carry a lower id than their
     children, so a single begin-order pass suffices); open spans stay
-    open in the merged tracer.
+    open in the merged tracer.  Each part's journals are attached, not
+    copied, in the parts' order under the prefixed actor
+    (``hdfs/journal``, ``smarth/journal``).
     """
     merged = Tracer(enabled=True)
     for prefix, tracer in parts:
@@ -62,11 +64,8 @@ def combine(parts: list[tuple[str, Tracer]]) -> Tracer:
             id_map[span.id] = new_id
             if span.end is not None:
                 merged.end(new_id, span.end)
-        for inst in tracer.instants():
-            merged.instant(
-                inst.name, f"{prefix}/{inst.actor}", inst.track, inst.time,
-                **inst.args,
-            )
+        for actor, journal in tracer.journals():
+            merged.attach_journal(journal, actor=f"{prefix}/{actor}")
     return merged
 
 

@@ -50,11 +50,10 @@ from ..cluster.builder import build_homogeneous
 from ..config import SimulationConfig
 from ..faults.campaign import FaultSpec
 from ..faults.injector import FaultInjector
-from ..hdfs.deployment import HdfsDeployment
 from ..obs import MetricsRegistry, metrics_summary, window_bucket
 from ..rng import substream
 from ..sim import Environment, ProcessGenerator, SnapshotError
-from ..smarth.deployment import SmarthDeployment
+from ..smarth.deployment import deploy
 from ..units import KB, MB
 from .admission import ADMIT, QUEUE, AdmissionController
 from .arrivals import Arrival, MergedArrivals, TenantClassSpec
@@ -258,10 +257,7 @@ class IngestService:
             config=config,
             n_extra_clients=spec.n_client_hosts - 1,
         )
-        deployment_cls = (
-            SmarthDeployment if spec.protocol == "smarth" else HdfsDeployment
-        )
-        self.deployment = deployment_cls(self.cluster, start_services=False)
+        self.deployment = deploy(spec.protocol, self.cluster, start_services=False)
         self.injector = FaultInjector(self.deployment)
         self._faults = tuple(
             sorted(spec.faults, key=lambda f: (f.at, f.kind, f.datanode or ""))

@@ -255,11 +255,10 @@ class StorePut(Event, Generic[T]):
 class StoreGet(Event, Generic[T]):
     """Event fired (with the item as value) when an item is available."""
 
-    __slots__ = ("filter",)
+    __slots__ = ()
 
-    def __init__(self, store: "Store[T]", filter: Callable[[T], bool] | None = None):
+    def __init__(self, store: "Store[T]"):
         super().__init__(store.env)
-        self.filter = filter
         store._handle_get(self)
 
 
@@ -267,9 +266,7 @@ class Store(Generic[T]):
     """FIFO buffer of items with optional capacity bound.
 
     ``put`` blocks (i.e. its event stays pending) while the store is full;
-    ``get`` blocks while it is empty.  ``get`` accepts an optional filter
-    predicate (first matching item wins) used e.g. to await a specific ACK
-    sequence number.
+    ``get`` blocks while it is empty.
     """
 
     def __init__(self, env: Environment, capacity: float = float("inf")):
@@ -297,9 +294,9 @@ class Store(Generic[T]):
         """Offer ``item``; the event fires once the store has room."""
         return StorePut(self, item)
 
-    def get(self, filter: Callable[[T], bool] | None = None) -> StoreGet[T]:
-        """Take the oldest item (matching ``filter`` if given)."""
-        return StoreGet(self, filter)
+    def get(self) -> StoreGet[T]:
+        """Take the oldest item."""
+        return StoreGet(self)
 
     # ------------------------------------------------------------------
     def _handle_put(self, event: StorePut[T]) -> None:
@@ -322,32 +319,18 @@ class Store(Generic[T]):
             self._getters.append(event)
 
     def _match(self, event: StoreGet[T], sync: bool = False) -> None:
-        """Find, remove and deliver the first item matching the getter.
+        """Remove and deliver the oldest item, if there is one.
 
         ``sync`` is True only for a brand-new getter (no subscribers);
         woken getters have waiters and must go through the queue.
         """
-        if event.filter is None:
-            if self._items:
-                item = self._items.popleft()
-                event._succeed_sync(item) if sync else event.succeed(item)
-            return
-        for idx, item in enumerate(self._items):
-            if event.filter(item):
-                del self._items[idx]
-                event._succeed_sync(item) if sync else event.succeed(item)
-                return
+        if self._items:
+            item = self._items.popleft()
+            event._succeed_sync(item) if sync else event.succeed(item)
 
     def _wake_getters(self) -> None:
-        if not self._getters:
-            return
-        pending: Deque[StoreGet[T]] = deque()
-        while self._getters:
-            getter = self._getters.popleft()
-            self._match(getter)
-            if not getter.triggered:
-                pending.append(getter)
-        self._getters = pending
+        while self._getters and self._items:
+            self._match(self._getters.popleft())
 
     def _wake_putters(self) -> None:
         while self._putters and len(self._items) < self._capacity:

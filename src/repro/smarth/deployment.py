@@ -1,4 +1,8 @@
-"""SMARTH deployment: baseline HDFS services + Algorithm 1 placement."""
+"""SMARTH deployment: baseline HDFS services + Algorithm 1 placement.
+
+:func:`deploy` is the one place that picks the deployment class for a
+system name.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +11,12 @@ from typing import Optional
 
 from ..cluster.builder import Cluster
 from ..cluster.node import Node
-from ..config import SimulationConfig
 from ..hdfs.deployment import HdfsDeployment
 from ..policy.registry import PolicySpec
 from .global_opt import SmarthPlacementPolicy
 from .multi_writer import SmarthClient
 
-__all__ = ["SmarthDeployment"]
+__all__ = ["SmarthDeployment", "deploy"]
 
 
 class SmarthDeployment(HdfsDeployment):
@@ -29,7 +32,6 @@ class SmarthDeployment(HdfsDeployment):
     def __init__(
         self,
         cluster: Cluster,
-        config: Optional[SimulationConfig] = None,
         enable_replication_monitor: bool = True,
         observe: bool = False,
         start_services: bool = True,
@@ -37,7 +39,6 @@ class SmarthDeployment(HdfsDeployment):
     ):
         super().__init__(
             cluster,
-            config=config,
             enable_replication_monitor=enable_replication_monitor,
             observe=observe,
             start_services=start_services,
@@ -59,3 +60,16 @@ class SmarthDeployment(HdfsDeployment):
         """Create a SMARTH write client on ``host`` (default: the cluster's
         client node)."""
         return SmarthClient(self, host=host, name=name)
+
+
+def deploy(system: str, cluster: Cluster, **options: object) -> HdfsDeployment:
+    """Deploy ``system`` (``"hdfs"`` or ``"smarth"``) on ``cluster``.
+
+    ``options`` are passed through to the deployment's constructor
+    (``observe``, ``policy``, ``start_services``, ...).
+    """
+    if system == "smarth":
+        return SmarthDeployment(cluster, **options)
+    if system == "hdfs":
+        return HdfsDeployment(cluster, **options)
+    raise ValueError(f"unknown system {system!r}; expected hdfs|smarth")

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..config import SimulationConfig
-from ..hdfs.deployment import HdfsDeployment
 from ..hdfs.protocol import WriteResult
 from ..sim import Environment, ProcessGenerator
-from ..smarth.deployment import SmarthDeployment
+from ..smarth.deployment import deploy
 from ..units import parse_size
 from .scenarios import Scenario
 
@@ -61,8 +60,6 @@ def run_concurrent_uploads(
     The first client uses the cluster's client host; additional ones need
     extra client hosts, which the scenario's builder must have provisioned.
     """
-    if system not in ("hdfs", "smarth"):
-        raise ValueError(f"unknown system {system!r}; expected hdfs|smarth")
     if not sizes:
         raise ValueError("need at least one upload")
     parsed = [parse_size(s) for s in sizes]
@@ -77,9 +74,7 @@ def run_concurrent_uploads(
             f"need {needed_extra} (build the cluster with n_extra_clients)"
         )
 
-    deployment = (
-        SmarthDeployment(cluster) if system == "smarth" else HdfsDeployment(cluster)
-    )
+    deployment = deploy(system, cluster)
     hosts = [cluster.client_host] + cluster.extra_client_hosts[:needed_extra]
 
     results: list[WriteResult] = [None] * len(parsed)  # type: ignore[list-item]

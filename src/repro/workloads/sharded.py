@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..config import SimulationConfig
-from ..hdfs.deployment import HdfsDeployment
 from ..net.nic import aggregate_counters
 from ..pool import map_named
 from ..sim import Environment, ProcessGenerator
-from ..smarth.deployment import SmarthDeployment
+from ..smarth.deployment import deploy
 from ..units import MB
 from .scenarios import two_rack
 
@@ -173,14 +172,6 @@ def campaign10k(scale: float = 1.0) -> PodPlan:
     )
 
 
-def _deployment(system: str, cluster):
-    if system == "smarth":
-        return SmarthDeployment(cluster)
-    if system == "hdfs":
-        return HdfsDeployment(cluster)
-    raise ValueError(f"unknown system {system!r}; expected hdfs|smarth")
-
-
 def _start_pod(
     env: Environment,
     pod: PodSpec,
@@ -190,7 +181,7 @@ def _start_pod(
 ) -> tuple[list, object]:
     """Build one pod's cluster in ``env`` and launch its client uploads."""
     cluster = pod.scenario().build(env, config)
-    deployment = _deployment(system, cluster)
+    deployment = deploy(system, cluster)
     hosts = [cluster.client_host] + cluster.extra_client_hosts[: pod.n_clients - 1]
 
     def one_upload(client_index: int) -> ProcessGenerator:

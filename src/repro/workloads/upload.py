@@ -14,10 +14,9 @@ from typing import Callable, Optional
 from ..analysis.metrics import improvement_percent
 from ..config import SimulationConfig
 from ..faults.injector import FaultInjector
-from ..hdfs.deployment import HdfsDeployment
 from ..hdfs.protocol import WriteResult
 from ..policy.registry import PolicySpec
-from ..smarth.deployment import SmarthDeployment
+from ..smarth.deployment import deploy
 from ..units import parse_size
 from .scenarios import Scenario
 
@@ -59,17 +58,11 @@ def run_upload(
     does; passing one *instance* across calls lets stateful policies
     (the online tuner) learn across otherwise-independent uploads.
     """
-    if system not in ("hdfs", "smarth"):
-        raise ValueError(f"unknown system {system!r}; expected hdfs|smarth")
     size = parse_size(size)
     config = config or SimulationConfig()
 
     env, cluster = scenario.make(config)
-    deployment = (
-        SmarthDeployment(cluster, observe=observe, policy=policy)
-        if system == "smarth"
-        else HdfsDeployment(cluster, observe=observe, policy=policy)
-    )
+    deployment = deploy(system, cluster, observe=observe, policy=policy)
 
     injected: tuple[str, ...] = ()
     if fault_hook is not None:

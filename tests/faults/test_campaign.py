@@ -131,7 +131,8 @@ class TestScheduleGeneration:
 
 
 class TestInvariantMonitorUnit:
-    """Drive the journal-stream invariants directly with synthetic events."""
+    """Drive the journal-event invariants directly with synthetic events,
+    which :meth:`InvariantMonitor.stop` checks."""
 
     @staticmethod
     def _monitor():
@@ -153,6 +154,7 @@ class TestInvariantMonitorUnit:
         journal: Journal = deployment.journal
         journal.emit(0.0, "pipeline_open", "block:1", generation=2)
         journal.emit(1.0, "pipeline_recovered", "block:1", generation=1)
+        monitor.stop()
         record = monitor.records["generation_monotone"]
         assert record.checks == 2
         assert len(record.violations) == 1
@@ -163,12 +165,16 @@ class TestInvariantMonitorUnit:
         assert monitor.pipeline_cap == 2  # 6 datanodes / replication 3
         for bid in range(3):
             journal.emit(0.0, "pipeline_open", f"block:{bid}", client="c")
-        record = monitor.records["pipeline_cap"]
-        assert len(record.violations) == 1
         journal.emit(1.0, "pipeline_done", "block:0", client="c")
         journal.emit(1.0, "pipeline_done", "block:1", client="c")
         journal.emit(2.0, "pipeline_open", "block:3", client="c")
-        assert len(record.violations) == 1  # back under the cap
+        monitor.stop()
+        record = monitor.records["pipeline_cap"]
+        assert record.checks == 4
+        # Only the third open overflows; the last is back under the cap.
+        assert record.violations == [
+            "client c: 3 live pipelines > cap 2 (t=0.000)"
+        ]
 
     def test_recovery_outcome_rejects_hang_and_crash(self) -> None:
         for outcome, bad in (("completed", False), ("hang", True), ("crash", True)):

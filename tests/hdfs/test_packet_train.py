@@ -21,6 +21,7 @@ from repro.config import SimulationConfig
 from repro.faults import FaultInjector
 from repro.hdfs import HdfsClient, HdfsDeployment, HdfsReader
 from repro.hdfs import datanode as datanode_module
+from repro.hdfs.client.data_streamer import SOCKET_BUFFER
 from repro.hdfs.namenode import Namenode
 from repro.hdfs.protocol import FNFA
 from repro.hdfs.train import PacketTrain, ReadTrain, plan_read_train, plan_train
@@ -512,7 +513,7 @@ class TestPredicateDeclines:
             result.block,
             result.targets,
             client_node,
-            buffer_bytes=deployment.config.hdfs.socket_buffer,
+            buffer_bytes=SOCKET_BUFFER,
         )
         responder = PacketResponder(env, result.block, handle.ack_in)
         return handle, responder, BlockProgress(plan, production)

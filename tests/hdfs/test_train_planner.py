@@ -36,6 +36,7 @@ from repro.cluster import SMALL, build_homogeneous
 from repro.config import SimulationConfig
 from repro.hdfs import HdfsDeployment, HdfsReader
 from repro.hdfs import train as train_module
+from repro.hdfs.client.data_streamer import SOCKET_BUFFER
 from repro.hdfs.client.output_stream import Production, plan_file
 from repro.hdfs.client.responder import PacketResponder
 from repro.hdfs.client.send import BlockProgress
@@ -237,7 +238,7 @@ def _write(case: WriteCase, train_cls, times=()) -> dict:
         result.block,
         result.targets,
         client,
-        buffer_bytes=config.hdfs.socket_buffer,
+        buffer_bytes=SOCKET_BUFFER,
     )
     responder = PacketResponder(env, result.block, handle.ack_in)
     progress = BlockProgress(plan, production)

@@ -7,9 +7,8 @@ import json
 
 import pytest
 
+from repro.analysis.trace import Journal
 from repro.obs import (
-    DISABLED_METRICS,
-    DISABLED_TRACER,
     MetricsRegistry,
     Tracer,
     WellformednessError,
@@ -31,12 +30,11 @@ class TestTracer:
         assert span.duration == 2.5
 
     def test_disabled_is_a_noop(self) -> None:
-        sid = DISABLED_TRACER.begin("x", "a", "t", 0.0)
+        tracer = Tracer(enabled=False)
+        sid = tracer.begin("x", "a", "t", 0.0)
         assert sid == 0
-        DISABLED_TRACER.end(sid, 1.0)
-        DISABLED_TRACER.instant("x", "a", "t", 0.0)
-        assert len(DISABLED_TRACER) == 0
-        assert DISABLED_TRACER.instants() == ()
+        tracer.end(sid, 1.0)
+        assert len(tracer) == 0
 
     def test_end_is_idempotent_and_tolerates_junk_ids(self) -> None:
         tracer = Tracer(enabled=True)
@@ -58,15 +56,32 @@ class TestTracer:
         assert [s.id for s in tracer.open_spans()] == [1, 2]
 
     def test_journal_mirroring(self) -> None:
-        from repro.analysis.trace import Journal
-
+        """An attached journal's events, emitted before or after the
+        attach, export as instants on the ``journal`` actor."""
         tracer = Tracer(enabled=True)
         journal = Journal()
+        journal.emit(1.0, "create_file", "/f")
         tracer.attach_journal(journal)
         journal.emit(2.0, "add_block", "block:7", targets=("dn0",))
-        (inst,) = tracer.instants()
-        assert (inst.name, inst.actor, inst.time) == ("add_block", "journal", 2.0)
-        assert inst.args["targets"] == ("dn0",)
+        assert tracer.journals() == (("journal", journal),)
+        doc = json.loads(chrome_trace_json(tracer))
+        names = {
+            (e["pid"], e["tid"]): e["args"]["name"]
+            for e in doc["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        }
+        (process,) = [e for e in doc["traceEvents"] if e["name"] == "process_name"]
+        assert process["args"]["name"] == "journal"
+        instants = [
+            (e["name"], names[(e["pid"], e["tid"])], e["ts"], e["args"])
+            for e in doc["traceEvents"]
+            if e["ph"] == "i"
+        ]
+        # Canonical order: by track (the event kind), then time.
+        assert instants == [
+            ("add_block", "add_block", 2e6, {"targets": ["dn0"]}),
+            ("create_file", "create_file", 1e6, {}),
+        ]
 
 
 class TestMetrics:
@@ -86,12 +101,13 @@ class TestMetrics:
         assert (h.count, h.mean, h.minimum, h.maximum) == (2, 1.0, 0.5, 1.5)
 
     def test_disabled_records_nothing(self) -> None:
-        DISABLED_METRICS.count("x")
-        DISABLED_METRICS.gauge("y", 1)
-        DISABLED_METRICS.observe("z", 1.0)
-        assert not DISABLED_METRICS.counters()
-        assert not DISABLED_METRICS.gauges()
-        assert not DISABLED_METRICS.histograms()
+        metrics = MetricsRegistry(enabled=False)
+        metrics.count("x")
+        metrics.gauge("y", 1)
+        metrics.observe("z", 1.0)
+        assert not metrics.counters()
+        assert not metrics.gauges()
+        assert not metrics.histograms()
 
     def test_summary_renders_all_kinds(self) -> None:
         m = MetricsRegistry(enabled=True)
@@ -109,7 +125,9 @@ def _sample_tracer() -> Tracer:
     tracer = Tracer(enabled=True)
     up = tracer.begin("upload", "client:c", "u", 0.0, size=10)
     blk = tracer.begin("block", "client:c", "b1", 0.5, parent=up)
-    tracer.instant("mark", "client:c", "b1", 0.75, note="x")
+    journal = Journal()
+    tracer.attach_journal(journal)
+    journal.emit(0.75, "mark", "block:1", note="x")
     tracer.end(blk, 2.0)
     tracer.end(up, 2.5)
     return tracer
@@ -120,7 +138,8 @@ class TestChromeExport:
         doc = json.loads(chrome_trace_json(_sample_tracer(), label="t"))
         events = doc["traceEvents"]
         phases = [e["ph"] for e in events]
-        assert phases.count("M") == 3  # 1 process name + 2 thread names
+        # 2 process names (client:c, journal) + 3 thread names (u, b1, mark)
+        assert phases.count("M") == 5
         assert phases.count("X") == 2
         assert phases.count("i") == 1
         xs = [e for e in events if e["ph"] == "X"]

@@ -184,24 +184,6 @@ class TestStore:
         assert ("got", 1, 5) in log
         assert ("put2", 5) in log
 
-    def test_filtered_get(self, env):
-        store = Store(env)
-        got = []
-
-        def producer(env, store):
-            for seq in (1, 2, 3):
-                yield store.put({"seq": seq})
-
-        def consumer(env, store):
-            item = yield store.get(filter=lambda p: p["seq"] == 2)
-            got.append(item["seq"])
-
-        env.process(producer(env, store))
-        env.process(consumer(env, store))
-        env.run()
-        assert got == [2]
-        assert [i["seq"] for i in store.items] == [1, 3]
-
     def test_fifo_order_preserved(self, env):
         store = Store(env)
         got = []
