@@ -98,62 +98,50 @@ def _resolve(instance: InstanceType | str) -> InstanceType:
     return instance_by_name(instance) if isinstance(instance, str) else instance
 
 
-def build_homogeneous(
+def _two_racks(
+    types: list[InstanceType], n_local: int
+) -> list[tuple[str, InstanceType, str]]:
+    """Datanodes ``dn0``… of ``types``: the first ``n_local`` in ``rack0``,
+    the rest in ``rack1``."""
+    return [
+        (f"dn{i}", itype, "rack0" if i < n_local else "rack1")
+        for i, itype in enumerate(types)
+    ]
+
+
+def _build(
     env: Environment,
-    instance: InstanceType | str = SMALL,
-    n_datanodes: int = 9,
-    config: SimulationConfig | None = None,
-    racks: int = 2,
-    n_local: int | None = None,
+    config: SimulationConfig | None,
+    namenode_type: InstanceType,
+    client_type: InstanceType,
+    datanode_specs: list[tuple[str, InstanceType, str]],
     n_extra_clients: int = 0,
 ) -> Cluster:
-    """One namenode + ``n_datanodes`` datanodes + one client, all of one type.
-
-    The namenode and client live in ``rack0`` together with ``n_local``
-    datanodes; the rest go to ``rack1`` (and further racks round-robin).
-    ``n_local`` defaults to a balanced split (⌈n/2⌉ — the paper does not
-    state its split, and EC2 'racks' were emulated with tc, so balanced is
-    the natural reading; 9 datanodes → 5 local + 4 remote).  Pass a
-    different ``n_local`` to study asymmetric layouts.
-    """
-    itype = _resolve(instance)
-    if n_datanodes < 1:
-        raise ValueError("need at least one datanode")
-    if racks < 1:
-        raise ValueError("need at least one rack")
+    """The construction every builder shares: the namenode, the client
+    and ``n_extra_clients`` more clients of its type in ``rack0``, then
+    one datanode per ``(name, type, rack)`` spec, the topology and the
+    network."""
     config = config or SimulationConfig()
-    if n_local is None:
-        n_local = n_datanodes - n_datanodes // 2
-    if not 0 <= n_local <= n_datanodes:
-        raise ValueError(f"n_local must be in [0, {n_datanodes}]")
-
     topo = Topology()
-    namenode = Node(env, "namenode", itype, rack="rack0")
-    client = Node(env, "client", itype, rack="rack0")
+    namenode = Node(env, "namenode", namenode_type, rack="rack0")
+    client = Node(env, "client", client_type, rack="rack0")
     topo.add_host("namenode", "rack0")
     topo.add_host("client", "rack0")
 
     extra_clients = []
     for i in range(n_extra_clients):
         name = f"client{i + 1}"
-        extra = Node(env, name, itype, rack="rack0")
+        extra_clients.append(Node(env, name, client_type, rack="rack0"))
         topo.add_host(name, "rack0")
-        extra_clients.append(extra)
 
     datanodes = []
-    for i in range(n_datanodes):
-        if racks == 1 or i < n_local:
-            rack = "rack0"
-        else:
-            rack = f"rack{1 + (i - n_local) % (racks - 1)}"
-        node = Node(env, f"dn{i}", itype, rack=rack)
-        topo.add_host(node.name, rack)
-        datanodes.append(node)
+    for name, itype, rack in datanode_specs:
+        datanodes.append(Node(env, name, itype, rack=rack))
+        topo.add_host(name, rack)
 
-    network = Network(env, topo, config=config.network)
     return Cluster(
         env=env,
-        network=network,
+        network=Network(env, topo, config=config.network),
         namenode_host=namenode,
         datanode_hosts=datanodes,
         client_host=client,
@@ -162,10 +150,43 @@ def build_homogeneous(
     )
 
 
+def build_homogeneous(
+    env: Environment,
+    instance: InstanceType | str = SMALL,
+    n_datanodes: int = 9,
+    config: SimulationConfig | None = None,
+    n_local: int | None = None,
+    n_extra_clients: int = 0,
+) -> Cluster:
+    """One namenode + ``n_datanodes`` datanodes + one client, all of one type.
+
+    The namenode and client live in ``rack0`` together with ``n_local``
+    datanodes; the rest go to ``rack1``.  ``n_local`` defaults to a
+    balanced split (⌈n/2⌉ — the paper does not state its split, and EC2
+    'racks' were emulated with tc, so balanced is the natural reading; 9
+    datanodes → 5 local + 4 remote).  Pass a different ``n_local`` to
+    study asymmetric layouts.
+    """
+    itype = _resolve(instance)
+    if n_datanodes < 1:
+        raise ValueError("need at least one datanode")
+    if n_local is None:
+        n_local = n_datanodes - n_datanodes // 2
+    if not 0 <= n_local <= n_datanodes:
+        raise ValueError(f"n_local must be in [0, {n_datanodes}]")
+    return _build(
+        env,
+        config,
+        itype,
+        itype,
+        _two_racks([itype] * n_datanodes, n_local),
+        n_extra_clients,
+    )
+
+
 def build_heterogeneous(
     env: Environment,
     config: SimulationConfig | None = None,
-    racks: int = 2,
 ) -> Cluster:
     """The paper's mixed cluster: 3 small + 3 medium + 3 large datanodes.
 
@@ -173,33 +194,9 @@ def build_heterogeneous(
     Instance types interleave across the balanced two-rack split so
     neither rack is uniformly fast.
     """
-    config = config or SimulationConfig()
-    topo = Topology()
-    namenode = Node(env, "namenode", MEDIUM, rack="rack0")
-    client = Node(env, "client", MEDIUM, rack="rack0")
-    topo.add_host("namenode", "rack0")
-    topo.add_host("client", "rack0")
-
     mix = [SMALL, MEDIUM, LARGE] * 3
-    n_local = len(mix) - len(mix) // 2
-    datanodes = []
-    for i, itype in enumerate(mix):
-        if racks == 1 or i < n_local:
-            rack = "rack0"
-        else:
-            rack = f"rack{1 + (i - n_local) % (racks - 1)}"
-        node = Node(env, f"dn{i}", itype, rack=rack)
-        topo.add_host(node.name, rack)
-        datanodes.append(node)
-
-    network = Network(env, topo, config=config.network)
-    return Cluster(
-        env=env,
-        network=network,
-        namenode_host=namenode,
-        datanode_hosts=datanodes,
-        client_host=client,
-        config=config,
+    return _build(
+        env, config, MEDIUM, MEDIUM, _two_racks(mix, len(mix) - len(mix) // 2)
     )
 
 
@@ -207,33 +204,16 @@ def build_custom(
     env: Environment,
     datanode_specs: list[tuple[str, InstanceType | str, str]],
     client_instance: InstanceType | str = MEDIUM,
-    namenode_instance: InstanceType | str = MEDIUM,
     config: SimulationConfig | None = None,
-    client_rack: str = "rack0",
 ) -> Cluster:
-    """Fully explicit layout: ``datanode_specs`` is [(name, type, rack), …]."""
+    """Fully explicit layout: ``datanode_specs`` is [(name, type, rack), …];
+    a medium namenode and the client sit in ``rack0``."""
     if not datanode_specs:
         raise ValueError("need at least one datanode spec")
-    config = config or SimulationConfig()
-    topo = Topology()
-
-    namenode = Node(env, "namenode", _resolve(namenode_instance), rack=client_rack)
-    client = Node(env, "client", _resolve(client_instance), rack=client_rack)
-    topo.add_host("namenode", client_rack)
-    topo.add_host("client", client_rack)
-
-    datanodes = []
-    for name, itype, rack in datanode_specs:
-        node = Node(env, name, _resolve(itype), rack=rack)
-        topo.add_host(name, rack)
-        datanodes.append(node)
-
-    network = Network(env, topo, config=config.network)
-    return Cluster(
-        env=env,
-        network=network,
-        namenode_host=namenode,
-        datanode_hosts=datanodes,
-        client_host=client,
-        config=config,
+    return _build(
+        env,
+        config,
+        MEDIUM,
+        _resolve(client_instance),
+        [(name, _resolve(itype), rack) for name, itype, rack in datanode_specs],
     )

@@ -34,6 +34,7 @@ __all__ = [
     "fig12",
     "fig13",
     "faultrec",
+    "faultrec_schedule",
     "ALL_EXPERIMENTS",
 ]
 
@@ -320,24 +321,26 @@ def fig13(
     )
 
 
+def faultrec_schedule(injector) -> None:
+    """faultrec's fixed faults: one mid-pipeline kill at t=1 s plus one
+    50 Mbps throttle on ``dn1`` at t=3 s (the paper's §III-B fault model,
+    pinned for golden-result testing)."""
+    injector.kill_busy_at(at=1.0, pick=1)
+    injector.throttle_at("dn1", 50.0, at=3.0)
+
+
 def faultrec(
     config=None, scale: float = 1.0, size_gb: float = 1.0
 ) -> ExperimentResult:
-    """Fault recovery under a fixed schedule: one mid-pipeline kill at
-    t=1 s plus one 50 Mbps throttle at t=3 s (the paper's §III-B fault
-    model, pinned for golden-result testing)."""
+    """Fault recovery under a fixed schedule (:func:`faultrec_schedule`)."""
     config = config or experiment_config()
     size = _scaled(size_gb, scale)
     scenario = two_rack("small")
 
-    def faults(injector) -> None:
-        injector.kill_busy_at(at=1.0, pick=1)
-        injector.throttle_at("dn1", 50.0, at=3.0)
-
     rows = []
     for system in ("hdfs", "smarth"):
         outcome = run_upload(
-            scenario, system, size, config=config, fault_hook=faults
+            scenario, system, size, config=config, fault_hook=faultrec_schedule
         )
         rows.append(
             {

@@ -339,7 +339,7 @@ def run_schedule(
     the Chrome ``trace_event`` JSON there after the run settles.  The
     tracer is a passive observer: the verdict is byte-identical with or
     without it.  ``policy`` selects a registered deployment policy by
-    name (``None`` keeps the ambient default).
+    name (``None`` runs the default policy).
     """
     workload = schedule.workload
     config = schedule.config()

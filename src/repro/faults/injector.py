@@ -62,52 +62,53 @@ class FaultInjector:
         """
         self.deployment.scheduled_disturbances.append(at)
 
+    def _at(self, at: float, name: str, action: Callable[[], None]) -> None:
+        """Spawn process ``name``: sleep until ``at`` (not at all if it
+        has passed), then run ``action``."""
+
+        def proc(env: Environment) -> ProcessGenerator:
+            yield env.timeout(max(0.0, at - env.now))
+            action()
+
+        self.env.process(proc(self.env), name=name)
+
     # -- injection schedules -------------------------------------------------
     def kill_at(self, name: str, at: float) -> None:
         """Crash datanode ``name`` at simulated time ``at``."""
         self.deployment.datanode(name)  # validate early
         self._register_disturbance(at)
 
-        def proc(env: Environment) -> ProcessGenerator:
-            yield env.timeout(max(0.0, at - env.now))
+        def kill() -> None:
             datanode = self.deployment.datanode(name)
             if datanode.node.alive:
                 datanode.kill()
-                self.events.append(FaultEvent(env.now, "kill", name))
+                self.events.append(FaultEvent(self.env.now, "kill", name))
 
-        self.env.process(proc(self.env), name=f"fault:kill:{name}")
+        self._at(at, f"fault:kill:{name}", kill)
 
-    def kill_busy_at(
-        self,
-        at: float,
-        pick: int = 0,
-        predicate: Optional[Callable[[str], bool]] = None,
-    ) -> None:
+    def kill_busy_at(self, at: float, pick: int = 0) -> None:
         """Crash the ``pick``-th datanode with active receivers at ``at``.
 
         Placement is randomized, so experiments usually want "a node that
-        is actually mid-pipeline" rather than a fixed name.  ``predicate``
-        further filters candidates by name.
+        is actually mid-pipeline" rather than a fixed name.
         """
         self._register_disturbance(at)
 
-        def proc(env: Environment) -> ProcessGenerator:
-            yield env.timeout(max(0.0, at - env.now))
+        def kill_busy() -> None:
             busy = [
                 d
                 for d in self.deployment.datanodes.values()
-                if d.active_receivers > 0
-                and d.node.alive
-                and (predicate is None or predicate(d.name))
+                if d.active_receivers > 0 and d.node.alive
             ]
             if busy:
                 victim = busy[min(pick, len(busy) - 1)]
                 victim.kill()
-                self.events.append(FaultEvent(env.now, "kill_busy", victim.name))
+                event = FaultEvent(self.env.now, "kill_busy", victim.name)
             else:
-                self.events.append(FaultEvent(env.now, "kill_busy_noop", None))
+                event = FaultEvent(self.env.now, "kill_busy_noop", None)
+            self.events.append(event)
 
-        self.env.process(proc(self.env), name="fault:kill_busy")
+        self._at(at, "fault:kill_busy", kill_busy)
 
     def throttle_at(self, name: str, rate_mbps: float, at: float) -> None:
         """Degrade one datanode's bandwidth at time ``at`` (§III-C's
@@ -122,14 +123,13 @@ class FaultInjector:
 
         self.deployment.datanode(name)  # validate early
 
-        def proc(env: Environment) -> ProcessGenerator:
-            yield env.timeout(max(0.0, at - env.now))
+        def throttle() -> None:
             self.deployment.network.throttles.add(
                 NodeThrottle(name, mbps(rate_mbps))
             )
-            self.events.append(FaultEvent(env.now, "throttle", name))
+            self.events.append(FaultEvent(self.env.now, "throttle", name))
 
-        self.env.process(proc(self.env), name=f"fault:throttle:{name}")
+        self._at(at, f"fault:throttle:{name}", throttle)
 
     def unthrottle_at(self, name: str, at: float) -> None:
         """Remove every dynamic throttle on ``name`` at time ``at``."""
@@ -137,15 +137,14 @@ class FaultInjector:
 
         self.deployment.datanode(name)  # validate early
 
-        def proc(env: Environment) -> ProcessGenerator:
-            yield env.timeout(max(0.0, at - env.now))
+        def unthrottle() -> None:
             removed = self.deployment.network.throttles.remove_matching(
                 lambda r: isinstance(r, NodeThrottle) and r.node_name == name
             )
             if removed:
-                self.events.append(FaultEvent(env.now, "unthrottle", name))
+                self.events.append(FaultEvent(self.env.now, "unthrottle", name))
 
-        self.env.process(proc(self.env), name=f"fault:unthrottle:{name}")
+        self._at(at, f"fault:unthrottle:{name}", unthrottle)
 
     def revive_at(self, name: str, at: float) -> None:
         """Bring a crashed datanode's machine back at ``at``.
@@ -156,15 +155,14 @@ class FaultInjector:
         """
         self.deployment.datanode(name)  # validate early
 
-        def proc(env: Environment) -> ProcessGenerator:
-            yield env.timeout(max(0.0, at - env.now))
+        def revive() -> None:
             datanode = self.deployment.datanode(name)
             if not datanode.node.alive:
                 datanode.node.recover()
                 datanode.register_heartbeats_again()
-                self.events.append(FaultEvent(env.now, "revive", name))
+                self.events.append(FaultEvent(self.env.now, "revive", name))
 
-        self.env.process(proc(self.env), name=f"fault:revive:{name}")
+        self._at(at, f"fault:revive:{name}", revive)
 
     # -- queries ------------------------------------------------------------
     def killed(self) -> tuple[str, ...]:

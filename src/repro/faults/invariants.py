@@ -129,7 +129,6 @@ class InvariantMonitor:
     def __init__(
         self,
         deployment: HdfsDeployment,
-        buffer_bound_bytes: Optional[int] = None,
         invariant_names: tuple[str, ...] = INVARIANT_NAMES,
     ):
         self.deployment = deployment
@@ -138,8 +137,9 @@ class InvariantMonitor:
         self._packet_size = hdfs_cfg.packet_size
         self._replication = hdfs_cfg.replication
         # §IV-C: one full block per client; the baseline client's socket
-        # buffer may also be larger than a chaos block.
-        self.buffer_bound_bytes = buffer_bound_bytes or max(
+        # buffer may also be larger than a chaos block.  The sampler
+        # reads it at every check.
+        self.buffer_bound_bytes = max(
             hdfs_cfg.block_size,
             SOCKET_BUFFER,
             4 * hdfs_cfg.packet_size,

@@ -42,8 +42,8 @@ class BlockInfo:
 class BlockManager:
     """Allocates block IDs and tracks replica state."""
 
-    def __init__(self, start_id: int = 1000):
-        self._ids = count(start_id)
+    def __init__(self) -> None:
+        self._ids = count(1000)
         self._blocks: dict[int, BlockInfo] = {}
         #: Finalized replica count -> the blocks with that many, so the
         #: replication monitor's scan visits only the short ones.

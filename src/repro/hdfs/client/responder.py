@@ -54,19 +54,17 @@ class PacketResponder:
             self._proc.interrupt("responder stopped")
 
     def _run(self) -> ProcessGenerator:
+        # Every ACK answers this queue's head: each pipeline attempt has a
+        # fresh ``ack_in`` that only its first receiver feeds, that hop
+        # relays in its inbox order, and an ACK waits for a disk write
+        # that ends after the packet's send.
         try:
             while True:
                 ack: Ack = yield self.ack_in.get()
-                if ack.block_id != self.block.block_id:
-                    continue  # stale ACK from a recovered generation
-                if not self.ack_queue:
-                    continue
-                expected = self.ack_queue[0]
-                if ack.seq != expected.seq:
-                    # ACKs are relayed in order; a mismatch means the
-                    # pipeline was rebuilt — ignore the stale ACK.
-                    continue
-                self.ack_queue.popleft()
+                assert ack.block_id == self.block.block_id, ack
+                assert self.ack_queue, f"{ack} before any send"
+                expected = self.ack_queue.popleft()
+                assert ack.seq == expected.seq, (ack, expected.seq)
                 self.acked_bytes += expected.size
                 self.acked_count += 1
                 if expected.is_last:

@@ -401,7 +401,7 @@ class BlockReceiver:
                     self.datanode.node, self.upstream_node
                 )
                 yield self.ack_out.put(
-                    Ack(block_id=self.block.block_id, seq=packet.seq, ok=True)
+                    Ack(block_id=self.block.block_id, seq=packet.seq)
                 )
 
                 if packet.is_last:

@@ -46,8 +46,6 @@ class DatanodeDescriptor:
     rack: str
     last_heartbeat: float = 0.0
     alive: bool = True
-    #: Active write streams (an xceiver-count analogue, for load stats).
-    active_streams: int = 0
 
 
 class _BeatChain:

@@ -101,8 +101,7 @@ class HdfsDeployment:
             self.datanodes[host.name] = datanode
 
         #: The deployment's one strategy object (DESIGN.md §12): ``None``
-        #: resolves the ambient spec (``"default"`` unless swapped via
-        #: :func:`repro.policy.use_policy`).
+        #: resolves ``"default"``.
         self.policy = resolve_policy(policy, self)
         self.replication_monitor: Optional[ReplicationMonitor] = (
             ReplicationMonitor(self, autostart=start_services)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 __all__ = [
     "Block",
@@ -127,8 +126,6 @@ class Ack:
 
     block_id: int
     seq: int
-    ok: bool = True
-    failed_datanode: Optional[str] = None
 
 
 @dataclass(frozen=True)

@@ -85,8 +85,8 @@ class ThrottleTable:
     not yet issued.  In-flight transfers keep the rate they were quoted.
     """
 
-    def __init__(self, rules: list[ThrottleRule] | None = None):
-        self._rules: list[ThrottleRule] = list(rules or [])
+    def __init__(self) -> None:
+        self._rules: list[ThrottleRule] = []
         #: Listeners in subscription order (a dict used as an ordered
         #: set, so removing one is O(1)).
         self._listeners: dict[Callable[["ThrottleTable"], None], None] = {}
@@ -127,9 +127,9 @@ class ThrottleTable:
         """
         self._rules = list(rules)
 
-    def remove_matching(self, predicate: Callable[[ThrottleRule], bool]) -> int:
-        """Drop rules matching ``predicate``; returns how many were removed."""
-        kept = [r for r in self._rules if not predicate(r)]
+    def remove_matching(self, matches: Callable[[ThrottleRule], bool]) -> int:
+        """Drop the rules ``matches`` accepts; returns how many were removed."""
+        kept = [r for r in self._rules if not matches(r)]
         removed = len(self._rules) - len(kept)
         self._rules = kept
         if removed:

@@ -38,12 +38,11 @@ class Network:
         self,
         env: Environment,
         topology: Topology,
-        throttles: ThrottleTable | None = None,
         config: NetworkConfig | None = None,
     ):
         self.env = env
         self.topology = topology
-        self.throttles = throttles if throttles is not None else ThrottleTable()
+        self.throttles = ThrottleTable()
         self.config = config if config is not None else NetworkConfig()
         self.stats = FlowStats()
 

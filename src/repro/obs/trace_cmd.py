@@ -16,16 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import SimulationConfig
-from ..units import GB, MB
+from ..units import GB
 from .export import metrics_summary
 from .metrics import publish_env_health
 from .spans import Tracer
 from .wellformed import check_wellformed
 
 __all__ = ["TraceRun", "combine", "run_traced", "TRACEABLE"]
-
-#: Packet granularity matching repro.experiments.figures.EXPERIMENT_PACKET.
-_TRACE_PACKET = 4 * MB
 
 
 @dataclass
@@ -69,10 +66,6 @@ def combine(parts: list[tuple[str, Tracer]]) -> Tracer:
     return merged
 
 
-def _traced_config(seed: int) -> SimulationConfig:
-    return SimulationConfig(seed=seed).with_hdfs(packet_size=_TRACE_PACKET)
-
-
 def _traced_size(config: SimulationConfig, scale: float) -> int:
     """The fig5 1 GB point scaled down, never below two blocks (so the
     trace always shows pipeline hand-off)."""
@@ -87,12 +80,13 @@ def _run_pair(
     fault_hook=None,
     allow_open: bool = False,
 ) -> TraceRun:
+    from ..experiments.figures import experiment_config
     from ..workloads.upload import run_upload
 
     parts: list[tuple[str, Tracer]] = []
     summaries: list[str] = []
     for system in ("hdfs", "smarth"):
-        config = _traced_config(int(seed))
+        config = experiment_config(int(seed))
         outcome = run_upload(
             scenario,
             system,
@@ -126,19 +120,16 @@ def _trace_fig5(seed: int, scale: float) -> TraceRun:
 
 
 def _trace_faultrec(seed: int, scale: float) -> TraceRun:
-    """The pinned fault-recovery schedule: mid-pipeline kill at t=1 s,
-    50 Mbps throttle on dn1 at t=3 s (matches experiments.figures.faultrec)."""
+    """The fault-recovery run under faultrec's pinned faults
+    (:func:`repro.experiments.figures.faultrec_schedule`)."""
+    from ..experiments.figures import faultrec_schedule
     from ..workloads.scenarios import two_rack
-
-    def faults(injector) -> None:
-        injector.kill_busy_at(at=1.0, pick=1)
-        injector.throttle_at("dn1", 50.0, at=3.0)
 
     # A killed node's re-replication can still be copying when the run
     # settles; those receiver spans legitimately stay open.
     return _run_pair(
         "faultrec", seed, scale, two_rack("small"),
-        fault_hook=faults, allow_open=True,
+        fault_hook=faultrec_schedule, allow_open=True,
     )
 
 

@@ -17,7 +17,7 @@ from ..sim import SnapshotError
 __all__ = ["SNAPSHOT_FORMAT", "SNAPSHOT_VERSION", "save_snapshot", "load_snapshot"]
 
 SNAPSHOT_FORMAT = "repro-service-snapshot"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 def save_snapshot(path, state: dict) -> None:

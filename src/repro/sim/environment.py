@@ -41,8 +41,8 @@ class Environment:
     #: schedules from paying rebuild costs for a handful of cancellations.
     COMPACT_MIN_TOMBSTONES = 64
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = count()
         self._active_process: Process | None = None

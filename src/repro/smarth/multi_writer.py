@@ -83,7 +83,7 @@ class SmarthClient:
         self._trace_upload = 0
         self._datanode_set: frozenset[str] = frozenset()
         #: Per-upload knob overrides from the deployment policy (set at
-        #: the start of each :meth:`put`; identity under DefaultPolicy).
+        #: the start of each :meth:`put`; identity under the default policy).
         self._tuning: ClientTuning = NO_TUNING
 
     def _all_datanodes(self) -> frozenset[str]:

@@ -12,9 +12,26 @@ from typing import Callable, Iterable, Optional, Sequence
 from ..analysis.metrics import ComparisonRow
 from ..config import SimulationConfig
 from .scenarios import Scenario
-from .upload import run_upload
+from .upload import compare
 
 __all__ = ["sweep", "size_sweep"]
+
+
+def _point(
+    scenario: Scenario,
+    size: int | str,
+    config: Optional[SimulationConfig],
+    label: str,
+) -> ComparisonRow:
+    """One x-axis point: the :func:`compare` pair, both fully replicated."""
+    hdfs, smarth, _ = compare(scenario, size, config=config)
+    if not (hdfs.fully_replicated and smarth.fully_replicated):
+        raise RuntimeError(f"{scenario.name}: upload finished under-replicated")
+    return ComparisonRow(
+        label=label,
+        hdfs_seconds=hdfs.duration,
+        smarth_seconds=smarth.duration,
+    )
 
 
 def sweep(
@@ -25,24 +42,10 @@ def sweep(
     label_for: Optional[Callable[[object], str]] = None,
 ) -> list[ComparisonRow]:
     """Run HDFS vs SMARTH at every x; scenario rebuilt per point."""
-    rows: list[ComparisonRow] = []
-    for x in xs:
-        scenario = scenario_for(x)
-        hdfs = run_upload(scenario, "hdfs", size, config=config)
-        smarth = run_upload(scenario, "smarth", size, config=config)
-        if not (hdfs.fully_replicated and smarth.fully_replicated):
-            raise RuntimeError(
-                f"{scenario.name}: upload finished under-replicated"
-            )
-        label = label_for(x) if label_for else str(x)
-        rows.append(
-            ComparisonRow(
-                label=label,
-                hdfs_seconds=hdfs.duration,
-                smarth_seconds=smarth.duration,
-            )
-        )
-    return rows
+    return [
+        _point(scenario_for(x), size, config, label_for(x) if label_for else str(x))
+        for x in xs
+    ]
 
 
 def size_sweep(
@@ -51,19 +54,4 @@ def size_sweep(
     config: Optional[SimulationConfig] = None,
 ) -> list[ComparisonRow]:
     """Fixed scenario, varying file size (the Figure 5 / 13 shape)."""
-    rows: list[ComparisonRow] = []
-    for size in sizes:
-        hdfs = run_upload(scenario, "hdfs", size, config=config)
-        smarth = run_upload(scenario, "smarth", size, config=config)
-        if not (hdfs.fully_replicated and smarth.fully_replicated):
-            raise RuntimeError(
-                f"{scenario.name}: upload finished under-replicated"
-            )
-        rows.append(
-            ComparisonRow(
-                label=str(size),
-                hdfs_seconds=hdfs.duration,
-                smarth_seconds=smarth.duration,
-            )
-        )
-    return rows
+    return [_point(scenario, size, config, str(size)) for size in sizes]

@@ -91,11 +91,11 @@ def compare(
     scenario: Scenario,
     size: int | str,
     config: Optional[SimulationConfig] = None,
-    fault_hook: Optional[Callable[[FaultInjector], None]] = None,
 ) -> tuple[UploadOutcome, UploadOutcome, float]:
-    """Run both systems on the scenario; returns (hdfs, smarth, improvement%)."""
-    hdfs = run_upload(scenario, "hdfs", size, config=config, fault_hook=fault_hook)
-    smarth = run_upload(
-        scenario, "smarth", size, config=config, fault_hook=fault_hook
-    )
+    """Run both systems on the scenario; returns (hdfs, smarth, improvement%).
+
+    The one HDFS-then-SMARTH step of every figure sweep
+    (:mod:`repro.workloads.sweep`)."""
+    hdfs = run_upload(scenario, "hdfs", size, config=config)
+    smarth = run_upload(scenario, "smarth", size, config=config)
     return hdfs, smarth, improvement_percent(hdfs.duration, smarth.duration)

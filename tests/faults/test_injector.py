@@ -62,14 +62,6 @@ class TestKillBusy:
         assert len(injector.killed()) == 1
         assert result.recoveries >= 1
 
-    def test_predicate_filters_victims(self, setup):
-        env, deployment = setup
-        injector = FaultInjector(deployment)
-        injector.kill_busy_at(at=0.05, predicate=lambda n: n == "dn3")
-        client = deployment.client()
-        env.run(until=env.process(client.put("/f", 8 * MB)))
-        assert injector.killed() in ((), ("dn3",))
-
 
 class TestEagerValidation:
     """Every scheduler must reject unknown datanode names at call time,
@@ -96,15 +88,6 @@ class TestEagerValidation:
 
 
 class TestKillBusyEdgeCases:
-    def test_predicate_filtering_everything_is_noop(self, setup):
-        env, deployment = setup
-        injector = FaultInjector(deployment)
-        injector.kill_busy_at(at=0.05, predicate=lambda n: False)
-        client = deployment.client()
-        env.run(until=env.process(client.put("/f", 8 * MB)))
-        assert injector.killed() == ()
-        assert any(e.kind == "kill_busy_noop" for e in injector.events)
-
     def test_pick_beyond_candidates_clamps_to_last(self, setup):
         env, deployment = setup
         injector = FaultInjector(deployment)

@@ -62,9 +62,11 @@ class PairedMonitor(InvariantMonitor):
     bound: int | None = None
 
     def __init__(self, deployment, **kwargs):
-        kwargs["buffer_bound_bytes"] = self.bound
         super().__init__(deployment, **kwargs)
-        # The sampler process has not run yet: it picks this record up.
+        # The sampler process has not run yet: it picks up this bound
+        # and this record.
+        if self.bound is not None:
+            self.buffer_bound_bytes = self.bound
         self.records["buffer_bound"] = TimedRecord("buffer_bound", self.env)
         self.reference = PollingSampler(
             deployment,
@@ -152,7 +154,8 @@ def _tight_bound_upload(client_cls, coalesce: int):
     )
     cluster = build_homogeneous(env, SMALL, n_datanodes=9, config=config)
     deployment = HdfsDeployment(cluster)
-    monitor = InvariantMonitor(deployment, buffer_bound_bytes=1)
+    monitor = InvariantMonitor(deployment)
+    monitor.buffer_bound_bytes = 1  # the sampler has not run yet
     client = client_cls(deployment)
     env.run(until=env.process(client.put("/data/f.bin", 32 * MB)))
     monitor.stop()

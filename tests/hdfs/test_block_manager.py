@@ -7,7 +7,7 @@ from repro.hdfs import BlockManager, BlockState, FileNotFound
 
 @pytest.fixture()
 def bm():
-    return BlockManager(start_id=100)
+    return BlockManager()
 
 
 class TestAllocation:

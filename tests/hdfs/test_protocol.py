@@ -1,5 +1,7 @@
 """Unit tests for protocol data types and their invariants."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.hdfs.protocol import (
@@ -72,5 +74,5 @@ class TestWriteResult:
 class TestExceptions:
     def test_ack_defaults(self):
         ack = Ack(1, 0)
-        assert ack.ok
-        assert ack.failed_datanode is None
+        assert (ack.block_id, ack.seq) == (1, 0)
+        assert [f.name for f in fields(Ack)] == ["block_id", "seq"]

@@ -40,41 +40,30 @@ class TestAckMatching:
         assert responder.acked_bytes == 300
         assert not responder.ack_queue
 
-    def test_wrong_block_acks_ignored(self, env):
+    # A pipeline attempt's ``ack_in`` carries only its own block's ACKs,
+    # in send order and each after its send: any other ACK is a bug.
+    def test_wrong_block_ack_raises(self, env):
         block, ack_in, responder, packets = setup(env)
         responder.packet_sent(packets[0])
+        ack_in.put(Ack(999, 0))
+        with pytest.raises(AssertionError):
+            env.run(until=1)
 
-        def feed(env):
-            yield ack_in.put(Ack(999, 0))  # stale generation / other block
-            yield ack_in.put(Ack(block.block_id, 0))
-
-        env.process(feed(env))
-        env.run(until=1)
-        assert responder.acked_count == 1
-
-    def test_out_of_order_ack_ignored(self, env):
+    def test_out_of_order_ack_raises(self, env):
         block, ack_in, responder, packets = setup(env)
         for pkt in packets:
             responder.packet_sent(pkt)
+        ack_in.put(Ack(block.block_id, 2))  # head is seq 0
+        with pytest.raises(AssertionError):
+            env.run(until=1)
 
-        def feed(env):
-            yield ack_in.put(Ack(block.block_id, 2))  # head is seq 0
-            yield ack_in.put(Ack(block.block_id, 0))
-
-        env.process(feed(env))
-        env.run(until=1)
-        assert responder.acked_count == 1
-        assert responder.ack_queue[0].seq == 1
-
-    def test_ack_before_send_ignored(self, env):
+    def test_ack_before_send_raises(self, env):
         block, ack_in, responder, packets = setup(env)
-
-        def feed(env):
-            yield ack_in.put(Ack(block.block_id, 0))
-
-        env.process(feed(env))
-        env.run(until=1)
-        assert responder.acked_count == 0
+        responder.packet_sent(packets[0])
+        ack_in.put(Ack(block.block_id, 0))
+        ack_in.put(Ack(block.block_id, 1))  # seq 1 was never sent
+        with pytest.raises(AssertionError):
+            env.run(until=1)
 
     def test_block_done_carries_block(self, env):
         block, ack_in, responder, packets = setup(env, n_packets=1)

@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.policy import (
+    HotspotPolicy,
     Policy,
     policy_class,
     policy_names,
     register_policy,
     resolve_policy,
-    use_policy,
 )
 
 from .conformance import (
@@ -78,29 +78,14 @@ class TestRegistry:
 
     def test_reregistering_same_class_is_idempotent(self) -> None:
         cls = policy_class("default")
+        assert cls is Policy
         assert register_policy(cls) is cls
 
     def test_bad_spec_type_rejected(self) -> None:
-        with pytest.raises(TypeError, match="policy spec"):
-            resolve_policy(42, deployment=None)
-
-    def test_use_policy_swaps_and_restores_ambient(self) -> None:
-        from repro.policy import active_policy_spec
-
-        assert active_policy_spec() == "default"
-        with use_policy("hotspot") as active:
-            assert active == "hotspot"
-            assert active_policy_spec() == "hotspot"
-        assert active_policy_spec() == "default"
-
-    def test_ambient_policy_reaches_deployments(self) -> None:
-        from repro.policy import HotspotPolicy
-
-        from .conformance import build_deployment
-
-        with use_policy("hotspot"):
-            _, deployment = build_deployment(policy=None)
-        assert isinstance(deployment.policy, HotspotPolicy)
+        # A class is no spec: only a name or an instance selects a policy.
+        for spec in (42, HotspotPolicy):
+            with pytest.raises(TypeError, match="policy spec"):
+                resolve_policy(spec, deployment=None)
 
     def test_instance_rebinds_keeping_identity(self) -> None:
         from .conformance import build_deployment

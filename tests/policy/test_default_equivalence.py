@@ -1,9 +1,9 @@
-"""DefaultPolicy is the pre-framework behavior, byte for byte.
+"""The default policy is the pre-framework behavior, byte for byte.
 
-The golden suites (`tests/experiments/`) already pin the ambient-default
-path; these tests close the loop on the framework itself: selecting the
-default policy *explicitly* — by name, class or instance — changes
-nothing, and a chaos campaign under ``--policy default`` reproduces the
+The golden suites (`tests/experiments/`) already pin the path that names
+no policy; these tests close the loop on the framework itself: selecting
+the default policy *explicitly* — by name or instance — changes nothing,
+and a chaos campaign under ``--policy default`` reproduces the
 policy-free report except for the report's ``policy`` tag.
 """
 
@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.faults import report_json, run_campaign
-from repro.policy import DefaultPolicy
+from repro.policy import Policy
 
 from .conformance import build_deployment, upload_fingerprint
 
@@ -24,11 +24,10 @@ SCALE = 0.25
 
 @pytest.mark.parametrize("system", ["hdfs", "smarth"])
 def test_explicit_default_matches_ambient(system: str) -> None:
-    ambient = upload_fingerprint(None, system=system)
+    unnamed = upload_fingerprint(None, system=system)
     by_name = upload_fingerprint("default", system=system)
-    by_class = upload_fingerprint(DefaultPolicy, system=system)
-    by_instance = upload_fingerprint(DefaultPolicy(), system=system)
-    assert ambient == by_name == by_class == by_instance
+    by_instance = upload_fingerprint(Policy(), system=system)
+    assert unnamed == by_name == by_instance
 
 
 def test_default_policy_keeps_namenode_placement() -> None:

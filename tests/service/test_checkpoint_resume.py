@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.policy import policy_class
 from repro.service import IngestService, load_snapshot
 
 from .specs import golden_spec
@@ -59,6 +60,17 @@ def test_straight_run_matches_golden(chaos):
     report = IngestService(golden_spec(chaos=chaos)).run()
     assert report.digests() == golden["digests"]
     assert report.counts == golden["counts"]
+
+
+def test_fresh_and_resumed_services_run_the_default_policy(tmp_path):
+    """A service names no policy, so both its fresh and its resumed
+    deployments hold the stateless default: a snapshot has no policy
+    state to carry."""
+    _straight(golden_spec(), tmp_path)
+    fresh = IngestService(golden_spec())
+    resumed = IngestService.resume(tmp_path / "ckpt_001.pkl")
+    for service in (fresh, resumed):
+        assert type(service.deployment.policy) is policy_class("default")
 
 
 def test_chaos_run_actually_exercised_faults():

@@ -188,25 +188,30 @@ def test_snapshot_rejects_garbage(tmp_path):
     with pytest.raises(SnapshotError, match="version 1 "):
         load_snapshot(v1)
 
-    # Version 2 predates the removal of decommissioning: its datanode
-    # descriptors still carry the two drain flags, which this build's
+    # Versions 2 and 3 predate the removal of datanode descriptor fields
+    # their pickled descriptors still carry (v2: decommissioning's two
+    # drain flags; v3: active_streams), which this build's
     # DatanodeDescriptor cannot take back, so it must refuse them.
-    old_descriptor = DatanodeDescriptor("dn0", "rack0")
-    old_descriptor.decommissioning = old_descriptor.decommissioned = False
-    with pytest.raises(TypeError):
-        DatanodeDescriptor(**vars(old_descriptor))
-    v2 = tmp_path / "v2.pkl"
-    v2.write_bytes(
-        pickle.dumps(
-            {
-                "format": "repro-service-snapshot",
-                "version": 2,
-                "state": {"datanodes": {"datanodes": {"dn0": old_descriptor}}},
-            }
+    for version, fields in (
+        (2, {"decommissioning": False, "decommissioned": False}),
+        (3, {"active_streams": 0}),
+    ):
+        old_descriptor = DatanodeDescriptor("dn0", "rack0")
+        vars(old_descriptor).update(fields)
+        with pytest.raises(TypeError):
+            DatanodeDescriptor(**vars(old_descriptor))
+        old = tmp_path / f"v{version}.pkl"
+        old.write_bytes(
+            pickle.dumps(
+                {
+                    "format": "repro-service-snapshot",
+                    "version": version,
+                    "state": {"datanodes": {"datanodes": {"dn0": old_descriptor}}},
+                }
+            )
         )
-    )
-    with pytest.raises(SnapshotError, match="version 2 "):
-        load_snapshot(v2)
+        with pytest.raises(SnapshotError, match=f"version {version} "):
+            load_snapshot(old)
 
 
 def test_snapshot_round_trip(tmp_path):

@@ -13,7 +13,6 @@ def env():
 class TestClock:
     def test_initial_time(self):
         assert Environment().now == 0.0
-        assert Environment(initial_time=10).now == 10.0
 
     def test_run_until_time_pins_clock(self, env):
         env.process(self._tick(env, 1))
