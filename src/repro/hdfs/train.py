@@ -51,7 +51,8 @@ packet sent one by one.
 The clients plan a train only for a block nothing was taken for, and
 :func:`repro.hdfs.client.send.send_block` runs it.  The planner
 declines co-resident foreign receivers, loopback and another train
-guarding a needed channel, falling back to the per-packet path.
+guarding a needed channel, falling back to the per-packet path, and
+counts each decline by its reason in the deployment's metrics.
 Scheduled faults are no reason to decline.  A throttle reaches the
 train as a throttle-table change and replays it.  A datanode kill
 mid-train settles the committed prefix and reconstructs the
@@ -87,6 +88,7 @@ from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Optional
 
+from ..obs import labelled
 from ..sim import Environment, Event
 from ..sim.environment import URGENT
 
@@ -115,6 +117,17 @@ INF = float("inf")
 #: 9% more heap events.
 PLAN_STEPS = 16
 
+#: Counters of declined trains, labelled by the reason
+#: (``train_declined{reason=loopback}``); see :func:`plan_train` and
+#: :func:`plan_read_train` for the reasons.
+WRITE_DECLINED = "train_declined"
+READ_DECLINED = "read_train_declined"
+
+
+def _decline(deployment: "HdfsDeployment", counter: str, reason: str) -> None:
+    """Count one declined train under ``counter{reason=...}``."""
+    deployment.metrics.count(labelled(counter, reason=reason))
+
 
 def plan_train(
     deployment: "HdfsDeployment",
@@ -134,27 +147,40 @@ def plan_train(
     legacy path.  A scheduled kill does not: the train settles it
     through the pipeline error, and holds the block when it fails a
     sibling pipeline (:meth:`PacketTrain.hold`).
+
+    Each decline counts in ``deployment.metrics`` as
+    ``train_declined{reason=...}``: ``pipeline_failed`` (the pipeline's
+    error already fired), ``loopback``, ``dead_hop``, ``co_resident``
+    (a foreign receiver on a hop datanode) or ``guard``.
     """
     if deployment.config.hdfs.coalesce_packets == 1:
         return None
     if handle.error.triggered:
+        _decline(deployment, WRITE_DECLINED, "pipeline_failed")
         return None
     receivers = handle.receivers
     if not receivers:
         return None
     hosts = [r.host for r in receivers]
     if len({client_node, *hosts}) != len(hosts) + 1:
-        return None  # loopback or repeated target: shared NICs
+        # Loopback or a repeated target: shared NICs.
+        _decline(deployment, WRITE_DECLINED, "loopback")
+        return None
     for receiver in receivers:
         if not receiver.datanode.node.alive:
+            _decline(deployment, WRITE_DECLINED, "dead_hop")
             return None
         for other in receiver.datanode._active:
             if other is not receiver:
-                return None  # foreign stream on a hop datanode
+                # A foreign stream on a hop datanode.
+                _decline(deployment, WRITE_DECLINED, "co_resident")
+                return None
     train = PacketTrain(deployment, client_node, handle, responder, progress)
     for channel in train.channels:
         if channel._guard is not None:
-            return None  # another train holds this channel's ledger
+            # Another train holds this channel's ledger.
+            _decline(deployment, WRITE_DECLINED, "guard")
+            return None
     return train
 
 
@@ -949,24 +975,36 @@ def plan_read_train(
     stream), and a needed channel another train guards (another host's
     read train or a write train).  A reader on the source's own host
     never gets here: it reads its local replica short-circuit.
+
+    Each decline counts in ``deployment.metrics`` as
+    ``read_train_declined{reason=...}``: ``dead_source``,
+    ``co_resident`` (a write receiver on the source), ``foreign_serve``
+    or ``guard``.
     """
     if deployment.config.hdfs.coalesce_reads == 1:
         return None
     if not source.node.alive:
+        _decline(deployment, READ_DECLINED, "dead_source")
         return None
     if source._active:
-        return None  # foreign write stream on the source datanode
+        # A foreign write stream on the source datanode.
+        _decline(deployment, READ_DECLINED, "co_resident")
+        return None
     train = deployment.read_trains.get(client_node)
     ours = () if train is None else [s.serve for s in train._streams]
     for other in source._serving:
         if other is not serve and other not in ours:
-            return None  # a stream this host's train does not conduct
+            # A stream this host's train does not conduct.
+            _decline(deployment, READ_DECLINED, "foreign_serve")
+            return None
     node = source.node
     for channel in (node.disk._channel, node.nic.egress, client_node.nic.ingress):
         if channel._guard is not None and (
             train is None or id(channel) not in train._guarded
         ):
-            return None  # another train holds this channel's ledger
+            # Another train holds this channel's ledger.
+            _decline(deployment, READ_DECLINED, "guard")
+            return None
     return ReadStream(deployment, source, client_node, serve, block, offset)
 
 

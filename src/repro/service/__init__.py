@@ -11,12 +11,8 @@ checkpointed at quiescent barriers and resumed byte-identically
 
 from .admission import AdmissionController
 from .arrivals import Arrival, ArrivalStream, MergedArrivals, TenantClassSpec
-from .service import (
-    IngestService,
-    ServiceReport,
-    ServiceSpec,
-    generate_service_faults,
-)
+from .report import ServiceReport
+from .service import IngestService, ServiceSpec, generate_service_faults
 from .slo import slo_table
 from .snapshot import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, load_snapshot, save_snapshot
 

@@ -40,8 +40,6 @@ Two deliberate modelling notes:
 
 from __future__ import annotations
 
-import json
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -57,6 +55,7 @@ from ..smarth.deployment import deploy
 from ..units import KB, MB
 from .admission import ADMIT, QUEUE, AdmissionController
 from .arrivals import Arrival, MergedArrivals, TenantClassSpec
+from .report import ServiceReport
 from .slo import (
     class_latency,
     class_violations,
@@ -68,14 +67,8 @@ from .snapshot import load_snapshot, save_snapshot
 __all__ = [
     "ServiceSpec",
     "IngestService",
-    "ServiceReport",
     "generate_service_faults",
 ]
-
-#: ``json.dumps(obj, sort_keys=True)`` from one shared encoder: the
-#: report encodes every journal line, and ``json.dumps`` with any keyword
-#: builds a new encoder per call.
-_encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
 _PROTOCOLS = ("hdfs", "smarth")
 
@@ -166,36 +159,6 @@ class ServiceSpec:
             checkpoint_every=checkpoint_every,
             **overrides,  # type: ignore[arg-type]
         )
-
-
-@dataclass
-class ServiceReport:
-    """Deterministic rendering of one finished (or resumed) run."""
-
-    counts: dict
-    classes: dict
-    journal_text: str
-    metrics_text: str
-    slo_text: str
-
-    def digests(self) -> dict:
-        """sha256 of each rendered artifact — the equivalence currency."""
-        return {
-            "journal": hashlib.sha256(self.journal_text.encode()).hexdigest(),
-            "metrics": hashlib.sha256(self.metrics_text.encode()).hexdigest(),
-            "slo": hashlib.sha256(self.slo_text.encode()).hexdigest(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "counts": self.counts,
-                "classes": self.classes,
-                "digests": self.digests(),
-            },
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
 
 
 #: Fault events per simulated day in a generated service chaos plan.
@@ -501,7 +464,7 @@ class IngestService:
             "fault_index": self._fault_index,
             "next_upload": self._next_upload,
             "clock": self.env.clock_state(),
-            "journal": list(self.journal.events()),
+            "journal": list(self.journal),
             "scheduled_disturbances": list(deployment.scheduled_disturbances),
             "namespace": namenode.namespace.export_state(),
             "blocks": namenode.blocks.export_state(),
@@ -567,21 +530,6 @@ class IngestService:
     def report(self) -> ServiceReport:
         admission = self.admission
         spec = self.spec
-        journal_lines = [
-            _encode_sorted(
-                {
-                    "time": event.time,
-                    "kind": event.kind,
-                    "subject": event.subject,
-                    "details": event.details,
-                }
-            )
-            for event in self.journal.events()
-        ]
-        journal_text = "\n".join(journal_lines) + "\n"
-        metrics_text = metrics_summary(self.metrics)
-        slo_text = slo_table(self.metrics, spec.classes)
-
         classes = {}
         for cls_spec in spec.classes:
             hist = self.metrics.histogram(class_latency(cls_spec.name))
@@ -626,7 +574,7 @@ class IngestService:
         return ServiceReport(
             counts=counts,
             classes=classes,
-            journal_text=journal_text,
-            metrics_text=metrics_text,
-            slo_text=slo_text,
+            journal=self.journal,
+            metrics_text=metrics_summary(self.metrics),
+            slo_text=slo_table(self.metrics, spec.classes),
         )

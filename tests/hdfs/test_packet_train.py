@@ -27,7 +27,7 @@ from repro.hdfs.protocol import FNFA
 from repro.hdfs.train import PacketTrain, ReadTrain, plan_read_train, plan_train
 from repro.net.throttle import NodeThrottle
 from repro.sim import Environment
-from repro.smarth import SmarthClient
+from repro.smarth import SmarthClient, SmarthDeployment
 from repro.units import KB, MB, mbps
 
 UPLOAD = 64 * MB
@@ -476,18 +476,57 @@ def test_settled_trains_die_by_reference_counting(monkeypatch):
     assert deployment.read_trains == {}
 
 
+def _declines(deployment) -> dict:
+    """The deployment's decline counters, by rendered name."""
+    return {
+        counter.name: counter.value
+        for counter in deployment.metrics.counters()
+        if "declined{" in counter.name
+    }
+
+
+@pytest.mark.parametrize("writers", [1, 2])
+def test_overlapping_uploads_count_co_resident_declines(writers):
+    """On three datanodes every SMARTH pipeline holds all three, so two
+    uploads at once meet each other's receivers on every block and fall
+    back to the per-packet loop; the traced deployment counts why."""
+    env = Environment()
+    cluster = build_homogeneous(
+        env, SMALL, n_datanodes=3, config=_config(0), n_extra_clients=1
+    )
+    deployment = SmarthDeployment(cluster, observe=True)
+    hosts = [cluster.client_host, *cluster.extra_client_hosts][:writers]
+    uploads = [
+        env.process(SmarthClient(deployment, host=host, name=f"c{i}").put(
+            f"/data/f{i}.bin", 32 * MB
+        ))
+        for i, host in enumerate(hosts)
+    ]
+    for upload in uploads:
+        env.run(until=upload)
+    conducted = deployment.metrics.counter_value("trains_conducted")
+    if writers == 1:
+        assert (_declines(deployment), conducted) == ({}, 2)
+    else:
+        assert _declines(deployment) == {"train_declined{reason=co_resident}": 4}
+        assert conducted == 0
+
+
 class TestPredicateDeclines:
     """`plan_train` must stand down whenever coalescing could not be
     proven equivalent; these paths fall back to the per-packet loop."""
 
-    def _fresh_pipeline(self, coalesce=0):
+    def _fresh_pipeline(self, coalesce=0, observe=False):
         env = Environment()
         cluster = build_homogeneous(
             env, SMALL, n_datanodes=9, config=_config(coalesce)
         )
-        return env, cluster, HdfsDeployment(cluster)
+        return env, cluster, HdfsDeployment(cluster, observe=observe)
 
-    def _open(self, deployment, client_node, plan_size=16 * MB):
+    def _open(
+        self, deployment, client_node, plan_size=16 * MB, path="/t.bin",
+        excluded=(),
+    ):
         from repro.hdfs.client.output_stream import start_producer
         from repro.hdfs.client.responder import PacketResponder
         from repro.hdfs.client.send import BlockProgress
@@ -500,9 +539,9 @@ class TestPredicateDeclines:
         plan = plans[0]
 
         def setup(env):
-            yield from namenode.create_file("client", "/t.bin")
+            yield from namenode.create_file("client", path)
             result = yield from namenode.add_block(
-                "client", "/t.bin", plan.size, excluded=set()
+                "client", path, plan.size, excluded=set(excluded)
             )
             return result
 
@@ -522,18 +561,21 @@ class TestPredicateDeclines:
         handle, responder, progress = self._open(deployment, client_node)
         return plan_train(deployment, client_node, handle, responder, progress)
 
+    def _serve(self, deployment, source, reader="reader"):
+        proc = deployment.env.process(source.open_serve(1, reader))
+        deployment.env.run(until=proc)
+        return proc.value
+
     def _plan_read(self, deployment, client_node):
         """Ask the read planner for a block on a datanode no write uses."""
         from repro.hdfs.protocol import Block
 
-        env = deployment.env
         source = next(
             dn for dn in deployment.datanodes.values() if not dn._active
         )
-        proc = env.process(source.open_serve(1, "reader"))
-        env.run(until=proc)
+        serve = self._serve(deployment, source)
         block = Block(1, "/r.bin", 0, 16 * MB)
-        return plan_read_train(deployment, source, client_node, proc.value, block)
+        return plan_read_train(deployment, source, client_node, serve, block)
 
     def test_declines_when_coalescing_disabled(self):
         env, cluster, deployment = self._fresh_pipeline(coalesce=1)
@@ -564,6 +606,62 @@ class TestPredicateDeclines:
         assert deployment.scheduled_disturbances == [5.0]
         assert self._plan(deployment, cluster.client_host) is not None
         assert self._plan_read(deployment, cluster.client_host) is not None
+
+    @pytest.mark.parametrize(
+        "reason", ["pipeline_failed", "loopback", "dead_hop", "guard"]
+    )
+    def test_write_declines_count_their_reason(self, reason):
+        env, cluster, deployment = self._fresh_pipeline(observe=True)
+        client_node = cluster.client_host
+        excluded = ()
+        if reason == "guard":
+            # A train from the same client on other datanodes guards the
+            # client's egress.
+            first = self._open(deployment, client_node, path="/u.bin")
+            excluded = first[0].targets
+        handle, responder, progress = self._open(
+            deployment, client_node, excluded=excluded
+        )
+        if reason == "pipeline_failed":
+            handle.receivers[0].datanode.kill()
+        elif reason == "loopback":
+            client_node = handle.receivers[0].host
+        elif reason == "dead_hop":
+            handle.receivers[-1].datanode.node.fail()
+        else:
+            plan_train(deployment, client_node, *first)._arm()
+        train = plan_train(deployment, client_node, handle, responder, progress)
+        assert train is None
+        assert _declines(deployment) == {f"train_declined{{reason={reason}}}": 1}
+
+    @pytest.mark.parametrize(
+        "reason", ["dead_source", "co_resident", "foreign_serve", "guard"]
+    )
+    def test_read_declines_count_their_reason(self, reason):
+        from repro.hdfs.protocol import Block
+
+        env, cluster, deployment = self._fresh_pipeline(observe=True)
+        source = deployment.datanode("dn0")
+        reader = cluster.client_host
+        if reason == "co_resident":
+            handle, _, _ = self._open(deployment, reader)
+            source = handle.receivers[0].datanode
+        elif reason == "foreign_serve":
+            self._serve(deployment, source, reader="other")
+        elif reason == "guard":
+            # A write train into the reader's host guards its ingress.
+            write = self._open(deployment, reader, excluded=[source.name])
+            plan_train(deployment, reader, *write)._arm()
+            reader = write[0].receivers[0].host
+        serve = self._serve(deployment, source)
+        if reason == "dead_source":
+            source.node.fail()
+        block = Block(1, "/r.bin", 0, 16 * MB)
+        train = plan_read_train(deployment, source, reader, serve, block)
+        assert train is None
+        assert _declines(deployment) == {
+            f"read_train_declined{{reason={reason}}}": 1
+        }
 
     def test_injector_scheduled_throttles_plan_trains(self):
         """A throttle-only schedule is no disturbance: the train replays

@@ -2,7 +2,8 @@
 
 One small-but-busy spec (12 tenants, 4 segments of 60 s) used by both
 the pytest suite and ``regen_goldens.py``, so the pinned digests and the
-assertions can never drift apart.
+assertions can never drift apart.  The report tests also run it with
+ten times the tenants, for a journal of about 2k events.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from repro.service import ServiceSpec
 SPEEDUP = 100.0
 
 
-def golden_spec(chaos: bool = False) -> ServiceSpec:
+def golden_spec(chaos: bool = False, tenants: int = 12) -> ServiceSpec:
     spec = ServiceSpec.default(
-        tenants=12,
+        tenants=tenants,
         horizon=240.0,
         checkpoint_every=60.0,
         seed=20140901,

@@ -1,0 +1,111 @@
+"""The service report: its journal digest is the digest of the journal
+text byte for byte, and taking it holds no rendering of the journal.
+
+``golden_service_digests.json`` pins what the digests are; these tests
+pin how the report takes them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import tracemalloc
+
+import pytest
+
+from repro.analysis.trace import Journal
+from repro.service import IngestService, ServiceReport
+from repro.service import report as report_module
+
+from .specs import golden_spec
+
+#: The golden runs, and the plain one with ten times the tenants (about
+#: 2k journal events).
+SPECS = {
+    "plain": golden_spec(),
+    "chaos": golden_spec(chaos=True),
+    "busy": golden_spec(tenants=120),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module", params=sorted(SPECS))
+def finished(request):
+    service = IngestService(SPECS[request.param])
+    report = service.run()
+    return service, report
+
+
+def test_journal_digest_is_the_digest_of_the_text(finished):
+    _, report = finished
+    digests = report.digests()
+    assert digests["journal"] == _sha256(report.journal_text)
+    assert digests["metrics"] == _sha256(report.metrics_text)
+    assert digests["slo"] == _sha256(report.slo_text)
+    assert json.loads(report.to_json())["digests"] == digests
+
+
+def test_journal_text_is_one_sorted_json_line_per_event(finished):
+    service, report = finished
+    lines = [
+        json.dumps(
+            {
+                "time": e.time,
+                "kind": e.kind,
+                "subject": e.subject,
+                "details": e.details,
+            },
+            sort_keys=True,
+        )
+        for e in service.journal
+    ]
+    assert report.journal_text == "\n".join(lines) + "\n"
+
+
+def test_empty_journal_renders_a_newline():
+    report = IngestService(golden_spec()).report()
+    assert report.counts["journal_events"] == 0
+    assert report.journal_text == "\n"
+    assert report.digests()["journal"] == _sha256("\n")
+
+
+def test_python_encoder_renders_the_same_lines(finished, monkeypatch):
+    """Where ``json`` has no C encoder the report falls back to
+    ``JSONEncoder(sort_keys=True).encode``, line for line the same."""
+    service, report = finished
+    text = report.journal_text
+    monkeypatch.setattr(report_module, "c_make_encoder", None)
+    assert report.journal_text == text
+    assert report_module.journal_digest(service.journal) == _sha256(text)
+
+
+def test_report_keeps_the_events_it_was_made_from():
+    """The journal is append-only: a later event moves neither the text
+    nor the digest of a report already made."""
+    journal = Journal()
+    journal.emit(1.5, "block_allocated", "f", block=7)
+    report = ServiceReport({}, {}, journal, "", "")
+    text = report.journal_text
+    journal.emit(2.0, "block_allocated", "f", block=8)
+    assert report.journal_text == text
+    assert report.digests()["journal"] == _sha256(text)
+
+
+def test_report_memory_is_constant_in_the_journal():
+    """Making the report and reading its digests holds no rendering of
+    the journal: not the text, not its lines, not its bytes (each alone
+    is at least the text's length)."""
+    service = IngestService(SPECS["busy"])
+    service.run()
+    assert 1500 <= len(service.journal) <= 3000
+    tracemalloc.start()
+    try:
+        report = service.report()
+        report.digests()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * len(report.journal_text)
