@@ -30,7 +30,6 @@ from .cluster import (
     MEDIUM,
     SMALL,
     Cluster,
-    build_custom,
     build_heterogeneous,
     build_homogeneous,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "Cluster",
     "build_homogeneous",
     "build_heterogeneous",
-    "build_custom",
     "SMALL",
     "MEDIUM",
     "LARGE",

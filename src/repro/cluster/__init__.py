@@ -1,6 +1,6 @@
 """Machine substrate: EC2 instance types, disks, nodes, cluster builders."""
 
-from .builder import Cluster, build_custom, build_heterogeneous, build_homogeneous
+from .builder import Cluster, build_heterogeneous, build_homogeneous
 from .disk import Disk
 from .instance import (
     INSTANCE_CATALOG,
@@ -18,7 +18,6 @@ __all__ = [
     "Cluster",
     "build_homogeneous",
     "build_heterogeneous",
-    "build_custom",
     "Node",
     "Disk",
     "InstanceType",

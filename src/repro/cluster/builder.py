@@ -27,7 +27,7 @@ from ..units import mbps
 from .instance import LARGE, MEDIUM, SMALL, InstanceType, instance_by_name
 from .node import Node
 
-__all__ = ["Cluster", "build_homogeneous", "build_heterogeneous", "build_custom"]
+__all__ = ["Cluster", "build_homogeneous", "build_heterogeneous"]
 
 
 @dataclass
@@ -94,10 +94,6 @@ class Cluster:
         return chosen
 
 
-def _resolve(instance: InstanceType | str) -> InstanceType:
-    return instance_by_name(instance) if isinstance(instance, str) else instance
-
-
 def _two_racks(
     types: list[InstanceType], n_local: int
 ) -> list[tuple[str, InstanceType, str]]:
@@ -112,26 +108,25 @@ def _two_racks(
 def _build(
     env: Environment,
     config: SimulationConfig | None,
-    namenode_type: InstanceType,
-    client_type: InstanceType,
+    host_type: InstanceType,
     datanode_specs: list[tuple[str, InstanceType, str]],
     n_extra_clients: int = 0,
 ) -> Cluster:
-    """The construction every builder shares: the namenode, the client
-    and ``n_extra_clients`` more clients of its type in ``rack0``, then
-    one datanode per ``(name, type, rack)`` spec, the topology and the
-    network."""
+    """The construction both builders share: the namenode, the client
+    and ``n_extra_clients`` more clients, all of ``host_type`` and in
+    ``rack0``, then one datanode per ``(name, type, rack)`` spec, the
+    topology and the network."""
     config = config or SimulationConfig()
     topo = Topology()
-    namenode = Node(env, "namenode", namenode_type, rack="rack0")
-    client = Node(env, "client", client_type, rack="rack0")
+    namenode = Node(env, "namenode", host_type, rack="rack0")
+    client = Node(env, "client", host_type, rack="rack0")
     topo.add_host("namenode", "rack0")
     topo.add_host("client", "rack0")
 
     extra_clients = []
     for i in range(n_extra_clients):
         name = f"client{i + 1}"
-        extra_clients.append(Node(env, name, client_type, rack="rack0"))
+        extra_clients.append(Node(env, name, host_type, rack="rack0"))
         topo.add_host(name, "rack0")
 
     datanodes = []
@@ -167,7 +162,7 @@ def build_homogeneous(
     datanodes → 5 local + 4 remote).  Pass a different ``n_local`` to
     study asymmetric layouts.
     """
-    itype = _resolve(instance)
+    itype = instance_by_name(instance) if isinstance(instance, str) else instance
     if n_datanodes < 1:
         raise ValueError("need at least one datanode")
     if n_local is None:
@@ -177,7 +172,6 @@ def build_homogeneous(
     return _build(
         env,
         config,
-        itype,
         itype,
         _two_racks([itype] * n_datanodes, n_local),
         n_extra_clients,
@@ -196,24 +190,5 @@ def build_heterogeneous(
     """
     mix = [SMALL, MEDIUM, LARGE] * 3
     return _build(
-        env, config, MEDIUM, MEDIUM, _two_racks(mix, len(mix) - len(mix) // 2)
-    )
-
-
-def build_custom(
-    env: Environment,
-    datanode_specs: list[tuple[str, InstanceType | str, str]],
-    client_instance: InstanceType | str = MEDIUM,
-    config: SimulationConfig | None = None,
-) -> Cluster:
-    """Fully explicit layout: ``datanode_specs`` is [(name, type, rack), …];
-    a medium namenode and the client sit in ``rack0``."""
-    if not datanode_specs:
-        raise ValueError("need at least one datanode spec")
-    return _build(
-        env,
-        config,
-        MEDIUM,
-        _resolve(client_instance),
-        [(name, _resolve(itype), rack) for name, itype, rack in datanode_specs],
+        env, config, MEDIUM, _two_racks(mix, len(mix) - len(mix) // 2)
     )

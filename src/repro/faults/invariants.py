@@ -167,7 +167,8 @@ class InvariantMonitor:
 
     # -- checks (journal events + sampler) ------------------------------
     def _check_event(self, event: TraceEvent) -> None:
-        generation = event.details.get("generation")
+        details = event.details
+        generation = details.get("generation")
         if generation is not None:
             high = self._generation_high.get(event.subject)
             self.records["generation_monotone"].check(
@@ -182,15 +183,15 @@ class InvariantMonitor:
             event.kind == "read_complete"
             and "read_durability" in self.records
         ):
-            delivered = event.details["bytes"]
-            size = event.details["size"]
+            delivered = details["bytes"]
+            size = details["size"]
             self.records["read_durability"].check(
                 delivered == size and size > 0,
-                f"{event.subject}: read by {event.details.get('client')} "
+                f"{event.subject}: read by {details.get('client')} "
                 f"returned {delivered}/{size} bytes (t={event.time:.3f})",
             )
 
-        client = event.details.get("client")
+        client = details.get("client")
         if client is not None and event.kind == "pipeline_open":
             live = self._live_pipelines.setdefault(client, set())
             live.add(event.subject)

@@ -17,7 +17,7 @@ from .protocol import Block, BlockState, FileNotFound
 __all__ = ["ReplicaInfo", "BlockInfo", "BlockManager"]
 
 
-@dataclass
+@dataclass(slots=True)
 class ReplicaInfo:
     """One datanode's copy of a block."""
 
@@ -26,7 +26,7 @@ class ReplicaInfo:
     finalized: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockInfo:
     """Namenode-side state of one block."""
 

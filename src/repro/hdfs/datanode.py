@@ -93,6 +93,8 @@ class BlockReceiver:
         self._upstream = upstream
         self.error = error
         #: The next pipeline hop (None for the tail), set while wiring.
+        #: Both links are cleared when the receiver closes or aborts (see
+        #: :meth:`_unlink`).
         self.downstream: Optional["BlockReceiver"] = None
         self.fnfa_out = fnfa_out
         self.client_node = client_node
@@ -155,15 +157,6 @@ class BlockReceiver:
         return self._bytes_received
 
     @property
-    def ack_out(self) -> Store:
-        """Where this hop's ACKs go: the client's ``ack_in`` for the first
-        hop, the upstream receiver's ``downstream_acks`` otherwise (built
-        by the upstream's :meth:`start`, which precedes any send here)."""
-        if self._upstream is None:
-            return self._ack_out
-        return self._upstream.downstream_acks
-
-    @property
     def buffered_packets(self) -> int:
         """Packets currently occupying buffer space (for buffer tests)."""
         if self.train is not None:
@@ -216,11 +209,18 @@ class BlockReceiver:
         if self._aborted:
             return
         label = f"{self.name}:b{self.block.block_id}"
+        downstream, upstream = self.downstream, self._upstream
+        # The first hop's ACKs go to the client; a later hop's to its
+        # upstream's ``downstream_acks``, built by the upstream's start,
+        # which precedes any send here.
+        ack_out = self._ack_out if upstream is None else upstream.downstream_acks
         self._procs.append(env.process(self._run(), name=f"recv:{label}"))
-        self._procs.append(env.process(self._ack_loop(), name=f"ackr:{label}"))
-        if self.downstream is not None:
+        self._procs.append(
+            env.process(self._ack_loop(downstream, ack_out), name=f"ackr:{label}")
+        )
+        if downstream is not None:
             self._procs.append(
-                env.process(self._forward_loop(), name=f"fwd:{label}")
+                env.process(self._forward_loop(downstream), name=f"fwd:{label}")
             )
 
     def send_in(self, src_node: Node, packet: Packet) -> ProcessGenerator:
@@ -256,6 +256,7 @@ class BlockReceiver:
             # dead peer); it returns by itself, so never self-interrupt.
             if proc.is_alive and proc is not self.env.active_process:
                 proc.interrupt("receiver aborted")
+        self._unlink()
         self.datanode._receiver_closed(self)
 
     # -- internals ----------------------------------------------------------
@@ -284,16 +285,15 @@ class BlockReceiver:
         except Interrupt:
             return
 
-    def _forward_loop(self) -> ProcessGenerator:
+    def _forward_loop(self, downstream: "BlockReceiver") -> ProcessGenerator:
         """Mirror packets downstream, freeing buffer space as they leave."""
         try:
             while True:
                 packet: Packet = yield self._forward_queue.get()
-                assert self.downstream is not None
-                if not self.downstream.host.alive:
-                    self.abort(self.downstream.name)
+                if not downstream.host.alive:
+                    self.abort(downstream.name)
                     return
-                yield from self.downstream.send_in(self.host, packet)
+                yield from downstream.send_in(self.host, packet)
                 yield self._buffer_tokens.get()  # space freed
                 if packet.is_last:
                     self.datanode.tracer.end(self._trace_fwd, self.env.now)
@@ -373,8 +373,10 @@ class BlockReceiver:
         delay = datanode.network.control_delay(datanode.node, namenode.node)
         self.env.call_at(self.env.now + delay, landed)
 
-    def _ack_loop(self) -> ProcessGenerator:
-        """Relay ACKs client-ward in packet order.
+    def _ack_loop(
+        self, downstream: Optional["BlockReceiver"], ack_out: Store
+    ) -> ProcessGenerator:
+        """Relay ACKs client-ward, into ``ack_out``, in packet order.
 
         Downstream ACKs arrive in packet order too: the next hop relays
         in its own ``_writes_announced`` order, which is its inbox order,
@@ -384,14 +386,14 @@ class BlockReceiver:
         try:
             while True:
                 packet: Packet = yield self._writes_announced.get()
-                if self.downstream is not None:
+                if downstream is not None:
                     ack = yield self.downstream_acks.get()
                     assert ack.seq == packet.seq, (ack.seq, packet.seq)
                 write = self._write_done[packet.seq]
                 if not write.processed:
                     yield write
                 del self._write_done[packet.seq]
-                if self.downstream is None:
+                if downstream is None:
                     # Tail node: the packet leaves memory once written.
                     yield self._buffer_tokens.get()
 
@@ -400,7 +402,7 @@ class BlockReceiver:
                 yield from network.send_control(
                     self.datanode.node, self.upstream_node
                 )
-                yield self.ack_out.put(
+                yield ack_out.put(
                     Ack(block_id=self.block.block_id, seq=packet.seq)
                 )
 
@@ -414,7 +416,15 @@ class BlockReceiver:
 
     def _maybe_close(self) -> None:
         if self._finalized and self._acks_done:
+            self._unlink()
             self.datanode._receiver_closed(self)
+
+    def _unlink(self) -> None:
+        """Drop the links to the neighbouring hops, so a finished
+        pipeline's receivers die by reference counting (the loops take
+        the links when :meth:`start` spawns them)."""
+        self.downstream = None
+        self._upstream = None
 
 
 class ReadServe:

@@ -28,7 +28,7 @@ class FileState(Enum):
     COMPLETE = "complete"
 
 
-@dataclass
+@dataclass(slots=True)
 class INodeFile:
     """Namespace entry for one file."""
 

@@ -76,7 +76,7 @@ class BlockState(Enum):
     COMPLETE = "complete"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """One HDFS block of a file."""
 

@@ -6,12 +6,13 @@ experiment runner's ``run_all --jobs`` and the pod executor in
 in task order, a child failure names *which* task died (no silent
 ``None`` holes to hole-check downstream), and ``jobs=1`` degrades to a
 plain sequential loop with identical semantics.  This module is that one
-implementation.
+implementation.  It imports :mod:`concurrent.futures` (and with it
+:mod:`multiprocessing`) only when ``jobs > 1`` asks for a pool, so a
+sequential run never loads them.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Callable, Optional, Sequence
 
 __all__ = ["WorkerFailure", "map_named"]
@@ -67,6 +68,8 @@ def map_named(
             except Exception as exc:
                 raise WorkerFailure(name, exc, [name]) from exc
         return results
+
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         futures = {pool.submit(fn, *args): name for name, args in tasks}

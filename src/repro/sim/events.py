@@ -267,8 +267,13 @@ class Condition(Event):
             self.fail(event._value)
         else:
             self._fired.append(event)
-            if self._evaluate(self._events, self._count):
-                self.succeed(self._collect_values())
+            if not self._evaluate(self._events, self._count):
+                return
+            self.succeed(self._collect_values())
+        # Resolved.  Constituents still pending keep this condition in
+        # their callbacks (to defuse a late failure); dropping the lists
+        # keeps it from holding them in a reference cycle.
+        self._events = self._fired = None
 
     def _collect_values(self) -> dict["Event", Any]:
         return {e: e._value for e in self._fired}

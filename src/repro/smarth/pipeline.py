@@ -66,7 +66,7 @@ class SmarthPipeline:
         #: Set when a recovery makes the FNFA timing meaningless.
         self.skip_speed_record = False
         self.started_at: float = env.now
-        #: Fires when the pipeline reaches DONE.
+        #: Fires (with no value) when the pipeline reaches DONE.
         self.done: Event = env.event()
 
         #: Open span ids on the client tracer (0 when tracing is off):
@@ -110,7 +110,7 @@ class SmarthPipeline:
     def mark_done(self) -> None:
         self.state = PipelineState.DONE
         if not self.done.triggered:
-            self.done.succeed(self)
+            self.done.succeed()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -10,7 +10,6 @@ from repro.cluster import (
     Disk,
     InstanceType,
     Node,
-    build_custom,
     instance_by_name,
 )
 from repro.sim import Environment
@@ -102,22 +101,3 @@ class TestNode:
         assert not node.alive
         node.recover()
         assert node.alive
-
-
-class TestBuildCustom:
-    def test_explicit_layout(self, env):
-        cluster = build_custom(
-            env,
-            datanode_specs=[
-                ("fast1", LARGE, "rack0"),
-                ("slow1", "small", "rack1"),
-            ],
-            client_instance="large",
-        )
-        assert cluster.datanode_host("slow1").instance is SMALL
-        assert cluster.client_host.instance is LARGE
-        assert cluster.topology.rack_of("fast1") == "rack0"
-
-    def test_empty_specs_rejected(self, env):
-        with pytest.raises(ValueError):
-            build_custom(env, datanode_specs=[])

@@ -41,6 +41,7 @@ from repro.hdfs.client.output_stream import Production, plan_file
 from repro.hdfs.client.responder import PacketResponder
 from repro.hdfs.client.send import BlockProgress
 from repro.hdfs.datanode import trigger_pipeline_error
+from repro.hdfs.protocol import HdfsError
 from repro.hdfs.train import PacketTrain, ReadTrain
 from repro.net import FlowSample, FlowStats
 from repro.net.throttle import NodeThrottle
@@ -345,7 +346,10 @@ class ReadCase:
 
 def _read(case: ReadCase, train_cls) -> dict:
     """Write a file, then read it back with ``train_cls`` as the read
-    train, disturbing the newest live stream."""
+    train, disturbing the newest live stream.
+
+    Errors can kill every replica of a block; the reader then fails, and
+    its outcome is the error's type and message instead of the result."""
     env = Environment()
     config = SimulationConfig(seed=case.seed).with_hdfs(
         block_size=16 * PACKET, packet_size=PACKET
@@ -398,13 +402,17 @@ def _read(case: ReadCase, train_cls) -> dict:
         for d in case.disturbances:
             env.process(disturb(d))
         reader = env.process(HdfsReader(deployment).get("/f"))
-        env.run(until=reader)
-    result = reader.value
+        try:
+            result = env.run(until=reader)
+        except HdfsError as error:
+            outcome = (type(error).__name__, str(error))
+        else:
+            outcome = (result.duration, [tuple(b) for b in result.sources])
     observed = _settled(deployment, env)
     observed.update(
         start=start,
         plans=[t.plans for t in trains],
-        result=(result.duration, [tuple(b) for b in result.sources]),
+        result=outcome,
         outcomes=[(s.delivered_bytes, s.failed) for s in streams],
     )
     return observed
@@ -432,6 +440,10 @@ read_cases = st.builds(
 @example(ReadCase(7, 16, (Disturbance("foreign", 0.3, False, 0),
                           Disturbance("throttle", 0.5, False, 1))))
 @example(ReadCase(3, 33, (Disturbance("error", 0.4, False, 0),)))
+# Three errors kill every replica: both planners must fail alike.
+@example(ReadCase(0, 11, (Disturbance("error", 0.5, False, 0),
+                          Disturbance("error", 0.75, False, 0),
+                          Disturbance("error", 0.25, False, 0))))
 def test_read_planner_matches_row_wise(case):
     column_wise = _read(case, COLUMN_WISE["read"])
     row_wise = _read(case, ROW_WISE["read"])

@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+from repro.analysis import trace as trace_module
 from repro.faults.campaign import FaultSpec
 from repro.hdfs import DatanodeDescriptor
 from repro.obs import MetricsRegistry
@@ -147,7 +148,7 @@ def test_default_spec_partitions_tenants():
     assert spec.classes[0].diurnal_amplitude > 0
 
 
-def test_snapshot_rejects_garbage(tmp_path):
+def test_snapshot_rejects_garbage(tmp_path, monkeypatch):
     missing = tmp_path / "nope.pkl"
     with pytest.raises(SnapshotError):
         load_snapshot(missing)
@@ -212,6 +213,33 @@ def test_snapshot_rejects_garbage(tmp_path):
         )
         with pytest.raises(SnapshotError, match=f"version {version} "):
             load_snapshot(old)
+
+    # Version 4 predates slotted journal events: it pickled each event as
+    # a frozen dataclass and its ``__dict__``, which this build's
+    # TraceEvent has no room for, so the file does not even unpickle.
+    @dataclasses.dataclass(frozen=True)
+    class V4Event:
+        time: float
+        kind: str
+        subject: str
+        details: dict
+
+    V4Event.__module__ = trace_module.__name__
+    V4Event.__qualname__ = "TraceEvent"
+    event = V4Event(1.0, "add_block", "/f", {"block": 1000})
+    with monkeypatch.context() as patch:
+        patch.setattr(trace_module, "TraceEvent", V4Event)
+        v4_bytes = pickle.dumps(
+            {
+                "format": "repro-service-snapshot",
+                "version": 4,
+                "state": {"journal": [event]},
+            }
+        )
+    v4 = tmp_path / "v4.pkl"
+    v4.write_bytes(v4_bytes)
+    with pytest.raises(SnapshotError, match="cannot read snapshot"):
+        load_snapshot(v4)
 
 
 def test_snapshot_round_trip(tmp_path):

@@ -1,5 +1,8 @@
 """Unit tests for the event primitives."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import AllOf, AnyOf, Environment, Event, Timeout
@@ -226,3 +229,30 @@ class TestConditions:
         env.process(proc(env))
         env.run()
         assert done == [["early"]]
+
+
+def test_resolved_condition_holds_no_cycle():
+    """A resolved condition stays in its pending constituents' callbacks
+    (to defuse a late failure) but no longer holds them, so with the
+    cyclic collector off both die by reference counting."""
+
+    class Value:
+        pass
+
+    env = Environment()
+    value = Value()
+    ref = weakref.ref(value)
+    first, pending = env.event(), env.event()
+    condition = env.any_of([first, pending])
+    first.succeed(value)
+    del value
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        env.run()
+        assert condition.value == {first: ref()}
+        del first, pending, condition
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

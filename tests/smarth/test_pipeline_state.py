@@ -122,4 +122,5 @@ class TestStateTracking:
         assert p.state is PipelineState.DONE
         assert p.done.triggered
         p.mark_done()  # idempotent
-        assert p.done.value is p
+        # No value: a done event holding its pipeline would be a cycle.
+        assert p.done.value is None

@@ -34,6 +34,35 @@ _STDLIB_ONLY_QUICKSTART = textwrap.dedent(
     """
 )
 
+#: Run in a fresh interpreter: the modules a sequential run imports load
+#: no process pool and no pickle (``repro.pool`` imports the pool only
+#: for ``jobs > 1``; snapshots import pickle only to save or load).
+_SEQUENTIAL_IMPORTS = textwrap.dedent(
+    """
+    import sys
+
+    import repro, repro.service, repro.faults.campaign
+    import repro.workloads.sharded, repro.experiments.runner
+
+    heavy = ("multiprocessing", "concurrent.futures", "pickle")
+    loaded = sorted(set(heavy) & set(sys.modules))
+    assert not loaded, loaded
+    """
+)
+
+
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this ``repro``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
 
 class TestPublicSurface:
     def test_all_names_resolve(self):
@@ -65,17 +94,11 @@ class TestPublicSurface:
         assert improvement > 0
 
     def test_quickstart_needs_only_the_standard_library(self):
-        src = str(Path(repro.__file__).resolve().parents[1])
-        path = os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", _STDLIB_ONLY_QUICKSTART],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
+        result = _run_fresh(_STDLIB_ONLY_QUICKSTART)
+        assert result.returncode == 0, result.stderr
+
+    def test_sequential_imports_load_no_process_pool_or_pickle(self):
+        result = _run_fresh(_SEQUENTIAL_IMPORTS)
         assert result.returncode == 0, result.stderr
 
 
