@@ -21,7 +21,6 @@ from .analysis import (
     CostParameters,
     hdfs_time,
     improvement_percent,
-    predicted_improvement,
     smarth_time,
     smarth_time_refined,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "hdfs_time",
     "smarth_time",
     "smarth_time_refined",
-    "predicted_improvement",
     "improvement_percent",
     # units
     "KB",

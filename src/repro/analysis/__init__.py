@@ -4,7 +4,6 @@ from .cost_model import (
     CostParameters,
     harmonic_mean,
     hdfs_time,
-    predicted_improvement,
     production_bound_time,
     smarth_time,
     smarth_time_refined,
@@ -19,7 +18,6 @@ __all__ = [
     "hdfs_time",
     "smarth_time",
     "smarth_time_refined",
-    "predicted_improvement",
     "harmonic_mean",
     "ComparisonRow",
     "improvement_percent",

@@ -47,7 +47,6 @@ __all__ = [
     "hdfs_time",
     "smarth_time",
     "smarth_time_refined",
-    "predicted_improvement",
     "harmonic_mean",
 ]
 
@@ -133,10 +132,3 @@ def smarth_time_refined(
     stream_rate = harmonic_mean(list(first_hop_rates))
     effective = min(stream_rate, n_pipelines * drain_rate)
     return _transmission_time(p, effective)
-
-
-def predicted_improvement(hdfs_seconds: float, smarth_seconds: float) -> float:
-    """The paper's improvement metric, in percent: ``T_hdfs/T_smarth - 1``."""
-    if smarth_seconds <= 0:
-        raise ValueError("smarth time must be positive")
-    return (hdfs_seconds / smarth_seconds - 1.0) * 100.0

@@ -90,10 +90,6 @@ class Journal:
     def __init__(self) -> None:
         self._events: list[TraceEvent] = []
 
-    def restore_events(self, events: "list[TraceEvent] | tuple[TraceEvent, ...]") -> None:
-        """Replace the whole event list (checkpoint restore path)."""
-        self._events = list(events)
-
     # -- writing ------------------------------------------------------------
     def emit(self, time: float, kind: str, subject: str, **details: object) -> None:
         self._events.append(TraceEvent(time, kind, subject, details))

@@ -75,14 +75,5 @@ class Disk:
         self.bytes_read += size
         return res
 
-    @property
-    def queue_len(self) -> int:
-        """Writes waiting for the channel (used to detect disk pressure).
-
-        Analytic channels do not track individual quotes; approximate
-        pressure as whether the channel is backed up past *now*.
-        """
-        return 1 if self._channel.busy_until > self.env.now else 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Disk {self.name} rate={self.rate:.0f} B/s>"

@@ -33,7 +33,6 @@ from .protocol import (
     LeaseConflict,
     NoDatanodesAvailable,
     Packet,
-    SafeModeException,
     WriteResult,
 )
 
@@ -72,7 +71,6 @@ __all__ = [
     "HdfsError",
     "FileAlreadyExists",
     "FileNotFound",
-    "SafeModeException",
     "LeaseConflict",
     "NoDatanodesAvailable",
     "DatanodeDead",

@@ -9,7 +9,6 @@ dead node and :meth:`BlockManager.under_replicated` to check the damage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Callable, Optional
 
 from .protocol import Block, BlockState, FileNotFound
@@ -43,7 +42,8 @@ class BlockManager:
     """Allocates block IDs and tracks replica state."""
 
     def __init__(self) -> None:
-        self._ids = count(1000)
+        #: Id of the next block minted.
+        self._next_id = 1000
         self._blocks: dict[int, BlockInfo] = {}
         #: Finalized replica count -> the blocks with that many, so the
         #: replication monitor's scan visits only the short ones.
@@ -59,7 +59,9 @@ class BlockManager:
     # -- allocation ----------------------------------------------------------
     def allocate(self, path: str, index: int, size: int) -> Block:
         """Mint a new block for ``path``."""
-        block = Block(block_id=next(self._ids), path=path, index=index, size=size)
+        block_id = self._next_id
+        self._next_id = block_id + 1
+        block = Block(block_id=block_id, path=path, index=index, size=size)
         self._blocks[block.block_id] = BlockInfo(block=block)
         self._by_count.setdefault(0, set()).add(block.block_id)
         return block
@@ -143,22 +145,6 @@ class BlockManager:
         for bid in affected:
             self.drop_replica(bid, datanode)
         return affected
-
-    # -- snapshot protocol -------------------------------------------------
-    def export_state(self) -> dict:
-        """Plain-data state for checkpointing, including the ID counter."""
-        # itertools.count reduces to (count, (next_value,)); reading it
-        # this way does not consume a value.
-        next_id = self._ids.__reduce__()[1][0]
-        return {"blocks": dict(self._blocks), "next_id": next_id}
-
-    def restore_state(self, state: dict) -> None:
-        self._blocks = dict(state["blocks"])
-        self._ids = count(state["next_id"])
-        self._by_count = {}
-        for bid, info in self._blocks.items():
-            self._by_count.setdefault(info.finalized_replicas, set()).add(bid)
-        self._changed()
 
     def _recount(self, block_id: int, info: BlockInfo, delta: int) -> None:
         """Move a block whose finalized replica count changed by

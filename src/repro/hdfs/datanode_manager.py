@@ -408,28 +408,6 @@ class DatanodeManager:
     def all_names(self) -> tuple[str, ...]:
         return tuple(sorted(self._datanodes))
 
-    # -- snapshot protocol -------------------------------------------------
-    def export_state(self) -> dict:
-        """Descriptors are plain dataclasses; copy them for checkpointing.
-
-        At a service barrier every chain has stopped, so the stamps are
-        the last beats recorded before it.
-        """
-        return {
-            "datanodes": {
-                name: DatanodeDescriptor(**vars(self.descriptor(name)))
-                for name in self._datanodes
-            }
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Replace the descriptors (with every chain and monitor stopped)."""
-        self._datanodes = {
-            name: DatanodeDescriptor(**vars(d))
-            for name, d in state["datanodes"].items()
-        }
-        self._invalidate_live()
-
     def _get(self, name: str) -> DatanodeDescriptor:
         try:
             return self._datanodes[name]

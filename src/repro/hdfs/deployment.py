@@ -73,7 +73,7 @@ class HdfsDeployment:
             self.tracer.attach_journal(self.journal)
         #: Simulated times at which a datanode kill is *scheduled*
         #: (FaultInjector registers them up front).  Both trains run
-        #: under scheduled kills; the service snapshot keeps the list.
+        #: under scheduled kills.
         self.scheduled_disturbances: list[float] = []
         #: The live read train of each reader host (see
         #: :class:`~repro.hdfs.train.ReadTrain`); a train leaves once its

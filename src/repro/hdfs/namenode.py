@@ -126,19 +126,6 @@ class SpeedRegistry:
         """
         return self._records.get(client, _NO_RECORDS)
 
-    # -- snapshot protocol -------------------------------------------------
-    def export_state(self) -> dict:
-        """Per-client record maps (plain floats) for checkpointing."""
-        return {
-            "records": {c: dict(r) for c, r in self._records.items()}
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._records = {c: dict(r) for c, r in state["records"].items()}
-        # Rankings are a cache; recomputed lazily on demand.
-        self._ranked = {}
-
-
 class UncachedSpeedRegistry(SpeedRegistry):
     """Reference registry: rebuild the pool and re-sort on every query.
 

@@ -1,7 +1,7 @@
 """The namenode's file-system namespace.
 
 Implements the §II step 1 checks: existence, (trivially granted)
-permissions, safe mode, and single-writer leases.  Only the slice of the
+permissions, and single-writer leases.  Only the slice of the
 namespace API the write path exercises is modelled — create, add-block
 bookkeeping, and completion — but with real state transitions so tests can
 assert on them.
@@ -17,7 +17,6 @@ from .protocol import (
     FileAlreadyExists,
     FileNotFound,
     LeaseConflict,
-    SafeModeException,
 )
 
 __all__ = ["FileState", "INodeFile", "Namespace"]
@@ -43,35 +42,17 @@ class INodeFile:
 
 
 class Namespace:
-    """In-memory namespace with leases and safe mode."""
+    """In-memory namespace with single-writer leases."""
 
     def __init__(self) -> None:
         self._files: dict[str, INodeFile] = {}
-        self._safe_mode = False
-
-    # -- safe mode ---------------------------------------------------------
-    @property
-    def safe_mode(self) -> bool:
-        return self._safe_mode
-
-    def enter_safe_mode(self) -> None:
-        self._safe_mode = True
-
-    def leave_safe_mode(self) -> None:
-        self._safe_mode = False
-
-    def _check_writable(self) -> None:
-        if self._safe_mode:
-            raise SafeModeException("namenode is in safe mode")
 
     # -- write path --------------------------------------------------------
-    def create(self, path: str, client: str, overwrite: bool = False) -> INodeFile:
+    def create(self, path: str, client: str) -> INodeFile:
         """§II step 1: validate and create a namespace entry."""
-        self._check_writable()
         if not path.startswith("/"):
             raise ValueError(f"path must be absolute, got {path!r}")
-        existing = self._files.get(path)
-        if existing is not None and not overwrite:
+        if path in self._files:
             raise FileAlreadyExists(path)
         inode = INodeFile(path=path, client=client)
         self._files[path] = inode
@@ -96,7 +77,6 @@ class Namespace:
 
     def append_block(self, path: str, client: str, block: Block) -> None:
         """Record a freshly allocated block on the file."""
-        self._check_writable()
         inode = self.check_lease(path, client)
         inode.blocks.append(block)
 
@@ -111,7 +91,6 @@ class Namespace:
 
     def complete(self, path: str, client: str) -> INodeFile:
         """§II step 6: the client signals all ACKs received."""
-        self._check_writable()
         inode = self.check_lease(path, client)
         inode.state = FileState.COMPLETE
         return inode
@@ -121,15 +100,6 @@ class Namespace:
 
     def files(self) -> tuple[str, ...]:
         return tuple(sorted(self._files))
-
-    # -- snapshot protocol ---------------------------------------------------
-    def export_state(self) -> dict:
-        """Plain-data state for checkpointing (inodes are plain dataclasses)."""
-        return {"files": dict(self._files), "safe_mode": self._safe_mode}
-
-    def restore_state(self, state: dict) -> None:
-        self._files = dict(state["files"])
-        self._safe_mode = bool(state["safe_mode"])
 
     def __len__(self) -> int:
         return len(self._files)

@@ -21,7 +21,6 @@ __all__ = [
     "HdfsError",
     "FileAlreadyExists",
     "FileNotFound",
-    "SafeModeException",
     "LeaseConflict",
     "NoDatanodesAvailable",
     "DatanodeDead",
@@ -38,10 +37,6 @@ class FileAlreadyExists(HdfsError):
 
 class FileNotFound(HdfsError):
     """Operation on a path missing from the namespace."""
-
-
-class SafeModeException(HdfsError):
-    """Namespace mutation attempted while the namenode is in safe mode."""
 
 
 class LeaseConflict(HdfsError):

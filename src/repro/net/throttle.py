@@ -118,15 +118,6 @@ class ThrottleTable:
         self._notify()
         return self
 
-    def replace_rules(self, rules: "list[ThrottleRule] | tuple[ThrottleRule, ...]") -> None:
-        """Swap the whole rule set without notifying listeners.
-
-        Checkpoint restore path: rules are plain picklable objects, and a
-        restore happens on a quiescent deployment (no in-flight
-        trains), so listeners have nothing to re-plan.
-        """
-        self._rules = list(rules)
-
     def remove_matching(self, matches: Callable[[ThrottleRule], bool]) -> int:
         """Drop the rules ``matches`` accepts; returns how many were removed."""
         kept = [r for r in self._rules if not matches(r)]

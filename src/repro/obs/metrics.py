@@ -182,33 +182,6 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         return self._histograms.get(name) or Histogram(name)
 
-    # -- snapshot protocol -------------------------------------------------
-    def export_state(self) -> dict:
-        """Plain-data instrument contents for checkpointing."""
-        return {
-            "enabled": self._enabled,
-            "counters": {n: c.value for n, c in self._counters.items()},
-            "gauges": {
-                n: (g.value, g.max_value) for n, g in self._gauges.items()
-            },
-            "histograms": {
-                n: list(h.observations) for n, h in self._histograms.items()
-            },
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._enabled = bool(state["enabled"])
-        self._counters = {
-            n: Counter(n, v) for n, v in state["counters"].items()
-        }
-        self._gauges = {
-            n: Gauge(n, v, mx) for n, (v, mx) in state["gauges"].items()
-        }
-        self._histograms = {
-            n: Histogram(n, list(obs))
-            for n, obs in state["histograms"].items()
-        }
-
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
 

@@ -100,27 +100,3 @@ class AdmissionController:
                 f"completed={self.completed} + failed={self.failed} + "
                 f"rejected={self.rejected}"
             )
-
-    # -- snapshot protocol -------------------------------------------------
-    def export_state(self) -> dict:
-        if self.queue or self.inflight:
-            raise AssertionError(
-                "admission controller must be drained before checkpointing"
-            )
-        return {
-            "arrivals": self.arrivals,
-            "admitted": self.admitted,
-            "enqueued": self.enqueued,
-            "rejected": self.rejected,
-            "completed": self.completed,
-            "failed": self.failed,
-            "dequeued": self.dequeued,
-            "max_queue_depth": self.max_queue_depth,
-            "max_inflight_seen": self.max_inflight_seen,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.queue = []
-        self.inflight = 0
-        for key, value in state.items():
-            setattr(self, key, int(value))

@@ -137,19 +137,6 @@ class ArrivalStream:
         self.next_at = self._draw(at)
         return arrival
 
-    # -- snapshot protocol -------------------------------------------------
-    def export_state(self) -> dict:
-        return {
-            "rng": self.rng.getstate(),
-            "next_at": self.next_at,
-            "count": self.count,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.rng.setstate(state["rng"])
-        self.next_at = float(state["next_at"])
-        self.count = int(state["count"])
-
 
 class MergedArrivals:
     """Deterministic merge of the per-class streams by (time, class)."""
@@ -180,19 +167,3 @@ class MergedArrivals:
     @property
     def total(self) -> int:
         return sum(s.count for s in self.streams)
-
-    # -- snapshot protocol -------------------------------------------------
-    def export_state(self) -> dict:
-        return {
-            "streams": [s.export_state() for s in self.streams],
-            "seq": dict(self._seq),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        if len(state["streams"]) != len(self.streams):
-            raise ValueError(
-                "snapshot has a different number of tenant classes"
-            )
-        for stream, sub in zip(self.streams, state["streams"]):
-            stream.restore_state(sub)
-        self._seq = dict(state["seq"])

@@ -16,14 +16,14 @@ long-lived SMARTH/HDFS deployment.  The simulated horizon is split into
 4. all remaining state is plain data and is snapshotted, then the same
    services restart through the same code path.
 
-Because a barrier leaves *zero* pending events, a resumed run rebuilds
-the deployment from the spec (with services stopped), restores the plain
-state, resets the clock/event-id counter, and restarts the services through
-the identical path — so every subsequent ``(time, priority, eid)``
-triple, and therefore every journal line, metric and SLO table, is
-byte-identical to the straight run.  The straight run performs the same
-quiesce/restart dance at every boundary whether or not a snapshot file
-is written, which is what makes the equivalence provable.
+Because a barrier leaves *zero* pending events and no live process, the
+service object itself is plain data: a snapshot pickles it whole, clock
+and event-id counter included, and a resumed run restarts the services
+through the identical path — so every subsequent ``(time, priority,
+eid)`` triple, and therefore every journal line, metric and SLO table,
+is byte-identical to the straight run.  The straight run performs the
+same quiesce/restart dance at every boundary whether or not a snapshot
+file is written, which is what makes the equivalence provable.
 
 Two deliberate modelling notes:
 
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from ..cluster.builder import build_homogeneous
 from ..config import SimulationConfig
@@ -201,7 +200,7 @@ def generate_service_faults(
 class IngestService:
     """One long-running multi-tenant ingest run over a single deployment."""
 
-    def __init__(self, spec: ServiceSpec, _restore: Optional[dict] = None):
+    def __init__(self, spec: ServiceSpec):
         self.spec = spec
         self.env = Environment()
         config = SimulationConfig(seed=spec.seed).with_hdfs(
@@ -234,8 +233,6 @@ class IngestService:
         self._next_upload = 0
         self._segment_index = 0
         self.checkpoints_written = 0
-        if _restore is not None:
-            self._restore_state(_restore)
 
     # -- construction helpers ----------------------------------------------
     @property
@@ -244,9 +241,11 @@ class IngestService:
 
     @classmethod
     def resume(cls, snapshot_path) -> "IngestService":
-        """Rebuild a service mid-run from a snapshot file."""
-        state = load_snapshot(snapshot_path)
-        return cls(state["spec"], _restore=state)
+        """The service a snapshot file holds, stopped at its barrier."""
+        service = load_snapshot(snapshot_path)
+        if not isinstance(service, cls):
+            raise SnapshotError(f"{snapshot_path} holds no {cls.__name__}")
+        return service
 
     # -- main loop ----------------------------------------------------------
     def _boundaries(self) -> list[float]:
@@ -288,8 +287,10 @@ class IngestService:
                 )
             if checkpoint_dir is not None and self._segment_index < len(boundaries):
                 path = Path(checkpoint_dir) / f"ckpt_{self._segment_index:03d}.pkl"
-                save_snapshot(path, self._export_state())
+                # Counted first: the snapshot holds the service, count
+                # included, and a resumed run counts on from it.
                 self.checkpoints_written += 1
+                save_snapshot(path, self)
         return self.report()
 
     def _run_segment(self, t_end: float) -> None:
@@ -452,79 +453,6 @@ class IngestService:
             raise SnapshotError(
                 "replication tasks still in flight at barrier"
             )
-
-    # -- snapshot protocol ---------------------------------------------------
-    def _export_state(self) -> dict:
-        deployment = self.deployment
-        namenode = deployment.namenode
-        monitor = deployment.replication_monitor
-        return {
-            "spec": self.spec,
-            "segment_index": self._segment_index,
-            "fault_index": self._fault_index,
-            "next_upload": self._next_upload,
-            "clock": self.env.clock_state(),
-            "journal": list(self.journal),
-            "scheduled_disturbances": list(deployment.scheduled_disturbances),
-            "namespace": namenode.namespace.export_state(),
-            "blocks": namenode.blocks.export_state(),
-            "datanodes": namenode.datanodes.export_state(),
-            "speeds": namenode.speeds.export_state(),
-            "namenode_rng": namenode.rng.getstate(),
-            "placement_rng": namenode.placement.rng.getstate(),
-            "replication": {
-                "rng": monitor.rng.getstate(),
-                "completed": list(monitor.completed),
-                "streams": dict(monitor._streams),
-            },
-            "nodes": {
-                node.name: {
-                    "alive": node.alive,
-                    "bytes_sent": node.nic.bytes_sent,
-                    "bytes_received": node.nic.bytes_received,
-                }
-                for node in self.cluster.all_hosts
-            },
-            "throttles": tuple(deployment.network.throttles.rules),
-            "injector_events": list(self.injector.events),
-            "metrics": self.metrics.export_state(),
-            "admission": self.admission.export_state(),
-            "arrivals": self.arrivals.export_state(),
-        }
-
-    def _restore_state(self, state: dict) -> None:
-        spec = state["spec"]
-        if spec != self.spec:
-            raise SnapshotError("snapshot spec does not match this service")
-        deployment = self.deployment
-        namenode = deployment.namenode
-        monitor = deployment.replication_monitor
-        self._segment_index = int(state["segment_index"])
-        self._fault_index = int(state["fault_index"])
-        self._next_upload = int(state["next_upload"])
-        self.journal.restore_events(state["journal"])
-        deployment.scheduled_disturbances[:] = state["scheduled_disturbances"]
-        namenode.namespace.restore_state(state["namespace"])
-        namenode.blocks.restore_state(state["blocks"])
-        namenode.datanodes.restore_state(state["datanodes"])
-        namenode.speeds.restore_state(state["speeds"])
-        namenode.rng.setstate(state["namenode_rng"])
-        namenode.placement.rng.setstate(state["placement_rng"])
-        monitor.rng.setstate(state["replication"]["rng"])
-        monitor.completed = list(state["replication"]["completed"])
-        monitor._streams = dict(state["replication"]["streams"])
-        for name in sorted(state["nodes"]):
-            sub = state["nodes"][name]
-            node = self.cluster.host(name)
-            node.alive = bool(sub["alive"])
-            node.nic.bytes_sent = int(sub["bytes_sent"])
-            node.nic.bytes_received = int(sub["bytes_received"])
-        deployment.network.throttles.replace_rules(state["throttles"])
-        self.injector.events = list(state["injector_events"])
-        self.metrics.restore_state(state["metrics"])
-        self.admission.restore_state(state["admission"])
-        self.arrivals.restore_state(state["arrivals"])
-        self.env.restore_clock(state["clock"])
 
     # -- reporting -----------------------------------------------------------
     def report(self) -> ServiceReport:

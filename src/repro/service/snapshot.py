@@ -1,13 +1,15 @@
 """Versioned on-disk snapshots for checkpoint/resume.
 
-A snapshot is a pickle of ``{"format", "version", "state"}`` where
-``state`` is plain data only — dataclasses, dicts, lists, RNG state
-tuples — captured at a *quiescent barrier* (empty event schedule).
-Generator frames are never serialized; resume rebuilds the deployment
-from the spec and replays plain state into it, which is what makes the
-byte-identical-continuation guarantee provable rather than hopeful.
-:mod:`pickle` is imported where a snapshot is saved or loaded, so a run
-that takes no snapshot never loads it.
+A snapshot is a pickle of ``{"format", "version", "service"}`` where
+``service`` is the :class:`~repro.service.IngestService` itself, taken at
+a *quiescent barrier*: the schedule is empty and every process has
+finished and dropped its generator, so the whole object graph (the
+environment, the deployment, the namenode's state, the journal, the
+metrics, the admission counters and the arrival streams) is plain data.
+A snapshot is read back only by the build that wrote it: its classes are
+this build's classes, and another version is refused.  :mod:`pickle` is
+imported where a snapshot is saved or loaded, so a run that takes no
+snapshot never loads it.
 """
 
 from __future__ import annotations
@@ -17,24 +19,33 @@ from ..sim import SnapshotError
 __all__ = ["SNAPSHOT_FORMAT", "SNAPSHOT_VERSION", "save_snapshot", "load_snapshot"]
 
 SNAPSHOT_FORMAT = "repro-service-snapshot"
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 
-def save_snapshot(path, state: dict) -> None:
-    """Write ``state`` to ``path`` as a versioned snapshot file."""
+def save_snapshot(path, service) -> None:
+    """Write the quiescent ``service`` to ``path`` as a snapshot file.
+
+    Refuses a service whose environment still has events pending: their
+    processes are alive, and their generator frames cannot be pickled.
+    """
     import pickle
 
+    pending = len(service.env)
+    if pending:
+        raise SnapshotError(
+            f"cannot snapshot a service with {pending} events pending"
+        )
     payload = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
-        "state": state,
+        "service": service,
     }
     with open(path, "wb") as fh:
         pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def load_snapshot(path) -> dict:
-    """Read and validate a snapshot file; returns the ``state`` dict.
+def load_snapshot(path):
+    """Read and validate a snapshot file; returns the service it holds.
 
     A file that does not unpickle is refused too.  Besides a damaged
     file, that is a snapshot of another version whose objects this
@@ -57,4 +68,4 @@ def load_snapshot(path) -> dict:
             f"{path}: unsupported snapshot version {version!r} "
             f"(this build reads version {SNAPSHOT_VERSION})"
         )
-    return payload["state"]
+    return payload.get("service")

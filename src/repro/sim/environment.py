@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import heapq
-from itertools import count
 from typing import Any, Callable, Iterable, Optional
 
 from .errors import EmptySchedule, StopSimulation
@@ -44,7 +43,10 @@ class Environment:
     def __init__(self) -> None:
         self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
-        self._eid = count()
+        #: Id of the next heap entry: ties at one (time, priority) pop
+        #: in scheduling order.  A plain int, so a quiescent environment
+        #: pickles as plain data.
+        self._eid = 0
         self._active_process: Process | None = None
         #: Heap entries whose event has been cancelled but not yet popped.
         self._tombstones = 0
@@ -86,48 +88,6 @@ class Environment:
             "heap_high_water": self.heap_high_water,
             "pending": len(self),
         }
-
-    # -- snapshot protocol ---------------------------------------------------
-    def clock_state(self) -> dict:
-        """Plain-data clock/counter state for checkpointing.
-
-        Only meaningful at a *quiescent* point (empty schedule): pending
-        heap entries hold live generator frames and cannot be serialized.
-        The event-id counter is captured without consuming a value so the
-        snapshot itself never perturbs scheduling order.
-        """
-        # itertools.count reduces to (count, (next_value,)).
-        next_eid = self._eid.__reduce__()[1][0]
-        return {
-            "now": self._now,
-            "next_eid": next_eid,
-            "events_processed": self.events_processed,
-            "tombstones_skipped": self.tombstones_skipped,
-            "compactions_run": self.compactions_run,
-            "heap_high_water": self.heap_high_water,
-        }
-
-    def restore_clock(self, state: dict) -> None:
-        """Restore :meth:`clock_state` onto a fresh, empty environment.
-
-        Refuses to run with events pending: any entry scheduled before the
-        restore would carry a pre-restore event id and break the global
-        ``(time, priority, eid)`` dispatch order the checkpoint proof
-        relies on.
-        """
-        from .errors import SnapshotError
-
-        if len(self) != 0:
-            raise SnapshotError(
-                f"restore_clock requires an empty schedule, {len(self)} "
-                "events pending"
-            )
-        self._now = float(state["now"])
-        self._eid = count(state["next_eid"])
-        self.events_processed = state["events_processed"]
-        self.tombstones_skipped = state["tombstones_skipped"]
-        self.compactions_run = state["compactions_run"]
-        self.heap_high_water = state["heap_high_water"]
 
     def __len__(self) -> int:
         """Number of live (non-cancelled) scheduled events."""
@@ -204,9 +164,9 @@ class Environment:
         normally never calls this directly.
         """
         queue = self._queue
-        heapq.heappush(
-            queue, (self._now + delay, priority, next(self._eid), event)
-        )
+        eid = self._eid
+        self._eid = eid + 1
+        heapq.heappush(queue, (self._now + delay, priority, eid, event))
         if len(queue) > self.heap_high_water:
             self.heap_high_water = len(queue)
 
@@ -224,7 +184,9 @@ class Environment:
                 f"schedule_at({when}) lies in the past (now={self._now})"
             )
         queue = self._queue
-        heapq.heappush(queue, (when, priority, next(self._eid), event))
+        eid = self._eid
+        self._eid = eid + 1
+        heapq.heappush(queue, (when, priority, eid, event))
         if len(queue) > self.heap_high_water:
             self.heap_high_water = len(queue)
 

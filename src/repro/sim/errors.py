@@ -53,7 +53,7 @@ class SnapshotError(SimulationError):
     """A checkpoint could not be taken or restored safely.
 
     Raised when a snapshot is attempted on a non-quiescent environment
-    (events still pending — their generator frames cannot serialize), when
-    a snapshot file has an unknown format/version, or when restored state
-    fails a consistency check.
+    (events still pending — their generator frames cannot serialize), or
+    when a snapshot file is unreadable, has an unknown format/version, or
+    holds no service.
     """

@@ -154,6 +154,9 @@ class Process(Event):
                 self._target = next_event
                 return
         except StopIteration as stop:
+            # A finished process holds no generator, so a quiescent
+            # environment is plain data (it pickles as a snapshot).
+            self._generator = None
             self._ok = True
             self._value = stop.value
             if self.callbacks:
@@ -165,6 +168,7 @@ class Process(Event):
         except BaseException as error:
             # A raising exit always goes through the heap, so an
             # unhandled exception still crashes the run.
+            self._generator = None
             self._ok = False
             self._value = error
             self._defused = False

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.analysis import (
     CostParameters,
     hdfs_time,
-    predicted_improvement,
+    improvement_percent,
     production_bound_time,
     smarth_time,
     smarth_time_refined,
@@ -106,12 +106,12 @@ class TestRefinedModel:
 
 class TestImprovement:
     def test_improvement_percent(self):
-        assert predicted_improvement(200, 100) == pytest.approx(100.0)
-        assert predicted_improvement(100, 100) == pytest.approx(0.0)
+        assert improvement_percent(200, 100) == pytest.approx(100.0)
+        assert improvement_percent(100, 100) == pytest.approx(0.0)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            predicted_improvement(1, 0)
+            improvement_percent(1, 0)
 
 
 @given(

@@ -8,7 +8,6 @@ from repro.hdfs import (
     FileState,
     LeaseConflict,
     Namespace,
-    SafeModeException,
 )
 from repro.hdfs.protocol import Block
 
@@ -33,18 +32,6 @@ class TestCreate:
         ns.create("/f", client="c1")
         with pytest.raises(FileAlreadyExists):
             ns.create("/f", client="c2")
-
-    def test_overwrite_allowed_when_requested(self, ns):
-        ns.create("/f", client="c1")
-        inode = ns.create("/f", client="c2", overwrite=True)
-        assert inode.client == "c2"
-
-    def test_safe_mode_blocks_create(self, ns):
-        ns.enter_safe_mode()
-        with pytest.raises(SafeModeException):
-            ns.create("/f", client="c1")
-        ns.leave_safe_mode()
-        ns.create("/f", client="c1")
 
 
 class TestLeases:

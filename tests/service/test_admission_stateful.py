@@ -123,5 +123,3 @@ def test_check_drained_reports_violation():
     ctrl.on_arrival("a")
     with pytest.raises(AssertionError):
         ctrl.check_drained()
-    with pytest.raises(AssertionError):
-        ctrl.export_state()

@@ -70,24 +70,16 @@ def test_arrivals_seq_is_per_tenant_and_unique():
 
 
 def test_arrivals_export_restore_resumes_identically():
+    """A snapshot exports the streams by pickling them whole and
+    restores them by unpickling."""
     reference = MergedArrivals(CLASSES, seed=5)
     prefix = _take(reference, 30)
 
     replay = MergedArrivals(CLASSES, seed=5)
     assert _take(replay, 12) == prefix[:12]
-    state = pickle.loads(pickle.dumps(replay.export_state()))
-
-    resumed = MergedArrivals(CLASSES, seed=999)  # seed ignored on restore
-    resumed.restore_state(state)
+    resumed = pickle.loads(pickle.dumps(replay))
     assert _take(resumed, 18) == prefix[12:]
     assert resumed.total == reference.total
-
-
-def test_arrivals_restore_rejects_class_mismatch():
-    state = MergedArrivals(CLASSES, seed=5).export_state()
-    other = MergedArrivals(CLASSES[:1], seed=5)
-    with pytest.raises(ValueError):
-        other.restore_state(state)
 
 
 def test_diurnal_rate_shape():
@@ -241,22 +233,39 @@ def test_snapshot_rejects_garbage(tmp_path, monkeypatch):
     with pytest.raises(SnapshotError, match="cannot read snapshot"):
         load_snapshot(v4)
 
+    # Version 5 held plain state copied out of each component, which
+    # this build no longer replays into a fresh deployment.
+    v5 = tmp_path / "v5.pkl"
+    v5.write_bytes(
+        pickle.dumps(
+            {
+                "format": "repro-service-snapshot",
+                "version": 5,
+                "state": {"spec": golden_spec(), "clock": {"now": 60.0}},
+            }
+        )
+    )
+    with pytest.raises(SnapshotError, match="version 5 "):
+        load_snapshot(v5)
+
+    # A current file that holds no service does not resume.
+    empty = tmp_path / "empty.pkl"
+    empty.write_bytes(
+        pickle.dumps(
+            {"format": "repro-service-snapshot", "version": 6, "service": {}}
+        )
+    )
+    with pytest.raises(SnapshotError, match="holds no IngestService"):
+        IngestService.resume(empty)
+
 
 def test_snapshot_round_trip(tmp_path):
     path = tmp_path / "ok.pkl"
-    save_snapshot(path, {"spec": "anything", "clock": {"now": 1.0}})
-    assert load_snapshot(path) == {"spec": "anything", "clock": {"now": 1.0}}
-
-
-def test_restore_rejects_spec_mismatch(tmp_path):
-    # resume() always rebuilds from the snapshot's own spec; the guard
-    # protects restoring a snapshot into a service built differently.
-    service = IngestService(golden_spec())
-    service.run(checkpoint_dir=tmp_path)
-    state = load_snapshot(tmp_path / "ckpt_001.pkl")
-    other = dataclasses.replace(golden_spec(), max_inflight=99)
-    with pytest.raises(SnapshotError, match="spec"):
-        IngestService(other, _restore=state)
+    save_snapshot(path, IngestService(golden_spec()))
+    service = load_snapshot(path)
+    assert isinstance(service, IngestService)
+    assert service.spec == golden_spec()
+    assert service.env.now == 0.0
 
 
 def test_generate_service_faults_is_deterministic():

@@ -1,5 +1,7 @@
 """Unit tests for processes: lifecycle, return values, interrupts."""
 
+import pickle
+
 import pytest
 
 from repro.sim import Environment, Interrupt
@@ -215,3 +217,58 @@ class TestInterrupts:
         env.process(attacker(env, v))
         env.run(until=50)
         assert causes == ["first", "second"]
+
+
+class TestExitDropsGenerator:
+    """A finished process holds no generator, so a quiescent environment
+    is plain data and pickles (the service snapshot relies on it)."""
+
+    def test_returned_process(self, env):
+        def proc(env):
+            yield env.timeout(1)
+            return "done"
+
+        p = env.process(proc(env))
+        env.run()
+        assert p.value == "done"
+        assert p._generator is None
+
+    def test_interrupted_processes(self, env):
+        def stops(env):
+            try:
+                yield env.timeout(100)
+            except Interrupt:
+                return "stopped"
+
+        def dies(env):
+            yield env.timeout(100)
+
+        def attacker(env, victims):
+            yield env.timeout(1)
+            for victim in victims:
+                victim.interrupt("stop")
+            with pytest.raises(Interrupt):
+                yield victims[1]
+
+        victims = [env.process(stops(env)), env.process(dies(env))]
+        env.process(attacker(env, victims))
+        env.run()
+        assert victims[0].value == "stopped"
+        assert isinstance(victims[1].value, Interrupt)
+        assert [v._generator for v in victims] == [None, None]
+
+    def test_quiescent_environment_pickles(self, env):
+        def proc(env):
+            yield env.timeout(2)
+
+        p = env.process(proc(env))
+        env.run()
+        copy = pickle.loads(pickle.dumps((env, p)))
+        clone, finished = copy
+        assert len(clone) == 0
+        assert clone.now == env.now == 2
+        assert finished.env is clone and finished.processed
+        # The copy's event ids carry on from the original's.
+        assert clone._eid == env._eid
+        clone.timeout(1)
+        assert clone._queue[0][2] == env._eid
